@@ -1,6 +1,6 @@
 """Residential EV charging / V2G simulation and evolutionary policy synthesis."""
 
-from .baseline import BaselineConfig, baseline_decide, per_step_energy_cap
+from .baseline import BaselineConfig, baseline_decide
 from .ledgers import (LedgerEntry, QuadrantSpec, build_ledger, export_ledger,
                       quadrant_sample, render_examples)
 from .market import (EnvTrace, PriceForecast, TracePoint, forecast_at,
@@ -8,10 +8,11 @@ from .market import (EnvTrace, PriceForecast, TracePoint, forecast_at,
 from .rewards import (FitReport, RewardConfig, behavioral_metrics,
                       departure_penalty, fit_score, step_profit)
 from .rules import evaluate_rules, parse_rule_script, script_to_source
-from .runtime import (PolicyHandle, PolicyProgram, guardrail_wrap, make_policy,
-                      spawn_external_policy)
+from .runtime import (ExternalProcessPolicy, GuardrailPolicy, PolicyHandle,
+                      PolicyProgram, make_policy)
 from .simulation import (Action, BatteryConfig, ConnectionSession,
                          EpisodeReport, Observation, StepRecord, apply_action,
-                         observation_at, run_episode)
+                         observation_at, per_step_energy_cap, read_step_log,
+                         run_episode)
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .simulation import Action, BatteryConfig, Observation
+from .simulation import (Action, BatteryConfig, Observation,
+                         per_step_energy_cap)
 
 
 @dataclass(frozen=True)
@@ -19,22 +20,6 @@ class BaselineConfig:
             raise ConfigError("price thresholds must be > 0")
         if not 0 <= self.min_soc_reserve < 1:
             raise ConfigError("min_soc_reserve must be in [0, 1)")
-
-
-def per_step_energy_cap(soc: float, bound: float, capacity_kwh: float,
-                        step_minutes: int, direction: str,
-                        efficiency: float = 0.95) -> float:
-    """Largest power (kW) whose one-step energy transfer stays inside ``bound``.
-
-    ``direction`` is "charge" (bound = SoC ceiling) or "discharge"
-    (bound = reserve floor); efficiency losses are accounted for.
-    """
-    dt = step_minutes / 60.0
-    if direction == "discharge":
-        return max(0.0, (soc - bound) * capacity_kwh * efficiency / dt)
-    if direction == "charge":
-        return max(0.0, (bound - soc) * capacity_kwh / (dt * efficiency))
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def baseline_decide(obs: Observation, cfg: BaselineConfig,

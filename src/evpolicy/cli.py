@@ -2,23 +2,23 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 from . import evolve as evolve_mod
 from . import ledgers
-from .baseline import BaselineConfig
 from .errors import (ConfigError, EvPolicyError, OperatorTransportError,
                      PolicyFault, PolicySpawnError)
-from .market import EnvTrace, load_trace, synthetic_trace, trace_stats
+from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
 from .rewards import RewardConfig
 from .runtime import make_policy
 from .simulation import (DEFAULT_EPISODE_STEPS, BatteryConfig,
-                         ConnectionSession, default_sessions, run_episode)
+                         ConnectionSession, default_sessions, read_step_log,
+                         run_episode)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -113,27 +113,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ledger(args) -> int:
-    entries = ledgers.ledger_from_step_log(args.from_log)
+    entries = ledgers.build_ledger(read_step_log(args.from_log))
     sample = ledgers.quadrant_sample(entries, args.n, seed=args.seed)
     fmt = "jsonl" if args.out.endswith(".jsonl") else "csv"
     ledgers.export_ledger(sample, args.out, format=fmt)
     print(f"wrote {len(sample)} entries to {args.out}")
     return EXIT_OK
-
-
-def _evolve_one(strategy: str, args, config, trace, sessions, battery,
-                reward_cfg, ledger_entries, out_root: Path):
-    operator = make_operator(args.operator, http_config=config.get("operator"))
-    out_dir = out_root / strategy if args.parallel or "," in args.strategy \
-        else out_root
-    return evolve_mod.run_evolution(
-        strategy=strategy, n_iterations=args.iters, trace=trace,
-        sessions=sessions, battery=battery, operator=operator,
-        reward_cfg=reward_cfg, seed=args.seed,
-        ledger_entries=ledger_entries, program_mode=args.mode,
-        out_dir=out_dir, start_step=args.start,
-        n_steps=args.steps, min_fit=args.min_fit,
-        retry_base_delay=config.get("retry_base_delay", 0.5))
 
 
 def cmd_evolve(args) -> int:
@@ -144,7 +129,9 @@ def cmd_evolve(args) -> int:
     reward_cfg = _reward(config)
     strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
 
-    ledger_entries = None
+    # One baseline episode feeds both the ledger examples and the fit
+    # reference of the imitation and hybrid strategies.
+    base_report = ledger_entries = None
     if any(s in ("imitation", "hybrid") for s in strategies):
         policy = make_policy("baseline", battery, options={
             "step_minutes": trace.step_minutes,
@@ -153,7 +140,7 @@ def cmd_evolve(args) -> int:
             DEFAULT_EPISODE_STEPS, len(trace) - args.start)
         base_report = run_episode(trace, sessions, battery, policy, reward_cfg,
                                   start_step=args.start, n_steps=n_steps)
-        all_entries = ledgers.build_ledger(base_report)
+        all_entries = ledgers.build_ledger(base_report.step_rows())
         n_sample = min(config.get("ledger_examples", 1500), len(all_entries))
         ledger_entries = ledgers.quadrant_sample(all_entries,
                                                  max(4, n_sample),
@@ -167,15 +154,18 @@ def cmd_evolve(args) -> int:
         "battery": asdict(battery), "reward": asdict(reward_cfg),
     })
 
-    runner = lambda s: _evolve_one(s, args, config, trace, sessions, battery,
-                                   reward_cfg, ledger_entries, out_root)
-    if args.parallel and len(strategies) > 1:
-        with ThreadPoolExecutor(max_workers=len(strategies)) as pool:
-            runs = list(pool.map(runner, strategies))
-    else:
-        runs = [runner(s) for s in strategies]
-
-    for run in runs:
+    for strategy in strategies:
+        operator = make_operator(args.operator,
+                                 http_config=config.get("operator"))
+        run = evolve_mod.run_evolution(
+            strategy=strategy, n_iterations=args.iters, trace=trace,
+            sessions=sessions, battery=battery, operator=operator,
+            reward_cfg=reward_cfg, seed=args.seed,
+            ledger_entries=ledger_entries, program_mode=args.mode,
+            out_dir=out_root / strategy if "," in args.strategy else out_root,
+            start_step=args.start, n_steps=args.steps, min_fit=args.min_fit,
+            retry_base_delay=config.get("retry_base_delay", 0.5),
+            reference=base_report)
         best = run.best_index
         value = (run.iterations[best].criterion if best is not None else None)
         print(f"{run.strategy}: best_index={best} criterion={value}")
@@ -208,12 +198,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    import csv as _csv
-    with open(args.steps) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    rows = read_step_log(args.steps)
     cumulative = 0.0
     with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["step", "buy_price", "sell_price", "soc",
                          "applied_kw", "cumulative_reward"])
         for r in rows:
@@ -266,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["builtin_rules", "external_process"])
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--min-fit", dest="min_fit", type=float, default=None)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", default="evolve_out")
     p.set_defaults(func=cmd_evolve)
 

@@ -5,7 +5,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -15,7 +15,7 @@ from .market import EnvTrace, TraceStats, trace_stats
 from .operators import MutationOperator
 from .prompts import PromptBundle, build_prompt, build_state_prompt
 from .rewards import FitReport, RewardConfig, fit_score
-from .runtime import (PolicyHandle, PolicyProgram, guardrail_wrap,
+from .runtime import (GuardrailPolicy, PolicyHandle, PolicyProgram,
                       policy_from_program)
 from .simulation import (DEFAULT_EPISODE_STEPS, BatteryConfig,
                          ConnectionSession, EpisodeReport, run_episode)
@@ -114,7 +114,7 @@ def extract_program(model_reply: str, mode: str = "builtin_rules",
 
 
 def make_feedback(report: EpisodeReport, fit: FitReport | None,
-                  trace: EnvTrace, battery: BatteryConfig | None = None,
+                  battery: BatteryConfig | None = None,
                   iteration: int = 1, peak_price_threshold: float = 0.35,
                   top_k: int = 10) -> FeedbackSummary:
     """Summarize an episode into prompt-ready critique with step citations."""
@@ -208,16 +208,9 @@ def _complete_with_retry(operator: MutationOperator, bundle: PromptBundle,
     raise last_exc
 
 
-def _reference_examples(trace: EnvTrace, sessions, battery, reward_cfg,
-                        start_step: int, n_steps: int, horizon_steps: int,
+def _reference_examples(report: EpisodeReport,
                         max_examples: int = 200) -> list[tuple]:
     """Plugged-in (observation, baseline action) pairs for fit scoring."""
-    from .runtime import make_policy
-    ref = make_policy("baseline", battery,
-                      options={"step_minutes": trace.step_minutes})
-    report = run_episode(trace, sessions, battery, ref, reward_cfg,
-                         start_step=start_step, n_steps=n_steps,
-                         horizon_steps=horizon_steps)
     plugged = [r for r in report.records if r.observation.plugged_in]
     stride = max(1, len(plugged) // max_examples)
     return [(r.observation, r.applied_kw) for r in plugged[::stride]]
@@ -233,28 +226,34 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   out_dir=None, start_step: int = 0,
                   n_steps: int | None = None, min_fit: float | None = None,
                   horizon_steps: int = 288, timeout_ms: int = 2000,
-                  retry_base_delay: float = 0.5) -> EvolutionRun:
+                  retry_base_delay: float = 0.5,
+                  reference: EpisodeReport | None = None) -> EvolutionRun:
     """Run the six-stage loop for ``n_iterations`` and select the best.
 
     Selection: highest fit score for the imitation strategy, highest total
     reward otherwise (optionally floored by ``min_fit``); ties go to the
     earliest iteration. Failed iterations (no code block, parse error, policy
     fault, transport failure) are recorded and skipped by selection.
+
+    ``reference`` is the baseline episode over the same window; the imitation
+    and hybrid strategies score fit against its plugged-in steps.
     """
     if n_iterations < 1:
         raise ConfigError("n_iterations must be >= 1")
     if n_steps is None:
         n_steps = min(DEFAULT_EPISODE_STEPS, len(trace) - start_step)
+    fit_examples = []
+    if strategy in ("imitation", "hybrid"):
+        if reference is None:
+            raise ConfigError(f"{strategy} strategy needs a reference episode")
+        if (reference.start_step, reference.n_steps) != (start_step, n_steps):
+            raise ConfigError("reference episode covers a different window")
+        fit_examples = _reference_examples(reference)
     if stats is None:
         stats = trace_stats(trace)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    measure_fit = strategy in ("imitation", "hybrid")
-    fit_examples = (_reference_examples(trace, sessions, battery, reward_cfg,
-                                        start_step, n_steps, horizon_steps)
-                    if measure_fit else [])
 
     iterations: list[IterationRecord] = []
     prior: PolicyProgram | None = None
@@ -326,7 +325,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
 
         record.report = report
         record.fit = fit
-        record.feedback = make_feedback(report, fit, trace, battery,
+        record.feedback = make_feedback(report, fit, battery,
                                         iteration=k + 1)
         record.criterion = (fit.fit_score if strategy == "imitation" and fit
                             else report.total_reward)
@@ -420,7 +419,7 @@ def run_runtime_agent(trace: EnvTrace, sessions: Sequence[ConnectionSession],
         n_steps = min(DEFAULT_EPISODE_STEPS, len(trace) - start_step)
     inner = RuntimeLLMPolicy(operator, query_cadence_steps, battery,
                              retry_base_delay=retry_base_delay)
-    policy = guardrail_wrap(inner, battery)
+    policy = GuardrailPolicy(inner, battery)
     report = run_episode(trace, sessions, battery, policy, reward_cfg,
                          start_step=start_step, n_steps=n_steps,
                          horizon_steps=horizon_steps)

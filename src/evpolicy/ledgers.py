@@ -5,10 +5,9 @@ import csv
 import json
 import random
 from dataclasses import dataclass, asdict
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, EvPolicyError
-from .simulation import EpisodeReport
 
 QUADRANTS = (
     "low_price_high_solar",
@@ -60,38 +59,16 @@ def default_quadrant_spec(prices: Sequence[float],
                         solar_split=solar_split)
 
 
-def build_ledger(report: EpisodeReport,
+def build_ledger(rows: Iterable[dict],
                  spec: QuadrantSpec | None = None) -> list[LedgerEntry]:
-    """One normalized entry (percent SoC, kW, minutes) per simulated step."""
-    if not report.records:
-        raise ConfigError("cannot build a ledger from an empty report")
-    if spec is None:
-        spec = default_quadrant_spec(
-            [r.observation.charge_price for r in report.records])
-    entries = []
-    for r in report.records:
-        o = r.observation
-        entries.append(LedgerEntry(
-            step=o.step_index,
-            soc_pct=o.soc * 100.0,
-            charge_price=o.charge_price,
-            discharge_price=o.discharge_price,
-            pv_kw=o.pv_kw,
-            load_kw=o.load_kw,
-            ttd_min=o.ttd_minutes,
-            action_kw=r.applied_kw,
-            reward=r.step_reward,
-            quadrant=classify_quadrant(o.charge_price, o.pv_kw, spec),
-        ))
-    return entries
+    """One normalized entry (percent SoC, kW, minutes) per step row.
 
-
-def ledger_from_step_log(path, spec: QuadrantSpec | None = None) -> list[LedgerEntry]:
-    """Rebuild ledger entries from an episode's JSON-lines step log."""
-    with open(path) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
+    ``rows`` are step rows as yielded by :meth:`EpisodeReport.step_rows` or
+    read back by :func:`read_step_log`.
+    """
+    rows = list(rows)
     if not rows:
-        raise ConfigError(f"{path}: empty step log")
+        raise ConfigError("cannot build a ledger from no steps")
     if spec is None:
         spec = default_quadrant_spec([r["charge_price"] for r in rows])
     return [LedgerEntry(

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import TraceSchemaError, TraceValidationError
 
@@ -137,21 +137,17 @@ def save_trace(trace: EnvTrace, path) -> None:
 
 
 def forecast_at(trace: EnvTrace, step_index: int,
-                horizon_steps: int = DEFAULT_HORIZON_STEPS,
-                noise: Callable[[Sequence[float]], Sequence[float]] | None = None,
-                ) -> PriceForecast:
+                horizon_steps: int = DEFAULT_HORIZON_STEPS) -> PriceForecast:
     """Rolling buy-price forecast for the steps after ``step_index``.
 
-    Perfect foresight by default; past the end of the trace the last known
-    price is repeated. ``noise`` can perturb the values (defaults to none).
+    Perfect foresight; past the end of the trace the last known price is
+    repeated.
     """
     n = len(trace)
     if not 0 <= step_index < n:
         raise IndexError(f"step_index {step_index} out of range [0, {n})")
     values = [trace.points[min(step_index + 1 + k, n - 1)].buy_price
               for k in range(horizon_steps)]
-    if noise is not None:
-        values = list(noise(values))
     return PriceForecast(horizon_steps=horizon_steps, values=tuple(values))
 
 

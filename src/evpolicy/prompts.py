@@ -1,7 +1,7 @@
 """Strategy-specific prompt assembly for the mutation operator."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError
@@ -9,7 +9,7 @@ from .ledgers import LedgerEntry, render_examples
 from .market import TraceStats
 from .simulation import BatteryConfig, Observation
 
-STRATEGIES = ("reasoning", "imitation", "hybrid", "runtime")
+STRATEGIES = ("reasoning", "imitation", "hybrid")
 
 SIGNATURE_BLOCK = '''def decide_power(charge_price, discharge_price, soc, ttd,
                  load_kw, pv_kw, max_charge_kw, max_discharge_kw):
@@ -96,9 +96,6 @@ def build_prompt(strategy: str, iteration: int,
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if strategy == "runtime":
-        raise ConfigError("the runtime strategy builds per-step state prompts; "
-                          "see build_state_prompt")
     battery = battery or BatteryConfig()
     needs_examples = strategy in ("imitation", "hybrid")
     if needs_examples and not ledger_examples:

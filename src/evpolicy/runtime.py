@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import queue
 import shlex
 import subprocess
@@ -16,9 +17,8 @@ from .rules import RuleScript, evaluate_rules, parse_rule_script
 from .simulation import Action, BatteryConfig, Observation
 
 PROTOCOL_HANDSHAKE = {"protocol": "v2g-policy/1"}
-PROTOCOL_KEYS = ("charge_price", "discharge_price", "soc", "ttd", "load_kw",
-                 "pv_kw", "max_charge_kw", "max_discharge_kw", "forecast")
 MAX_CONSECUTIVE_FAULTS = 3
+STDERR_TAIL_BYTES = 2000
 GUARDRAIL_EPS = 1e-9
 
 
@@ -26,17 +26,15 @@ GUARDRAIL_EPS = 1e-9
 class PolicyProgram:
     name: str
     source_text: str
-    mode: str  # builtin_rules | external_process | registered_native
+    mode: str  # builtin_rules | external_process
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in ("builtin_rules", "external_process",
-                             "registered_native"):
+        if self.mode not in ("builtin_rules", "external_process"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
-        if self.mode != "registered_native" and not self.source_text.strip():
-            # An empty rule script is still legal (implicit idle rule).
-            if self.mode == "external_process":
-                raise ValueError("external_process policy needs source text")
+        # An empty rule script is still legal (implicit idle rule).
+        if self.mode == "external_process" and not self.source_text.strip():
+            raise ValueError("external_process policy needs source text")
 
 
 class PolicyHandle:
@@ -78,7 +76,9 @@ class ExternalProcessPolicy(PolicyHandle):
     """Child process speaking the line protocol, one JSON request per step.
 
     Per-decision timeout; a timeout or malformed reply substitutes idle and is
-    logged. Three consecutive faults abort via :class:`PolicyFault`.
+    logged. Three consecutive faults abort via :class:`PolicyFault`. The
+    child's stderr is drained continuously, so a chatty child never blocks on
+    a full pipe; only its last few kilobytes are kept for diagnostics.
     """
 
     def __init__(self, command: Sequence[str] | str, timeout_ms: int = 1000,
@@ -95,12 +95,22 @@ class ExternalProcessPolicy(PolicyHandle):
         self._lines: queue.Queue[str] = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
+        # Tail of the child's stderr; only the drain thread assigns it.
+        self._stderr = b""
+        self._stderr_reader = threading.Thread(target=self._drain_stderr,
+                                               daemon=True)
+        self._stderr_reader.start()
         self._consecutive_faults = 0
         self._send(PROTOCOL_HANDSHAKE)
 
     def _pump(self) -> None:
         for line in self._proc.stdout:
             self._lines.put(line)
+
+    def _drain_stderr(self) -> None:
+        fd = self._proc.stderr.fileno()
+        while chunk := os.read(fd, 4096):
+            self._stderr = (self._stderr + chunk)[-STDERR_TAIL_BYTES:]
 
     def _send(self, payload: dict) -> None:
         try:
@@ -111,12 +121,9 @@ class ExternalProcessPolicy(PolicyHandle):
                               diagnostics=self._stderr_tail()) from exc
 
     def _stderr_tail(self) -> str:
-        if self._proc.poll() is None:
-            return ""
-        try:
-            return (self._proc.stderr.read() or "")[-2000:]
-        except (OSError, ValueError):
-            return ""
+        if self._proc.poll() is not None:  # let the drain reach end of file
+            self._stderr_reader.join(timeout=1.0)
+        return self._stderr.decode(errors="replace")
 
     def decide(self, obs: Observation) -> float:
         request = {
@@ -130,11 +137,7 @@ class ExternalProcessPolicy(PolicyHandle):
             "max_discharge_kw": obs.max_discharge_kw,
             "forecast": list(obs.forecast.values),
         }
-        try:
-            self._send(request)
-        except PolicyFault as fault:
-            fault.diagnostics = fault.diagnostics or self._stderr_tail()
-            raise
+        self._send(request)
         try:
             reply = self._lines.get(timeout=self.timeout_s).strip()
             value = float(reply)
@@ -172,11 +175,6 @@ class ExternalProcessPolicy(PolicyHandle):
                 self._proc.kill()
 
 
-def spawn_external_policy(command: Sequence[str] | str,
-                          timeout_ms: int = 1000) -> ExternalProcessPolicy:
-    return ExternalProcessPolicy(command, timeout_ms=timeout_ms)
-
-
 class GuardrailPolicy(PolicyHandle):
     """Semantic guardrails: power envelope plus SoC floor/ceiling sign rules."""
 
@@ -205,10 +203,6 @@ class GuardrailPolicy(PolicyHandle):
         self.inner.close()
 
 
-def guardrail_wrap(inner: PolicyHandle, battery: BatteryConfig) -> GuardrailPolicy:
-    return GuardrailPolicy(inner, battery)
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -232,8 +226,7 @@ POLICY_REGISTRY: dict[str, Callable[[BatteryConfig, dict], PolicyHandle]] = {
 
 
 def make_policy(spec: str, battery: BatteryConfig,
-                options: dict | None = None,
-                guardrails: bool = True) -> PolicyHandle:
+                options: dict | None = None) -> PolicyHandle:
     """Build a handle from a CLI-style policy spec.
 
     Accepts a registry name (``baseline``, ``idle``), a ``*.rules`` file path,
@@ -243,7 +236,7 @@ def make_policy(spec: str, battery: BatteryConfig,
     if spec in POLICY_REGISTRY:
         handle = POLICY_REGISTRY[spec](battery, options)
     elif spec.startswith("cmd:"):
-        handle = spawn_external_policy(
+        handle = ExternalProcessPolicy(
             spec[4:], timeout_ms=options.get("timeout_ms", 1000))
     elif spec.endswith(".rules"):
         with open(spec) as fh:
@@ -252,18 +245,15 @@ def make_policy(spec: str, battery: BatteryConfig,
         raise ConfigError(
             f"unknown policy {spec!r}: expected a registered name "
             f"({', '.join(sorted(POLICY_REGISTRY))}), a .rules file, or cmd:...")
-    return guardrail_wrap(handle, battery) if guardrails else handle
+    return GuardrailPolicy(handle, battery)
 
 
 def policy_from_program(program: PolicyProgram, battery: BatteryConfig,
-                        timeout_ms: int = 1000,
-                        guardrails: bool = True) -> PolicyHandle:
+                        timeout_ms: int = 1000) -> PolicyHandle:
     """Instantiate a candidate program as a runnable handle."""
     if program.mode == "builtin_rules":
         handle = RuleScriptPolicy(program.source_text, name=program.name)
-    elif program.mode == "external_process":
-        handle = spawn_external_policy(program.metadata["command"],
-                                       timeout_ms=timeout_ms)
     else:
-        raise ValueError("registered_native programs come from the registry")
-    return guardrail_wrap(handle, battery) if guardrails else handle
+        handle = ExternalProcessPolicy(program.metadata["command"],
+                                       timeout_ms=timeout_ms)
+    return GuardrailPolicy(handle, battery)

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .errors import ConfigError, PolicyFault
 from .market import DEFAULT_HORIZON_STEPS, EnvTrace, PriceForecast, forecast_at
@@ -165,28 +165,39 @@ class EpisodeReport:
             json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
+    def step_rows(self) -> Iterator[dict]:
+        """One plain row per simulated step, as written to the step log."""
+        for r in self.records:
+            o = r.observation
+            yield {
+                "step": o.step_index,
+                "charge_price": o.charge_price,
+                "discharge_price": o.discharge_price,
+                "soc": o.soc,
+                "ttd_min": o.ttd_minutes,
+                "load_kw": o.load_kw,
+                "pv_kw": o.pv_kw,
+                "plugged_in": o.plugged_in,
+                "requested_kw": r.requested_kw,
+                "applied_kw": r.applied_kw,
+                "soc_after": r.soc_after,
+                "grid_import_kwh": r.grid_import_kwh,
+                "grid_export_kwh": r.grid_export_kwh,
+                "step_cost": r.step_cost,
+                "step_reward": r.step_reward,
+            }
+
     def write_step_log(self, path) -> None:
         """JSON-lines step log: one object per simulated step."""
         with open(path, "w") as fh:
-            for r in self.records:
-                o = r.observation
-                fh.write(json.dumps({
-                    "step": o.step_index,
-                    "charge_price": o.charge_price,
-                    "discharge_price": o.discharge_price,
-                    "soc": o.soc,
-                    "ttd_min": o.ttd_minutes,
-                    "load_kw": o.load_kw,
-                    "pv_kw": o.pv_kw,
-                    "plugged_in": o.plugged_in,
-                    "requested_kw": r.requested_kw,
-                    "applied_kw": r.applied_kw,
-                    "soc_after": r.soc_after,
-                    "grid_import_kwh": r.grid_import_kwh,
-                    "grid_export_kwh": r.grid_export_kwh,
-                    "step_cost": r.step_cost,
-                    "step_reward": r.step_reward,
-                }, sort_keys=True) + "\n")
+            for row in self.step_rows():
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def read_step_log(path) -> list[dict]:
+    """Rows of a step log, in the shape of :meth:`EpisodeReport.step_rows`."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def session_at(sessions: Sequence[ConnectionSession],
@@ -222,6 +233,22 @@ def observation_at(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     )
 
 
+def per_step_energy_cap(soc: float, bound: float, capacity_kwh: float,
+                        step_minutes: int, direction: str,
+                        efficiency: float = 0.95) -> float:
+    """Largest power (kW) whose one-step energy transfer stays inside ``bound``.
+
+    ``direction`` is "charge" (bound = SoC ceiling) or "discharge"
+    (bound = reserve floor); efficiency losses are accounted for.
+    """
+    dt = step_minutes / 60.0
+    if direction == "discharge":
+        return max(0.0, (soc - bound) * capacity_kwh * efficiency / dt)
+    if direction == "charge":
+        return max(0.0, (bound - soc) * capacity_kwh / (dt * efficiency))
+    raise ValueError(f"unknown direction {direction!r}")
+
+
 def apply_action(obs: Observation, requested, battery: BatteryConfig,
                  step_minutes: int) -> tuple[float, float, float, float]:
     """Clamp the request to feasibility and integrate one step.
@@ -234,13 +261,13 @@ def apply_action(obs: Observation, requested, battery: BatteryConfig,
     if not obs.plugged_in or not math.isfinite(power):
         applied = 0.0
     elif power > 0:
-        headroom_kw = ((battery.soc_max - obs.soc) * battery.capacity_kwh
-                       / (dt * battery.charge_eff))
-        applied = min(power, battery.max_charge_kw, max(headroom_kw, 0.0))
+        applied = min(power, battery.max_charge_kw, per_step_energy_cap(
+            obs.soc, battery.soc_max, battery.capacity_kwh, step_minutes,
+            "charge", battery.charge_eff))
     elif power < 0:
-        available_kw = ((obs.soc - battery.soc_min) * battery.capacity_kwh
-                        * battery.discharge_eff / dt)
-        applied = max(power, -battery.max_discharge_kw, -max(available_kw, 0.0))
+        applied = max(power, -battery.max_discharge_kw, -per_step_energy_cap(
+            obs.soc, battery.soc_min, battery.capacity_kwh, step_minutes,
+            "discharge", battery.discharge_eff))
     else:
         applied = 0.0
 

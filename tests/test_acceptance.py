@@ -17,9 +17,9 @@ from evpolicy.operators import MockOperator
 from evpolicy.prompts import SIGNATURE_BLOCK, build_prompt
 from evpolicy.rewards import (FIT_TOLERANCE_KW, RewardConfig,
                               behavioral_metrics, fit_score)
-from evpolicy.runtime import (NativePolicy, PolicyProgram, guardrail_wrap,
-                              make_policy, policy_from_program,
-                              spawn_external_policy)
+from evpolicy.runtime import (ExternalProcessPolicy, GuardrailPolicy,
+                              NativePolicy, PolicyProgram, make_policy,
+                              policy_from_program)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  default_sessions, run_episode)
 from tests.conftest import make_obs
@@ -51,7 +51,7 @@ def test_01_safety_invariants_under_adversarial_policies():
     hostile = [float("nan"), float("inf"), -float("inf"), 1e6, -1e6]
     adversary = NativePolicy(
         lambda obs: rng.choice(hostile + [rng.uniform(-50, 50)]))
-    policy = guardrail_wrap(adversary, battery)
+    policy = GuardrailPolicy(adversary, battery)
     started = time.perf_counter()
     report = run_episode(trace, sessions, battery, policy, RewardConfig(),
                          0, 10_000)
@@ -255,8 +255,8 @@ def test_10_external_process_protocol_conformance():
     trace = synthetic_trace(days=1, seed=5)
     sessions = [ConnectionSession(0, len(trace), 0.5, 0.8)]
 
-    handle = guardrail_wrap(
-        spawn_external_policy([sys.executable,
+    handle = GuardrailPolicy(
+        ExternalProcessPolicy([sys.executable,
                                str(HELPERS / "ref_child.py")],
                               timeout_ms=5000), battery)
     try:
@@ -267,7 +267,7 @@ def test_10_external_process_protocol_conformance():
     assert len(report.records) == 288
     assert handle.fault_log == []
 
-    silent = spawn_external_policy([sys.executable,
+    silent = ExternalProcessPolicy([sys.executable,
                                     str(HELPERS / "silent_child.py")],
                                    timeout_ms=50)
     try:

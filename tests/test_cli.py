@@ -110,6 +110,27 @@ class TestEvolveCommand:
         assert (out / "run.json").exists()
         assert (out / "iter_1" / "report.json").exists()
 
+    def test_hybrid_runs_one_baseline_episode(self, tmp_path, monkeypatch):
+        import evpolicy.cli
+        import evpolicy.evolve
+        from evpolicy.simulation import run_episode
+        policies = []
+
+        def counting(*args, **kwargs):
+            policies.append(args[3].name)
+            return run_episode(*args, **kwargs)
+        monkeypatch.setattr(evpolicy.cli, "run_episode", counting)
+        monkeypatch.setattr(evpolicy.evolve, "run_episode", counting)
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "hybrid", "--iters", "2",
+                     "--operator", f"mock:{replies}",
+                     "--out", str(tmp_path / "evo")])
+        assert code == 0
+        assert len([p for p in policies if "baseline" in p]) == 1
+        assert len(policies) == 3
+
     def test_missing_replies_file_is_config_error(self, tmp_path):
         code = main(["evolve", "--synthetic", "days=1", "seed=3",
                      "--operator", "mock:/no/such/file.jsonl",

@@ -78,7 +78,7 @@ class TestMakeFeedback:
         trace = synthetic_trace(days=1, seed=3)
         report = self.run_policy("baseline", battery, trace,
                                  default_sessions(trace))
-        fb = make_feedback(report, None, trace, battery)
+        fb = make_feedback(report, None, battery)
         assert fb.issues == []
         assert fb.total_reward == report.total_reward
 
@@ -86,7 +86,7 @@ class TestMakeFeedback:
         trace = synthetic_trace(days=1, seed=3)
         report = self.run_policy("idle", battery, trace,
                                  default_sessions(trace))
-        fb = make_feedback(report, None, trace, battery)
+        fb = make_feedback(report, None, battery)
         texts = [i.text for i in fb.issues]
         assert any("Missed arbitrage" in t for t in texts)
         missed = next(i for i in fb.issues if "Missed arbitrage" in i.text)
@@ -104,7 +104,7 @@ class TestMakeFeedback:
         policy = policy_from_program(program, battery)
         report = run_episode(trace, sessions, battery, policy, RewardConfig(),
                              0, 50)
-        fb = make_feedback(report, None, trace, battery)
+        fb = make_feedback(report, None, battery)
         assert any("SoC floor" in i.text for i in fb.issues)
 
     def test_fit_mismatches_sorted_by_gap(self, battery):
@@ -113,7 +113,7 @@ class TestMakeFeedback:
                                  default_sessions(trace))
         examples = [(r.observation, r.applied_kw) for r in report.records[:40]]
         fit = fit_score(make_policy("idle", battery), examples)
-        fb = make_feedback(report, fit, trace, battery, top_k=5)
+        fb = make_feedback(report, fit, battery, top_k=5)
         gaps = [abs(got - ref) for _, ref, got in fb.top_mismatches]
         assert gaps == sorted(gaps, reverse=True)
         assert len(fb.top_mismatches) <= 5
@@ -197,20 +197,23 @@ class TestRunEvolution:
         assert "transport" in run.iterations[0].failure
         assert run.best_index is None
 
-    def baseline_ledger(self, n=40):
-        from evpolicy.ledgers import build_ledger, quadrant_sample
+    def baseline_report(self):
         policy = make_policy("baseline", self.battery,
                              options={"step_minutes": 5})
-        report = run_episode(self.trace, self.sessions, self.battery, policy,
-                             self.reward_cfg, 0, len(self.trace))
-        return quadrant_sample(build_ledger(report), n, seed=0)
+        return run_episode(self.trace, self.sessions, self.battery, policy,
+                           self.reward_cfg, 0, len(self.trace))
+
+    def baseline_ledger(self, report, n=40):
+        from evpolicy.ledgers import build_ledger, quadrant_sample
+        return quadrant_sample(build_ledger(report.step_rows()), n, seed=0)
 
     def test_min_fit_floor_filters_selection(self):
+        report = self.baseline_report()
         run = run_evolution("hybrid", 2, self.trace, self.sessions,
                             self.battery, MockOperator(REPLIES[:2]),
                             self.reward_cfg, retry_base_delay=0.0,
-                            ledger_entries=self.baseline_ledger(),
-                            min_fit=2.0)
+                            ledger_entries=self.baseline_ledger(report),
+                            min_fit=2.0, reference=report)
         # an impossible fit floor leaves nothing selectable
         assert all(it.fit is not None for it in run.iterations)
         assert run.best_index is None
@@ -224,14 +227,33 @@ class TestRunEvolution:
                          "if charge_price <= 0.12 and soc < 0.8 then "
                          "max_charge_kw")
         replies = [f"```\n{CANDIDATES[4]}\n```", f"```\n{baseline_like}\n```"]
+        report = self.baseline_report()
         run = run_evolution("imitation", 2, self.trace, self.sessions,
                             self.battery, MockOperator(replies),
                             self.reward_cfg, retry_base_delay=0.0,
-                            ledger_entries=self.baseline_ledger())
+                            ledger_entries=self.baseline_ledger(report),
+                            reference=report)
         fits = [it.fit.fit_score for it in run.iterations]
         assert fits[1] > fits[0]
         assert run.best_index == 1
         assert run.iterations[1].criterion == fits[1]
+
+    def test_fit_strategies_need_a_reference(self):
+        with pytest.raises(ConfigError, match="reference"):
+            run_evolution("hybrid", 1, self.trace, self.sessions,
+                          self.battery, MockOperator(REPLIES[:1]),
+                          self.reward_cfg, retry_base_delay=0.0,
+                          ledger_entries=self.baseline_ledger(
+                              self.baseline_report()))
+
+    def test_reference_window_must_match(self):
+        report = self.baseline_report()
+        with pytest.raises(ConfigError, match="window"):
+            run_evolution("imitation", 1, self.trace, self.sessions,
+                          self.battery, MockOperator(REPLIES[:1]),
+                          self.reward_cfg, retry_base_delay=0.0,
+                          ledger_entries=self.baseline_ledger(report),
+                          n_steps=report.n_steps - 1, reference=report)
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ConfigError):

@@ -174,15 +174,18 @@ class TestRoundTrip:
 
 class TestBuildLedger:
     def test_entries_mirror_episode_records(self, battery, fixture_trace,
-                                            fixture_sessions):
+                                            fixture_sessions, tmp_path):
         from evpolicy.rewards import RewardConfig
         from evpolicy.runtime import make_policy
-        from evpolicy.simulation import run_episode
+        from evpolicy.simulation import read_step_log, run_episode
         policy = make_policy("baseline", battery,
                              options={"step_minutes": 5})
         report = run_episode(fixture_trace, fixture_sessions, battery, policy,
                              RewardConfig(), 0, len(fixture_trace))
-        entries = build_ledger(report)
+        entries = build_ledger(report.step_rows())
+        # the step log on disk carries the same rows
+        report.write_step_log(tmp_path / "steps.jsonl")
+        assert build_ledger(read_step_log(tmp_path / "steps.jsonl")) == entries
         assert len(entries) == len(report.records)
         for e, r in zip(entries, report.records):
             assert e.step == r.observation.step_index

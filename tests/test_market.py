@@ -114,10 +114,6 @@ class TestForecast:
                 if i + 1 + k < len(trace):
                     assert fc.values[k] == trace.points[i + 1 + k].buy_price
 
-    def test_noise_hook(self):
-        trace = make_trace([1, 2, 3, 4])
-        fc = forecast_at(trace, 0, 3, noise=lambda vs: [v + 1 for v in vs])
-        assert fc.values == (3, 4, 5)
 
 
 class TestStats:

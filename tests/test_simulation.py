@@ -149,8 +149,8 @@ class TestRunEpisode:
     def test_soc_never_leaves_bounds_for_greedy_policy(self, battery,
                                                        fixture_trace,
                                                        fixture_sessions):
-        from evpolicy.runtime import NativePolicy, guardrail_wrap
-        greedy = guardrail_wrap(NativePolicy(lambda obs: 1e6), battery)
+        from evpolicy.runtime import GuardrailPolicy, NativePolicy
+        greedy = GuardrailPolicy(NativePolicy(lambda obs: 1e6), battery)
         report = run_episode(fixture_trace, fixture_sessions, battery, greedy,
                              RewardConfig(), 0, len(fixture_trace))
         for r in report.records:
