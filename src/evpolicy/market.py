@@ -9,12 +9,12 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import TraceSchemaError, TraceValidationError
+from .errors import ConfigError, TraceSchemaError, TraceValidationError
 
 CANONICAL_COLUMNS = ("timestamp", "load_kw", "pv_kw", "buy_price", "sell_price")
 
@@ -36,6 +36,8 @@ class EnvTrace:
 
     points: tuple[TracePoint, ...]
     step_minutes: int = 5
+    _forecast_columns: dict = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def __post_init__(self):
         if self.step_minutes <= 0:
@@ -58,6 +60,23 @@ class EnvTrace:
     def __len__(self) -> int:
         return len(self.points)
 
+    def forecast_column(self, horizon_steps: int) -> tuple[float, ...]:
+        """Buy prices followed by ``horizon_steps`` copies of the last one.
+
+        The forecast after step ``i`` is ``column[i + 1:i + 1 + horizon_steps]``.
+        Each column is built and validated once, then cached on the trace.
+        """
+        column = self._forecast_columns.get(horizon_steps)
+        if column is None:
+            if horizon_steps < 1:
+                raise ConfigError(
+                    f"forecast horizon_steps must be >= 1, got {horizon_steps}")
+            buys = [p.buy_price for p in self.points]
+            column = tuple(buys + buys[-1:] * horizon_steps)
+            _check_prices(column, len(buys) + horizon_steps)
+            self._forecast_columns[horizon_steps] = column
+        return column
+
     @property
     def buy_prices(self) -> list[float]:
         return [p.buy_price for p in self.points]
@@ -67,18 +86,56 @@ class EnvTrace:
         return [p.sell_price for p in self.points]
 
 
-@dataclass(frozen=True)
-class PriceForecast:
-    horizon_steps: int
-    values: tuple[float, ...]
+def _check_prices(values: tuple[float, ...], expected: int) -> None:
+    if len(values) != expected:
+        raise TraceValidationError(
+            f"forecast has {len(values)} values, expected {expected}")
+    if not all(map(math.isfinite, values)):
+        raise TraceValidationError("forecast contains non-finite values")
 
-    def __post_init__(self):
-        if len(self.values) != self.horizon_steps:
-            raise TraceValidationError(
-                f"forecast has {len(self.values)} values, "
-                f"expected {self.horizon_steps}")
-        if any(not math.isfinite(v) for v in self.values):
-            raise TraceValidationError("forecast contains non-finite values")
+
+class PriceForecast:
+    """Buy prices for the ``horizon_steps`` steps after an observation.
+
+    A read-only window on a price column: ``values`` is a tuple sliced on each
+    read and never stored, so building a forecast copies no prices. Direct
+    construction validates ``values``; :func:`forecast_at` windows a column
+    its trace validated once.
+    """
+
+    __slots__ = ("horizon_steps", "_column", "_start")
+
+    def __init__(self, horizon_steps: int, values: Sequence[float]):
+        values = tuple(values)
+        _check_prices(values, horizon_steps)
+        self.horizon_steps, self._column, self._start = horizon_steps, values, 0
+
+    @classmethod
+    def window(cls, column: tuple[float, ...], start: int,
+               horizon_steps: int) -> PriceForecast:
+        """``column[start:start + horizon_steps]`` of an already validated,
+        long enough column."""
+        forecast = object.__new__(cls)
+        forecast.horizon_steps, forecast._column, forecast._start = (
+            horizon_steps, column, start)
+        return forecast
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return self._column[self._start:self._start + self.horizon_steps]
+
+    def __eq__(self, other):
+        if not isinstance(other, PriceForecast):
+            return NotImplemented
+        return (self.horizon_steps == other.horizon_steps
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.horizon_steps, self.values))
+
+    def __repr__(self):
+        return (f"PriceForecast(horizon_steps={self.horizon_steps}, "
+                f"values={self.values!r})")
 
 
 def load_trace(path, schema: Mapping[str, str] | None = None,
@@ -141,14 +198,13 @@ def forecast_at(trace: EnvTrace, step_index: int,
     """Rolling buy-price forecast for the steps after ``step_index``.
 
     Perfect foresight; past the end of the trace the last known price is
-    repeated.
+    repeated. Raises :class:`ConfigError` for ``horizon_steps < 1``.
     """
     n = len(trace)
     if not 0 <= step_index < n:
         raise IndexError(f"step_index {step_index} out of range [0, {n})")
-    values = [trace.points[min(step_index + 1 + k, n - 1)].buy_price
-              for k in range(horizon_steps)]
-    return PriceForecast(horizon_steps=horizon_steps, values=tuple(values))
+    return PriceForecast.window(trace.forecast_column(horizon_steps),
+                                step_index + 1, horizon_steps)
 
 
 def _lower_order_stat(sorted_vals: Sequence[float], q: float) -> float:

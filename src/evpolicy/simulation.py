@@ -208,13 +208,40 @@ def session_at(sessions: Sequence[ConnectionSession],
     return None
 
 
+def _session_index(sessions: Sequence[ConnectionSession], start_step: int,
+                   stop_step: int) -> list[ConnectionSession | None]:
+    """The session plugged in at each step of ``[start_step, stop_step)``.
+
+    Entry ``t - start_step`` equals ``session_at(sessions, t)`` for
+    non-overlapping ``sessions``; one pass replaces a scan per step.
+    """
+    index: list[ConnectionSession | None] = [None] * (stop_step - start_step)
+    for s in sessions:
+        lo = max(s.arrival_step, start_step)
+        hi = min(s.departure_step, stop_step)
+        if lo < hi:
+            index[lo - start_step:hi - start_step] = [s] * (hi - lo)
+    return index
+
+
+_LOOK_UP = object()
+
+
 def observation_at(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                    soc: float, step_index: int, battery: BatteryConfig,
-                   horizon_steps: int = DEFAULT_HORIZON_STEPS) -> Observation:
+                   horizon_steps: int = DEFAULT_HORIZON_STEPS, *,
+                   session=_LOOK_UP) -> Observation:
+    """What a policy sees at ``step_index`` with the EV at ``soc``.
+
+    ``session`` is the session plugged in at ``step_index`` (None when
+    unplugged) for a caller that already knows it; by default it is looked
+    up in ``sessions`` with :func:`session_at`.
+    """
     if not 0 <= step_index < len(trace):
         raise IndexError(f"step_index {step_index} out of range")
     p = trace.points[step_index]
-    session = session_at(sessions, step_index)
+    if session is _LOOK_UP:
+        session = session_at(sessions, step_index)
     plugged = session is not None
     ttd = ((session.departure_step - step_index) * trace.step_minutes
            if plugged else 0.0)
@@ -300,6 +327,10 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             f"of length {len(trace)}")
     sessions = sorted(sessions, key=lambda s: s.arrival_step)
     validate_sessions(sessions, battery)
+    # Rejects horizon_steps < 1 before the first step and caches the column.
+    trace.forecast_column(horizon_steps)
+    plugged_sessions = _session_index(sessions, start_step,
+                                      start_step + n_steps)
 
     violations_before = getattr(policy, "violation_counter", 0)
     soc = UNPLUGGED_SOC
@@ -311,13 +342,13 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     clamp_events = 0
     deficits = []
 
-    for t in range(start_step, start_step + n_steps):
-        session = session_at(sessions, t)
+    for t, session in enumerate(plugged_sessions, start_step):
         if session is not None and session is not current_session:
             soc = session.arrival_soc  # EV just arrived
         current_session = session
 
-        obs = observation_at(trace, sessions, soc, t, battery, horizon_steps)
+        obs = observation_at(trace, sessions, soc, t, battery, horizon_steps,
+                             session=session)
         if obs.plugged_in:
             try:
                 requested = float(policy.decide(obs))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evpolicy.errors import TraceSchemaError, TraceValidationError
-from evpolicy.market import (EnvTrace, TracePoint, forecast_at, load_trace,
-                             save_trace, synthetic_trace, trace_stats)
+from evpolicy.errors import ConfigError, TraceSchemaError, TraceValidationError
+from evpolicy.market import (EnvTrace, PriceForecast, TracePoint, forecast_at,
+                             load_trace, save_trace, synthetic_trace,
+                             trace_stats)
 
 
 def make_trace(prices, step_minutes=5, load=0.5, pv=0.0):
@@ -113,6 +114,37 @@ class TestForecast:
             for k in range(horizon):
                 if i + 1 + k < len(trace):
                     assert fc.values[k] == trace.points[i + 1 + k].buy_price
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one(self, horizon):
+        with pytest.raises(ConfigError):
+            forecast_at(make_trace([1, 2, 3]), 0, horizon)
+
+    def test_direct_construction_is_validated(self):
+        assert PriceForecast(horizon_steps=2, values=[0.1, 0.2]).values == \
+            (0.1, 0.2)
+        with pytest.raises(TraceValidationError):
+            PriceForecast(horizon_steps=3, values=(0.1, 0.2))
+        with pytest.raises(TraceValidationError):
+            PriceForecast(horizon_steps=2, values=(0.1, math.nan))
+
+    @given(prices=st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                           min_size=2, max_size=40),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_window_matches_reference(self, prices, data):
+        trace = make_trace(prices)
+        n = len(trace)
+        horizons = data.draw(st.lists(st.integers(1, 2 * n), min_size=1,
+                                      max_size=3))
+        for horizon in horizons:
+            for i in range(n):
+                # The per-step copy forecast_at made before it sliced a column.
+                reference = [trace.points[min(i + 1 + k, n - 1)].buy_price
+                             for k in range(horizon)]
+                values = forecast_at(trace, i, horizon).values
+                assert type(values) is tuple
+                assert values == tuple(reference)
 
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from evpolicy.errors import ConfigError
 from evpolicy.market import synthetic_trace
 from evpolicy.rewards import RewardConfig
-from evpolicy.runtime import make_policy
+from evpolicy.runtime import NativePolicy, make_policy
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  apply_action, default_sessions,
-                                 observation_at, run_episode)
+                                 observation_at, run_episode, session_at)
 from tests.conftest import make_obs
 
 DATA = Path(__file__).parent / "data"
@@ -145,6 +146,74 @@ class TestRunEpisode:
         with pytest.raises(ConfigError):
             run_episode(fixture_trace, fixture_sessions, battery, policy,
                         RewardConfig(), 0, len(fixture_trace) + 1)
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one_rejected_before_first_step(
+            self, battery, fixture_trace, fixture_sessions, horizon):
+        seen = []
+        policy = NativePolicy(
+            lambda obs: seen.append(obs) or max(obs.forecast.values))
+        with pytest.raises(ConfigError):
+            run_episode(fixture_trace, fixture_sessions, battery, policy,
+                        RewardConfig(), 0, len(fixture_trace),
+                        horizon_steps=horizon)
+        assert seen == []
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_session_index_matches_linear_lookup(self, fixture_trace, data):
+        battery = BatteryConfig()
+        n_trace = len(fixture_trace)
+        soc = st.floats(min_value=battery.soc_min, max_value=battery.soc_max)
+        sessions, step = [], data.draw(st.integers(0, 30))
+        for gap, length in data.draw(st.lists(
+                st.tuples(st.integers(0, 30), st.integers(1, 80)),
+                max_size=6)):
+            arrival = step + gap
+            sessions.append(ConnectionSession(
+                arrival, arrival + length, data.draw(soc),
+                data.draw(soc.filter(lambda v: v > battery.soc_min))))
+            step = arrival + length
+        start = data.draw(st.integers(0, n_trace - 1))
+        n_steps = data.draw(st.integers(0, n_trace - start))
+        policy = NativePolicy(
+            lambda obs: 7.0 if obs.step_index % 5 < 3 else -7.0)
+        report = run_episode(fixture_trace, sessions, battery, policy,
+                             RewardConfig(), start, n_steps, horizon_steps=12)
+
+        previous = None
+        for r in report.records:
+            obs = r.observation
+            reference = observation_at(fixture_trace, sessions, obs.soc,
+                                       obs.step_index, battery, 12)
+            assert obs.plugged_in == reference.plugged_in
+            assert obs.ttd_minutes == reference.ttd_minutes
+            assert obs == reference
+            session = session_at(sessions, obs.step_index)
+            if session is not None and session != previous:
+                assert obs.soc == session.arrival_soc
+            previous = session
+        soc_after = {r.observation.step_index: r.soc_after
+                     for r in report.records}
+        departing = [s for s in sessions
+                     if start <= s.departure_step - 1 < start + n_steps]
+        assert report.departure_deficits == [
+            (s, max(0.0, s.target_soc - soc_after[s.departure_step - 1]))
+            for s in departing]
+
+    def test_rollout_memory_stays_small(self, battery):
+        """Records must not pin a copy of the forecast per step."""
+        trace = synthetic_trace(days=30, seed=0)
+        policy = make_policy("baseline", battery, options={"step_minutes": 5})
+        tracemalloc.start()
+        try:
+            report = run_episode(trace, default_sessions(trace), battery,
+                                 policy, RewardConfig(), 0, len(trace))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) == len(trace)
+        assert peak < 10_000_000
 
     def test_soc_never_leaves_bounds_for_greedy_policy(self, battery,
                                                        fixture_trace,
