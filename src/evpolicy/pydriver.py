@@ -8,6 +8,14 @@ ttd, load_kw, pv_kw, max_charge_kw, max_discharge_kw)`` (an optional trailing
 line protocol: handshake line, then one JSON request per line, one decimal
 reply per line, until ``{"end": true}``.
 
+The parent's handshake is ``{"protocol": "v2g-policy/2"}``. The driver
+answers it with one line, ``{"protocol": "v2g-policy/2", "forecast": true}``
+if ``decide_power`` takes ``forecast`` and ``"forecast": false`` otherwise;
+after a ``false`` answer the parent leaves the price forecast out of its
+requests. Any other handshake (``v2g-policy/1``) gets no answer. Children
+that never answer (v1 children) are still served: the parent keeps sending
+``forecast`` to them on every request.
+
 Candidate code runs in this separate process, so a crashing or hanging policy
 cannot take the simulator down with it.
 """
@@ -16,6 +24,8 @@ from __future__ import annotations
 import inspect
 import json
 import sys
+
+PROTOCOL = "v2g-policy/2"
 
 
 def serve(fn, stdin=None, stdout=None) -> None:
@@ -29,6 +39,10 @@ def serve(fn, stdin=None, stdout=None) -> None:
             continue
         msg = json.loads(line)
         if msg.get("protocol"):
+            if msg["protocol"] == PROTOCOL:
+                stdout.write(json.dumps({"protocol": PROTOCOL,
+                                         "forecast": wants_forecast}) + "\n")
+                stdout.flush()
             continue
         if msg.get("end"):
             break

@@ -8,15 +8,17 @@ import queue
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .baseline import BaselineConfig, baseline_decide
 from .errors import ConfigError, PolicyFault, PolicySpawnError
+from .pydriver import PROTOCOL
 from .rules import RuleScript, evaluate_rules, parse_rule_script
 from .simulation import Action, BatteryConfig, Observation
 
-PROTOCOL_HANDSHAKE = {"protocol": "v2g-policy/1"}
+PROTOCOL_HANDSHAKE = {"protocol": PROTOCOL}
 MAX_CONSECUTIVE_FAULTS = 3
 STDERR_TAIL_BYTES = 2000
 GUARDRAIL_EPS = 1e-9
@@ -76,9 +78,16 @@ class ExternalProcessPolicy(PolicyHandle):
     """Child process speaking the line protocol, one JSON request per step.
 
     Per-decision timeout; a timeout or malformed reply substitutes idle and is
-    logged. Three consecutive faults abort via :class:`PolicyFault`. The
-    child's stderr is drained continuously, so a chatty child never blocks on
-    a full pipe; only its last few kilobytes are kept for diagnostics.
+    logged. Three consecutive faults abort via :class:`PolicyFault`. A reply
+    that arrives after its request timed out is discarded, never taken as a
+    later step's reply. The child's stderr is drained continuously, so a
+    chatty child never blocks on a full pipe; only its last few kilobytes are
+    kept for diagnostics.
+
+    A v2 child answers the handshake with ``{"protocol": "v2g-policy/2",
+    "forecast": <bool>}`` as its first line; requests omit ``forecast`` once
+    it has said ``false``. Requests carry ``forecast`` until then, so a v1
+    child, which never answers, receives it on every request.
     """
 
     def __init__(self, command: Sequence[str] | str, timeout_ms: int = 1000,
@@ -101,6 +110,9 @@ class ExternalProcessPolicy(PolicyHandle):
                                                daemon=True)
         self._stderr_reader.start()
         self._consecutive_faults = 0
+        self._awaiting_answer = True  # no line from the child read yet
+        self._send_forecast = True
+        self._owed_replies = 0  # replies still due to timed-out requests
         self._send(PROTOCOL_HANDSHAKE)
 
     def _pump(self) -> None:
@@ -135,20 +147,51 @@ class ExternalProcessPolicy(PolicyHandle):
             "pv_kw": obs.pv_kw,
             "max_charge_kw": obs.max_charge_kw,
             "max_discharge_kw": obs.max_discharge_kw,
-            "forecast": list(obs.forecast.values),
         }
+        if self._send_forecast:
+            request["forecast"] = list(obs.forecast.values)
         self._send(request)
         try:
-            reply = self._lines.get(timeout=self.timeout_s).strip()
+            reply = self._read_reply(obs, time.monotonic() + self.timeout_s)
             value = float(reply)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite reply {reply!r}")
         except queue.Empty:
+            self._owed_replies += 1
             return self._fault(obs, "timeout waiting for reply")
         except ValueError as exc:
             return self._fault(obs, f"malformed reply: {exc}")
         self._consecutive_faults = 0
         return value
+
+    def _read_reply(self, obs: Observation, deadline: float) -> str:
+        """Return this step's reply line; raise queue.Empty at the deadline.
+
+        The handshake answer (only as the child's first line) and replies
+        still owed to timed-out requests are consumed on the way.
+        """
+        while True:
+            line = self._lines.get(
+                timeout=max(0.0, deadline - time.monotonic())).strip()
+            first, self._awaiting_answer = self._awaiting_answer, False
+            if first and line.startswith("{"):
+                self._take_answer(obs, line)
+            elif self._owed_replies:
+                self._owed_replies -= 1
+            else:
+                return line
+
+    def _take_answer(self, obs: Observation, line: str) -> None:
+        """Read the child's handshake answer; a bad one keeps the forecast."""
+        try:
+            wants = json.loads(line).get("forecast")  # a "{" line is a dict
+        except (ValueError, RecursionError):  # RecursionError: deep nesting
+            wants = None
+        if not isinstance(wants, bool):
+            self.fault_log.append(f"step {obs.step_index}: malformed reply: "
+                                  f"bad handshake answer {line[:80]!r}")
+            return
+        self._send_forecast = wants
 
     def _fault(self, obs: Observation, reason: str) -> float:
         self.fault_log.append(f"step {obs.step_index}: {reason}")

@@ -1,10 +1,15 @@
+import io
+import json
 import math
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evpolicy import pydriver
 from evpolicy.errors import PolicyFault, PolicySpawnError
 from evpolicy.market import synthetic_trace
 from evpolicy.rewards import RewardConfig
@@ -20,6 +25,36 @@ HELPERS = Path(__file__).parent / "helpers"
 
 def child_cmd(name):
     return [sys.executable, str(HELPERS / name)]
+
+
+def driver_cmd(candidate):
+    return [sys.executable, "-m", "evpolicy.pydriver",
+            str(HELPERS / candidate)]
+
+
+def load_candidate(candidate):
+    namespace: dict = {}
+    exec((HELPERS / candidate).read_text(), namespace)  # noqa: S102
+    return namespace["decide_power"]
+
+
+def record_requests(handle):
+    """Collect every payload the parent sends after the handshake."""
+    sent = []
+    send = handle._send
+
+    def recording(payload):
+        sent.append(payload)
+        send(payload)
+
+    handle._send = recording
+    return sent
+
+
+# Replies "1" to a request that carries the forecast and "2" to one without.
+FORECAST_PROBE = ("    msg = json.loads(line)\n"
+                  "    if msg.get('end'): break\n"
+                  "    print('1' if 'forecast' in msg else '2', flush=True)")
 
 
 class TestGuardrails:
@@ -159,6 +194,189 @@ class TestExternalProcess:
         assert handle.fault_log == []
         assert all(r.applied_kw == 0.0 for r in report.records)
         assert "x" in tail and len(tail) <= STDERR_TAIL_BYTES
+
+    def test_late_reply_is_discarded_not_shifted(self, battery):
+        # The child answers soc 0.31 after 1.3 s, past the 1 s timeout; that
+        # stale reply must not be returned for the request that follows.
+        handle = ExternalProcessPolicy(child_cmd("late_child.py"),
+                                       timeout_ms=1000)
+        try:
+            assert handle.decide(make_obs(step_index=0, soc=0.20)) == 0.20
+            assert handle.decide(make_obs(step_index=1, soc=0.31)) == 0.0
+            got = [handle.decide(make_obs(step_index=i, soc=soc))
+                   for i, soc in ((2, 0.42), (3, 0.53), (4, 0.64))]
+        finally:
+            handle.close()
+        assert got == [0.42, 0.53, 0.64]
+        assert handle.fault_log == ["step 1: timeout waiting for reply"]
+
+    def test_v1_child_receives_forecast_on_every_request(self, battery):
+        trace = synthetic_trace(days=1, seed=5)
+        sessions = [ConnectionSession(0, len(trace), 0.5, 0.8)]
+        handle = ExternalProcessPolicy(child_cmd("ref_child.py"),
+                                       timeout_ms=5000)
+        sent = record_requests(handle)
+        try:
+            run_episode(trace, sessions, battery, handle, RewardConfig(),
+                        0, 50)
+        finally:
+            handle.close()
+        assert handle.fault_log == []
+        assert len(sent) == 50
+        assert all(len(msg["forecast"]) == 288 for msg in sent)
+
+    @pytest.mark.parametrize("candidate,wants", [("price_candidate.py", False),
+                                                 ("fc_candidate.py", True)])
+    def test_forecast_sent_only_to_a_driver_that_asks(self, battery,
+                                                      candidate, wants):
+        handle = ExternalProcessPolicy(driver_cmd(candidate), timeout_ms=5000)
+        sent = record_requests(handle)
+        try:
+            for i in range(3):
+                handle.decide(make_obs(step_index=i))
+        finally:
+            handle.close()
+        assert handle.fault_log == []
+        # The first request goes out before the answer can have been read.
+        assert ["forecast" in msg for msg in sent] == [True, wants, wants]
+
+    @pytest.mark.parametrize("answer", ["""'{"forecast": fals'""",
+                                        """'{"forecast": 0}'""",
+                                        """'{"a": ' * 100_000"""],
+                             ids=["truncated", "not-bool", "deep-nesting"])
+    def test_malformed_handshake_answer_keeps_forecast(self, battery, answer):
+        # `answer` is the child's source for the line it sends first.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import json, sys\n"
+             f"print({answer}, flush=True)\n"
+             "for line in sys.stdin:\n"
+             "    if 'protocol' in line: continue\n" + FORECAST_PROBE],
+            timeout_ms=5000)
+        try:
+            assert handle.decide(make_obs(step_index=0)) == 1.0
+            assert handle.decide(make_obs(step_index=1)) == 1.0
+        finally:
+            handle.close()
+        assert len(handle.fault_log) == 1
+        assert handle.fault_log[0].startswith(
+            "step 0: malformed reply: bad handshake answer")
+
+    def test_brace_line_after_first_reply_is_malformed_reply(self, battery):
+        # Only the child's first line can be the answer; a later {...} line,
+        # such as a dict printed by the candidate, is a malformed reply.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import json, sys\n"
+             "n = 0\n"
+             "for line in sys.stdin:\n"
+             "    if 'protocol' in line:\n"
+             "        print(json.dumps({'protocol': 'v2g-policy/2',\n"
+             "                          'forecast': False}), flush=True)\n"
+             "        continue\n"
+             "    n += 1\n"
+             "    if n == 2:\n"
+             "        print('{\"forecast\": true}', flush=True)\n"
+             "        continue\n" + FORECAST_PROBE],
+            timeout_ms=5000)
+        try:
+            assert handle.decide(make_obs(step_index=0)) == 1.0
+            assert handle.decide(make_obs(step_index=1)) == 0.0
+            assert handle.decide(make_obs(step_index=2)) == 2.0
+        finally:
+            handle.close()
+        assert len(handle.fault_log) == 1
+        assert handle.fault_log[0].startswith("step 1: malformed reply:")
+
+    def test_answer_then_silence_aborts_on_third_timeout(self, battery):
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import sys\n"
+             "print('{\"protocol\": \"v2g-policy/2\", \"forecast\": false}',\n"
+             "      flush=True)\n"
+             "for line in sys.stdin:\n"
+             "    pass"], timeout_ms=200)
+        try:
+            assert handle.decide(make_obs(step_index=0)) == 0.0
+            assert handle.decide(make_obs(step_index=1)) == 0.0
+            with pytest.raises(PolicyFault):
+                handle.decide(make_obs(step_index=2))
+        finally:
+            handle.close()
+        assert handle.fault_log == [f"step {i}: timeout waiting for reply"
+                                    for i in range(3)]
+
+
+class TestPydriver:
+    def serve(self, candidate, messages):
+        out = io.StringIO()
+        pydriver.serve(load_candidate(candidate),
+                       stdin=[json.dumps(m) + "\n" for m in messages],
+                       stdout=out)
+        return out.getvalue().splitlines()
+
+    def request(self, **extra):
+        return {"charge_price": 0.1, "discharge_price": 0.1, "soc": 0.5,
+                "ttd": 600.0, "load_kw": 0.5, "pv_kw": 0.0,
+                "max_charge_kw": 7.0, "max_discharge_kw": 7.0, **extra}
+
+    @pytest.mark.parametrize("candidate,wants", [("price_candidate.py", False),
+                                                 ("fc_candidate.py", True)])
+    def test_answers_v2_handshake(self, candidate, wants):
+        lines = self.serve(candidate, [{"protocol": "v2g-policy/2"},
+                                       {"end": True}])
+        assert [json.loads(line) for line in lines] == [
+            {"protocol": "v2g-policy/2", "forecast": wants}]
+
+    def test_v1_handshake_gets_no_answer(self):
+        lines = self.serve("fc_candidate.py", [
+            {"protocol": "v2g-policy/1"},
+            self.request(forecast=[0.1, 0.4]), {"end": True}])
+        assert lines == ["3.5"]
+
+    def test_serves_requests_without_forecast_after_answering(self):
+        lines = self.serve("price_candidate.py", [
+            {"protocol": "v2g-policy/2"}, self.request(),
+            self.request(soc=0.2), {"end": True}])
+        assert lines[1:] == ["3.5", "7.0"]
+
+
+class TestReferenceAgreement:
+    """The IPC path and the in-process path give the same episode."""
+
+    @given(seed=st.integers(0, 10_000), arrival_soc=st.floats(0.2, 0.9),
+           candidate=st.sampled_from(["price_candidate.py",
+                                      "fc_candidate.py"]))
+    @settings(max_examples=4, deadline=None)
+    def test_pydriver_matches_native(self, seed, arrival_soc, candidate):
+        battery = BatteryConfig()
+        trace = synthetic_trace(days=1, seed=seed)
+        sessions = [ConnectionSession(0, len(trace), arrival_soc)]
+        fn = load_candidate(candidate)
+        if candidate == "fc_candidate.py":
+            native = NativePolicy(lambda o: fn(
+                o.charge_price, o.discharge_price, o.soc, o.ttd_minutes,
+                o.load_kw, o.pv_kw, o.max_charge_kw, o.max_discharge_kw,
+                list(o.forecast.values)))
+        else:
+            native = NativePolicy(lambda o: fn(
+                o.charge_price, o.discharge_price, o.soc, o.ttd_minutes,
+                o.load_kw, o.pv_kw, o.max_charge_kw, o.max_discharge_kw))
+        ref = run_episode(trace, sessions, battery,
+                          GuardrailPolicy(native, battery), RewardConfig(),
+                          0, len(trace))
+        handle = GuardrailPolicy(
+            ExternalProcessPolicy(driver_cmd(candidate), timeout_ms=5000),
+            battery)
+        try:
+            ipc = run_episode(trace, sessions, battery, handle,
+                              RewardConfig(), 0, len(trace))
+        finally:
+            handle.close()
+        assert handle.fault_log == []
+        assert ([r.applied_kw for r in ipc.records]
+                == [r.applied_kw for r in ref.records])
+        assert ipc.total_reward == ref.total_reward
 
 
 class TestMakePolicy:
