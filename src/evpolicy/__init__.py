@@ -3,8 +3,8 @@
 from .baseline import BaselineConfig, baseline_decide
 from .ledgers import (LedgerEntry, QuadrantSpec, build_ledger, export_ledger,
                       quadrant_sample, render_examples)
-from .market import (EnvTrace, PriceForecast, TracePoint, forecast_at,
-                     load_trace, save_trace, synthetic_trace, trace_stats)
+from .market import (EnvTrace, PriceForecast, forecast_at, load_trace,
+                     save_trace, synthetic_trace, trace_stats)
 from .rewards import (FitReport, RewardConfig, behavioral_metrics,
                       departure_penalty, fit_score, step_profit)
 from .rules import evaluate_rules, parse_rule_script, script_to_source

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .errors import ConfigError, OperatorTransportError, PolicyFault
 from .ledgers import LedgerEntry
-from .market import EnvTrace, TraceStats, trace_stats
+from .market import FORECAST_STEPS, EnvTrace, TraceStats, trace_stats
 from .operators import MutationOperator
 from .prompts import PromptBundle, build_prompt, build_state_prompt
 from .rewards import FitReport, RewardConfig, fit_score
@@ -225,7 +225,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   program_mode: str = "builtin_rules",
                   out_dir=None, start_step: int = 0,
                   n_steps: int | None = None, min_fit: float | None = None,
-                  horizon_steps: int = 288, timeout_ms: int = 2000,
+                  timeout_ms: int = 2000,
                   retry_base_delay: float = 0.5,
                   reference: EpisodeReport | None = None) -> EvolutionRun:
     """Run the six-stage loop for ``n_iterations`` and select the best.
@@ -312,8 +312,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
 
         try:
             report = run_episode(trace, sessions, battery, policy, reward_cfg,
-                                 start_step=start_step, n_steps=n_steps,
-                                 horizon_steps=horizon_steps)
+                                 start_step=start_step, n_steps=n_steps)
             fit = fit_score(policy, fit_examples) if fit_examples else None
         except PolicyFault as fault:
             record.failure = (f"policy fault at step {fault.step_index}: "
@@ -354,7 +353,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             "program_mode": program_mode,
             "start_step": start_step,
             "n_steps": n_steps,
-            "horizon_steps": horizon_steps,
+            "horizon_steps": FORECAST_STEPS,
             "min_fit": min_fit,
             "battery": asdict(battery),
             "reward": asdict(reward_cfg),
@@ -412,7 +411,7 @@ def run_runtime_agent(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                       reward_cfg: RewardConfig,
                       query_cadence_steps: int = DEFAULT_QUERY_CADENCE,
                       seed: int = 0, start_step: int = 0,
-                      n_steps: int | None = None, horizon_steps: int = 288,
+                      n_steps: int | None = None,
                       retry_base_delay: float = 0.5) -> EpisodeReport:
     """Online agent episode; the returned report carries a decision log."""
     if n_steps is None:
@@ -421,7 +420,6 @@ def run_runtime_agent(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                              retry_base_delay=retry_base_delay)
     policy = GuardrailPolicy(inner, battery)
     report = run_episode(trace, sessions, battery, policy, reward_cfg,
-                         start_step=start_step, n_steps=n_steps,
-                         horizon_steps=horizon_steps)
+                         start_step=start_step, n_steps=n_steps)
     report.decision_log = inner.decision_log
     return report

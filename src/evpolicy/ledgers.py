@@ -59,8 +59,7 @@ def default_quadrant_spec(prices: Sequence[float],
                         solar_split=solar_split)
 
 
-def build_ledger(rows: Iterable[dict],
-                 spec: QuadrantSpec | None = None) -> list[LedgerEntry]:
+def build_ledger(rows: Iterable[dict]) -> list[LedgerEntry]:
     """One normalized entry (percent SoC, kW, minutes) per step row.
 
     ``rows`` are step rows as yielded by :meth:`EpisodeReport.step_rows` or
@@ -69,8 +68,7 @@ def build_ledger(rows: Iterable[dict],
     rows = list(rows)
     if not rows:
         raise ConfigError("cannot build a ledger from no steps")
-    if spec is None:
-        spec = default_quadrant_spec([r["charge_price"] for r in rows])
+    spec = default_quadrant_spec([r["charge_price"] for r in rows])
     return [LedgerEntry(
         step=int(r["step"]),
         soc_pct=r["soc"] * 100.0,
@@ -86,7 +84,6 @@ def build_ledger(rows: Iterable[dict],
 
 
 def quadrant_sample(entries: Sequence[LedgerEntry], n_total: int,
-                    spec: QuadrantSpec | None = None,
                     seed: int = 0) -> list[LedgerEntry]:
     """Seeded, balanced, without-replacement sample across the four quadrants.
 
@@ -98,9 +95,6 @@ def quadrant_sample(entries: Sequence[LedgerEntry], n_total: int,
         raise ConfigError("quadrant_sample needs a non-empty ledger")
     if n_total < 4:
         raise ConfigError("n_total must be >= 4")
-    if spec is not None:
-        entries = [LedgerEntry(**{**asdict(e), "quadrant": classify_quadrant(
-            e.charge_price, e.pv_kw, spec)}) for e in entries]
 
     pools = {q: [e for e in entries if e.quadrant == q] for q in QUADRANTS}
     n_total = min(n_total, len(entries))

@@ -9,81 +9,70 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, TraceSchemaError, TraceValidationError
+from .errors import TraceSchemaError, TraceValidationError
 
 CANONICAL_COLUMNS = ("timestamp", "load_kw", "pv_kw", "buy_price", "sell_price")
 
-DEFAULT_HORIZON_STEPS = 288  # 24 h at 5-minute steps
+FORECAST_STEPS = 288  # 24 h at 5-minute steps
 
-
-@dataclass(frozen=True)
-class TracePoint:
-    timestamp: datetime
-    load_kw: float
-    pv_kw: float
-    buy_price: float
-    sell_price: float
+_COLUMN_FIELDS = ("timestamps", "load_kw", "pv_kw", "buy_price", "sell_price")
 
 
 @dataclass(frozen=True)
 class EnvTrace:
-    """Immutable, validated exogenous series. Safe to share across episodes."""
+    """Immutable, validated exogenous series, one tuple per canonical column.
 
-    points: tuple[TracePoint, ...]
+    Safe to share across episodes.
+    """
+
+    timestamps: tuple[datetime, ...]
+    load_kw: tuple[float, ...]
+    pv_kw: tuple[float, ...]
+    buy_price: tuple[float, ...]
+    sell_price: tuple[float, ...]
     step_minutes: int = 5
-    _forecast_columns: dict = field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
 
     def __post_init__(self):
+        for name in _COLUMN_FIELDS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        columns = [getattr(self, name) for name in _COLUMN_FIELDS]
         if self.step_minutes <= 0:
             raise TraceValidationError("step_minutes must be positive")
-        if len(self.points) < 2:
+        lengths = [len(column) for column in columns]
+        if len(set(lengths)) != 1:
+            raise TraceValidationError(f"columns differ in length: {lengths}")
+        if len(self) < 2:
             raise TraceValidationError("trace needs at least 2 points")
         delta = timedelta(minutes=self.step_minutes)
-        for i, p in enumerate(self.points):
-            if p.load_kw < 0 or p.pv_kw < 0:
+        for i, (ts, load, pv, buy, sell) in enumerate(zip(*columns)):
+            if load < 0 or pv < 0:
                 raise TraceValidationError(
                     f"row {i + 1}: load_kw and pv_kw must be non-negative")
-            for v in (p.load_kw, p.pv_kw, p.buy_price, p.sell_price):
+            for v in (load, pv, buy, sell):
                 if not math.isfinite(v):
                     raise TraceValidationError(f"row {i + 1}: non-finite value")
-            if i > 0 and p.timestamp - self.points[i - 1].timestamp != delta:
+            if i > 0 and ts - self.timestamps[i - 1] != delta:
                 raise TraceValidationError(
                     f"row {i + 1}: expected {self.step_minutes}-minute spacing, "
-                    f"got {p.timestamp - self.points[i - 1].timestamp}")
+                    f"got {ts - self.timestamps[i - 1]}")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.timestamps)
 
-    def forecast_column(self, horizon_steps: int) -> tuple[float, ...]:
-        """Buy prices followed by ``horizon_steps`` copies of the last one.
+    @cached_property
+    def forecast_column(self) -> tuple[float, ...]:
+        """Buy prices followed by ``FORECAST_STEPS`` copies of the last one.
 
-        The forecast after step ``i`` is ``column[i + 1:i + 1 + horizon_steps]``.
-        Each column is built and validated once, then cached on the trace.
+        The forecast after step ``i`` is ``column[i + 1:i + 1 + FORECAST_STEPS]``.
+        Built once per trace from the buy column, which construction validated.
         """
-        column = self._forecast_columns.get(horizon_steps)
-        if column is None:
-            if horizon_steps < 1:
-                raise ConfigError(
-                    f"forecast horizon_steps must be >= 1, got {horizon_steps}")
-            buys = [p.buy_price for p in self.points]
-            column = tuple(buys + buys[-1:] * horizon_steps)
-            _check_prices(column, len(buys) + horizon_steps)
-            self._forecast_columns[horizon_steps] = column
-        return column
-
-    @property
-    def buy_prices(self) -> list[float]:
-        return [p.buy_price for p in self.points]
-
-    @property
-    def sell_prices(self) -> list[float]:
-        return [p.sell_price for p in self.points]
+        return self.buy_price + self.buy_price[-1:] * FORECAST_STEPS
 
 
 def _check_prices(values: tuple[float, ...], expected: int) -> None:
@@ -168,19 +157,17 @@ def load_trace(path, schema: Mapping[str, str] | None = None,
     if buy_col is None:
         raise TraceSchemaError(f"{path}: no price column mapped")
 
-    points = []
+    columns = ([], [], [], [], [])
     for i, row in enumerate(rows):
         try:
-            points.append(TracePoint(
-                timestamp=datetime.fromisoformat(row[ts_col]),
-                load_kw=float(row[load_col]),
-                pv_kw=float(row[pv_col]),
-                buy_price=float(row[buy_col]),
-                sell_price=float(row[sell_col]),
-            ))
+            values = (datetime.fromisoformat(row[ts_col]), float(row[load_col]),
+                      float(row[pv_col]), float(row[buy_col]),
+                      float(row[sell_col]))
         except (TypeError, ValueError) as exc:
             raise TraceValidationError(f"{path}: row {i + 1}: {exc}") from exc
-    return EnvTrace(points=tuple(points), step_minutes=step_minutes)
+        for column, value in zip(columns, values):
+            column.append(value)
+    return EnvTrace(*columns, step_minutes=step_minutes)
 
 
 def save_trace(trace: EnvTrace, path) -> None:
@@ -188,23 +175,24 @@ def save_trace(trace: EnvTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
-        for p in trace.points:
-            writer.writerow([p.timestamp.isoformat(), repr(p.load_kw),
-                             repr(p.pv_kw), repr(p.buy_price), repr(p.sell_price)])
+        for ts, load, pv, buy, sell in zip(trace.timestamps, trace.load_kw,
+                                           trace.pv_kw, trace.buy_price,
+                                           trace.sell_price):
+            writer.writerow([ts.isoformat(), repr(load), repr(pv), repr(buy),
+                             repr(sell)])
 
 
-def forecast_at(trace: EnvTrace, step_index: int,
-                horizon_steps: int = DEFAULT_HORIZON_STEPS) -> PriceForecast:
-    """Rolling buy-price forecast for the steps after ``step_index``.
+def forecast_at(trace: EnvTrace, step_index: int) -> PriceForecast:
+    """Rolling 24 h buy-price forecast for the steps after ``step_index``.
 
     Perfect foresight; past the end of the trace the last known price is
-    repeated. Raises :class:`ConfigError` for ``horizon_steps < 1``.
+    repeated.
     """
     n = len(trace)
     if not 0 <= step_index < n:
         raise IndexError(f"step_index {step_index} out of range [0, {n})")
-    return PriceForecast.window(trace.forecast_column(horizon_steps),
-                                step_index + 1, horizon_steps)
+    return PriceForecast.window(trace.forecast_column, step_index + 1,
+                                FORECAST_STEPS)
 
 
 def _lower_order_stat(sorted_vals: Sequence[float], q: float) -> float:
@@ -233,8 +221,8 @@ def trace_stats(trace: EnvTrace) -> TraceStats:
     """Exact order statistics of the trace (lower-middle median convention)."""
     if len(trace) == 0:
         raise TraceValidationError("empty trace")
-    buys = sorted(trace.buy_prices)
-    sells = sorted(trace.sell_prices)
+    buys = sorted(trace.buy_price)
+    sells = sorted(trace.sell_price)
     return TraceStats(
         n_steps=len(trace),
         buy_median=_lower_order_stat(buys, 0.5),
@@ -243,8 +231,8 @@ def trace_stats(trace: EnvTrace) -> TraceStats:
         sell_median=_lower_order_stat(sells, 0.5),
         sell_q1=_lower_order_stat(sells, 0.25),
         sell_q3=_lower_order_stat(sells, 0.75),
-        pv_peak_kw=max(p.pv_kw for p in trace.points),
-        load_peak_kw=max(p.load_kw for p in trace.points),
+        pv_peak_kw=max(trace.pv_kw),
+        load_peak_kw=max(trace.load_kw),
     )
 
 
@@ -260,7 +248,7 @@ def synthetic_trace(days: int = 7, seed: int = 0, step_minutes: int = 5,
     rng = random.Random(seed)
     start = start or datetime(2024, 1, 1)
     steps_per_day = 24 * 60 // step_minutes
-    points = []
+    timestamps, loads, pvs, prices = [], [], [], []
     for i in range(days * steps_per_day):
         ts = start + timedelta(minutes=i * step_minutes)
         hour = (i % steps_per_day) * step_minutes / 60.0
@@ -274,6 +262,9 @@ def synthetic_trace(days: int = 7, seed: int = 0, step_minutes: int = 5,
                    + 1.0 * math.exp(-((hour - 7.5) / 1.2) ** 2)
                    + 1.6 * math.exp(-((hour - 19.0) / 2.0) ** 2)
                    + rng.gauss(0.0, 0.05))
-        points.append(TracePoint(timestamp=ts, load_kw=load, pv_kw=pv,
-                                 buy_price=price, sell_price=price))
-    return EnvTrace(points=tuple(points), step_minutes=step_minutes)
+        timestamps.append(ts)
+        loads.append(load)
+        pvs.append(pv)
+        prices.append(price)
+    return EnvTrace(timestamps, loads, pvs, prices, prices,
+                    step_minutes=step_minutes)

@@ -17,13 +17,16 @@ that never answer (v1 children) are still served: the parent keeps sending
 ``forecast`` to them on every request.
 
 Candidate code runs in this separate process, so a crashing or hanging policy
-cannot take the simulator down with it.
+cannot take the simulator down with it. Whatever the candidate prints, while
+its file runs and while ``decide_power`` runs, goes to stderr: replies are
+paired with requests by order, so one stray stdout line would shift them all.
 """
 from __future__ import annotations
 
 import inspect
 import json
 import sys
+from contextlib import redirect_stdout
 
 PROTOCOL = "v2g-policy/2"
 
@@ -33,31 +36,32 @@ def serve(fn, stdin=None, stdout=None) -> None:
     stdout = stdout or sys.stdout
     params = list(inspect.signature(fn).parameters)
     wants_forecast = "forecast" in params
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        msg = json.loads(line)
-        if msg.get("protocol"):
-            if msg["protocol"] == PROTOCOL:
-                stdout.write(json.dumps({"protocol": PROTOCOL,
-                                         "forecast": wants_forecast}) + "\n")
-                stdout.flush()
-            continue
-        if msg.get("end"):
-            break
-        args = [msg["charge_price"], msg["discharge_price"], msg["soc"],
-                msg["ttd"], msg["load_kw"], msg["pv_kw"],
-                msg["max_charge_kw"], msg["max_discharge_kw"]]
-        if wants_forecast:
-            args.append(msg["forecast"])
-        try:
-            value = float(fn(*args))
-        except Exception as exc:  # noqa: BLE001 - report, let parent decide
-            print(f"decide_power raised: {exc}", file=sys.stderr)
-            value = 0.0
-        stdout.write(f"{value}\n")
-        stdout.flush()
+    with redirect_stdout(sys.stderr):  # a candidate print is not a reply
+        for line in stdin:
+            line = line.strip()
+            if not line:
+                continue
+            msg = json.loads(line)
+            if msg.get("protocol"):
+                if msg["protocol"] == PROTOCOL:
+                    stdout.write(json.dumps({"protocol": PROTOCOL,
+                                             "forecast": wants_forecast}) + "\n")
+                    stdout.flush()
+                continue
+            if msg.get("end"):
+                break
+            args = [msg["charge_price"], msg["discharge_price"], msg["soc"],
+                    msg["ttd"], msg["load_kw"], msg["pv_kw"],
+                    msg["max_charge_kw"], msg["max_discharge_kw"]]
+            if wants_forecast:
+                args.append(msg["forecast"])
+            try:
+                value = float(fn(*args))
+            except Exception as exc:  # noqa: BLE001 - report, let parent decide
+                print(f"decide_power raised: {exc}", file=sys.stderr)
+                value = 0.0
+            stdout.write(f"{value}\n")
+            stdout.flush()
 
 
 def main(argv=None) -> int:
@@ -67,7 +71,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     namespace: dict = {}
-    with open(argv[0]) as fh:
+    with open(argv[0]) as fh, redirect_stdout(sys.stderr):
         exec(compile(fh.read(), argv[0], "exec"), namespace)  # noqa: S102
     fn = namespace.get("decide_power")
     if not callable(fn):

@@ -209,13 +209,22 @@ class ExternalProcessPolicy(PolicyHandle):
             try:
                 self._proc.stdin.write(json.dumps({"end": True}) + "\n")
                 self._proc.stdin.flush()
-                self._proc.stdin.close()
             except (BrokenPipeError, OSError, ValueError):
                 pass
-            try:
-                self._proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
+        try:
+            self._proc.stdin.close()
+        except OSError:  # unflushed bytes for a child that has exited
+            pass
+        try:
+            self._proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        for reader, pipe in ((self._reader, self._proc.stdout),
+                             (self._stderr_reader, self._proc.stderr)):
+            reader.join(timeout=1.0)
+            if not reader.is_alive():  # never close a pipe under a reader
+                pipe.close()
 
 
 class GuardrailPolicy(PolicyHandle):

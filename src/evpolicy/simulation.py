@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import ConfigError, PolicyFault
-from .market import DEFAULT_HORIZON_STEPS, EnvTrace, PriceForecast, forecast_at
+from .market import EnvTrace, PriceForecast, forecast_at
 from .rewards import RewardConfig, behavioral_metrics, departure_penalty, step_profit
 
 DEFAULT_EPISODE_STEPS = 1500
@@ -228,8 +228,7 @@ _LOOK_UP = object()
 
 
 def observation_at(trace: EnvTrace, sessions: Sequence[ConnectionSession],
-                   soc: float, step_index: int, battery: BatteryConfig,
-                   horizon_steps: int = DEFAULT_HORIZON_STEPS, *,
+                   soc: float, step_index: int, battery: BatteryConfig, *,
                    session=_LOOK_UP) -> Observation:
     """What a policy sees at ``step_index`` with the EV at ``soc``.
 
@@ -239,7 +238,6 @@ def observation_at(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     """
     if not 0 <= step_index < len(trace):
         raise IndexError(f"step_index {step_index} out of range")
-    p = trace.points[step_index]
     if session is _LOOK_UP:
         session = session_at(sessions, step_index)
     plugged = session is not None
@@ -247,15 +245,15 @@ def observation_at(trace: EnvTrace, sessions: Sequence[ConnectionSession],
            if plugged else 0.0)
     return Observation(
         step_index=step_index,
-        charge_price=p.buy_price,
-        discharge_price=p.sell_price,
+        charge_price=trace.buy_price[step_index],
+        discharge_price=trace.sell_price[step_index],
         soc=soc,
         ttd_minutes=float(ttd),
-        load_kw=p.load_kw,
-        pv_kw=p.pv_kw,
+        load_kw=trace.load_kw[step_index],
+        pv_kw=trace.pv_kw[step_index],
         max_charge_kw=battery.max_charge_kw,
         max_discharge_kw=battery.max_discharge_kw,
-        forecast=forecast_at(trace, step_index, horizon_steps),
+        forecast=forecast_at(trace, step_index),
         plugged_in=plugged,
     )
 
@@ -313,22 +311,20 @@ def apply_action(obs: Observation, requested, battery: BatteryConfig,
 
 def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                 battery: BatteryConfig, policy, reward_cfg: RewardConfig,
-                start_step: int = 0, n_steps: int = DEFAULT_EPISODE_STEPS,
-                horizon_steps: int = DEFAULT_HORIZON_STEPS) -> EpisodeReport:
+                start_step: int = 0,
+                n_steps: int = DEFAULT_EPISODE_STEPS) -> EpisodeReport:
     """Deterministic rollout of ``policy`` over ``n_steps`` trace steps.
 
     Departure penalties apply for sessions whose departure falls inside the
     simulated window. Policy faults abort with a :class:`PolicyFault` carrying
     the failing step index.
     """
-    if start_step < 0 or start_step + n_steps > len(trace):
+    if start_step < 0 or n_steps < 0 or start_step + n_steps > len(trace):
         raise ConfigError(
             f"window [{start_step}, {start_step + n_steps}) outside trace "
             f"of length {len(trace)}")
     sessions = sorted(sessions, key=lambda s: s.arrival_step)
     validate_sessions(sessions, battery)
-    # Rejects horizon_steps < 1 before the first step and caches the column.
-    trace.forecast_column(horizon_steps)
     plugged_sessions = _session_index(sessions, start_step,
                                       start_step + n_steps)
 
@@ -347,8 +343,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             soc = session.arrival_soc  # EV just arrived
         current_session = session
 
-        obs = observation_at(trace, sessions, soc, t, battery, horizon_steps,
-                             session=session)
+        obs = observation_at(trace, sessions, soc, t, battery, session=session)
         if obs.plugged_in:
             try:
                 requested = float(policy.decide(obs))

@@ -12,7 +12,7 @@ import pytest
 from evpolicy.errors import PolicyFault
 from evpolicy.evolve import run_evolution
 from evpolicy.ledgers import QUADRANTS, quadrant_sample
-from evpolicy.market import EnvTrace, TracePoint, synthetic_trace
+from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator
 from evpolicy.prompts import SIGNATURE_BLOCK, build_prompt
 from evpolicy.rewards import (FIT_TOLERANCE_KW, RewardConfig,
@@ -36,11 +36,12 @@ def _pass(line: str) -> None:
 
 def build_trace(price_fn, load_fn, pv_fn, n=288):
     t0 = datetime(2024, 3, 1)
-    points = tuple(TracePoint(timestamp=t0 + timedelta(minutes=5 * i),
-                              load_kw=load_fn(i), pv_kw=pv_fn(i),
-                              buy_price=price_fn(i), sell_price=price_fn(i))
-                   for i in range(n))
-    return EnvTrace(points=points)
+    prices = [price_fn(i) for i in range(n)]
+    return EnvTrace(timestamps=[t0 + timedelta(minutes=5 * i)
+                                for i in range(n)],
+                    load_kw=[load_fn(i) for i in range(n)],
+                    pv_kw=[pv_fn(i) for i in range(n)],
+                    buy_price=prices, sell_price=prices)
 
 
 def test_01_safety_invariants_under_adversarial_policies():
@@ -75,9 +76,10 @@ def test_02_reward_oracle_idle_and_random_policies():
         report = run_episode(trace, default_sessions(trace), battery,
                              make_policy("idle", battery), cfg, 0, len(trace))
         oracle = 0.0
-        for p in trace.points:
-            oracle += max(0.0, p.load_kw - p.pv_kw) * dt * p.buy_price
-            oracle -= max(0.0, p.pv_kw - p.load_kw) * dt * p.sell_price
+        for load, pv, buy, sell in zip(trace.load_kw, trace.pv_kw,
+                                       trace.buy_price, trace.sell_price):
+            oracle += max(0.0, load - pv) * dt * buy
+            oracle -= max(0.0, pv - load) * dt * sell
         assert report.total_cost == pytest.approx(oracle, abs=1e-9)
 
     trace = synthetic_trace(days=1, seed=4)

@@ -61,6 +61,12 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_start_past_trace_end_is_config_error(self, tmp_path, capsys):
+        code, out = run_simulate(tmp_path, "--start", "5000")
+        assert code == 1
+        assert "outside trace" in capsys.readouterr().err
+        assert not (out / "steps.jsonl").exists()
+
     def test_bad_synthetic_kv_is_config_error(self, tmp_path):
         code = main(["simulate", "--synthetic", "days", "--policy", "idle",
                      "--out", str(tmp_path / "x")])

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evpolicy.errors import ConfigError, TraceSchemaError, TraceValidationError
-from evpolicy.market import (EnvTrace, PriceForecast, TracePoint, forecast_at,
-                             load_trace, save_trace, synthetic_trace,
-                             trace_stats)
+from evpolicy.errors import TraceSchemaError, TraceValidationError
+from evpolicy.market import (FORECAST_STEPS, EnvTrace, PriceForecast,
+                             forecast_at, load_trace, save_trace,
+                             synthetic_trace, trace_stats)
 
 
 def make_trace(prices, step_minutes=5, load=0.5, pv=0.0):
     start = datetime(2024, 1, 1)
-    points = tuple(
-        TracePoint(timestamp=start + timedelta(minutes=i * step_minutes),
-                   load_kw=load, pv_kw=pv, buy_price=p, sell_price=p)
-        for i, p in enumerate(prices))
-    return EnvTrace(points=points, step_minutes=step_minutes)
+    n = len(prices)
+    return EnvTrace(
+        timestamps=[start + timedelta(minutes=i * step_minutes)
+                    for i in range(n)],
+        load_kw=[load] * n, pv_kw=[pv] * n, buy_price=prices,
+        sell_price=prices, step_minutes=step_minutes)
 
 
 def write_csv(path, rows, header="timestamp,load_kw,pv_kw,buy_price,sell_price"):
@@ -35,7 +36,7 @@ class TestLoadTrace:
         ])
         trace = load_trace(f)
         assert len(trace) == 4
-        assert trace.points[2].buy_price == 0.30
+        assert trace.buy_price[2] == 0.30
 
     def test_spacing_gap_names_offending_row(self, tmp_path):
         f = tmp_path / "t.csv"
@@ -72,53 +73,56 @@ class TestLoadTrace:
         trace = load_trace(f, schema={"timestamp": "timestamp",
                                       "load_kw": "load_kw", "pv_kw": "pv_kw",
                                       "price": "price"})
-        assert trace.points[0].buy_price == trace.points[0].sell_price == 0.10
+        assert trace.buy_price[0] == trace.sell_price[0] == 0.10
 
     def test_round_trip(self, tmp_path):
         trace = synthetic_trace(days=1, seed=3)
         f = tmp_path / "rt.csv"
         save_trace(trace, f)
-        again = load_trace(f)
-        assert len(again) == len(trace)
-        for a, b in zip(trace.points, again.points):
-            assert a.timestamp == b.timestamp
-            for attr in ("load_kw", "pv_kw", "buy_price", "sell_price"):
-                assert abs(getattr(a, attr) - getattr(b, attr)) <= 1e-12
+        assert load_trace(f) == trace
+
+
+class TestColumns:
+    def test_unequal_column_lengths_rejected(self):
+        trace = make_trace([0.1, 0.2, 0.3])
+        with pytest.raises(TraceValidationError, match="differ in length"):
+            EnvTrace(trace.timestamps, trace.load_kw, trace.pv_kw[:2],
+                     trace.buy_price, trace.sell_price)
+
+    def test_list_columns_stored_as_tuples(self):
+        trace = make_trace([0.1, 0.2, 0.3])
+        for column in (trace.timestamps, trace.load_kw, trace.pv_kw,
+                       trace.buy_price, trace.sell_price):
+            assert type(column) is tuple and len(column) == 3
 
 
 class TestForecast:
     def test_direct_slice(self):
         trace = make_trace([1, 2, 3, 4])
-        assert forecast_at(trace, 0, 3).values == (2, 3, 4)
+        assert forecast_at(trace, 0).values[:3] == (2, 3, 4)
 
     def test_padding_with_last_price(self):
         trace = make_trace([1, 2, 3, 4])
-        assert forecast_at(trace, 2, 3).values == (4, 4, 4)
+        assert forecast_at(trace, 2).values == (4,) * FORECAST_STEPS
 
     def test_constant_trace_stays_constant(self):
         trace = make_trace([0.2] * 6)
         for i in range(6):
-            assert forecast_at(trace, i, 8).values == (0.2,) * 8
+            assert forecast_at(trace, i).values == (0.2,) * FORECAST_STEPS
 
     def test_out_of_range_index(self):
         trace = make_trace([1, 2, 3])
         with pytest.raises(IndexError):
-            forecast_at(trace, 3, 2)
+            forecast_at(trace, 3)
 
     def test_always_full_horizon_and_alignment(self):
         trace = make_trace([0.1 * (i + 1) for i in range(10)])
-        horizon = 6
         for i in range(10):
-            fc = forecast_at(trace, i, horizon)
-            assert len(fc.values) == horizon
-            for k in range(horizon):
+            fc = forecast_at(trace, i)
+            assert fc.horizon_steps == len(fc.values) == FORECAST_STEPS
+            for k in range(FORECAST_STEPS):
                 if i + 1 + k < len(trace):
-                    assert fc.values[k] == trace.points[i + 1 + k].buy_price
-
-    @pytest.mark.parametrize("horizon", [0, -5])
-    def test_horizon_below_one(self, horizon):
-        with pytest.raises(ConfigError):
-            forecast_at(make_trace([1, 2, 3]), 0, horizon)
+                    assert fc.values[k] == trace.buy_price[i + 1 + k]
 
     def test_direct_construction_is_validated(self):
         assert PriceForecast(horizon_steps=2, values=[0.1, 0.2]).values == \
@@ -129,22 +133,20 @@ class TestForecast:
             PriceForecast(horizon_steps=2, values=(0.1, math.nan))
 
     @given(prices=st.lists(st.floats(min_value=-1.0, max_value=1.0),
-                           min_size=2, max_size=40),
+                           min_size=2, max_size=FORECAST_STEPS + 40),
            data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_window_matches_reference(self, prices, data):
         trace = make_trace(prices)
         n = len(trace)
-        horizons = data.draw(st.lists(st.integers(1, 2 * n), min_size=1,
-                                      max_size=3))
-        for horizon in horizons:
-            for i in range(n):
-                # The per-step copy forecast_at made before it sliced a column.
-                reference = [trace.points[min(i + 1 + k, n - 1)].buy_price
-                             for k in range(horizon)]
-                values = forecast_at(trace, i, horizon).values
-                assert type(values) is tuple
-                assert values == tuple(reference)
+        for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=5)):
+            # The per-step copy forecast_at made before it sliced a column.
+            reference = [trace.buy_price[min(i + 1 + k, n - 1)]
+                         for k in range(FORECAST_STEPS)]
+            values = forecast_at(trace, i).values
+            assert type(values) is tuple
+            assert values == tuple(reference)
 
 
 
@@ -193,4 +195,4 @@ class TestSynthetic:
 
     def test_evening_peak_crosses_baseline_threshold(self):
         trace = synthetic_trace(days=1, seed=0)
-        assert max(trace.buy_prices) >= 0.35
+        assert max(trace.buy_price) >= 0.35

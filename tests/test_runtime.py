@@ -152,6 +152,33 @@ class TestExternalProcess:
         finally:
             handle.close()
 
+    def test_candidate_prints_do_not_shift_replies(self, battery):
+        handle = ExternalProcessPolicy(driver_cmd("print_candidate.py"),
+                                       timeout_ms=5000)
+        socs = [0.3, 0.4, 0.5, 0.6, 0.7]
+        try:
+            decisions = [handle.decide(make_obs(step_index=i, soc=soc))
+                         for i, soc in enumerate(socs)]
+        finally:
+            handle.close()
+        assert decisions == socs
+        assert handle.fault_log == []
+
+    @pytest.mark.parametrize("exited", [False, True])
+    def test_close_closes_pipes(self, exited):
+        # The child reads the handshake, then either serves or exits.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import sys\n"
+             "sys.stdin.readline()\n"
+             f"if {exited}: sys.exit(0)\n"
+             "for line in sys.stdin:\n"
+             "    if 'end' in line: break"], timeout_ms=5000)
+        if exited:
+            handle._proc.wait(timeout=10)
+        handle.close()
+        assert handle._proc.stdout.closed and handle._proc.stderr.closed
+
     def test_spawn_failure(self):
         with pytest.raises(PolicySpawnError):
             ExternalProcessPolicy(["/nonexistent/policy-binary"])

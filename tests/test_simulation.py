@@ -104,9 +104,12 @@ def household_only_cost(trace, start, n):
     """Independent oracle: meter cost with the charger idle."""
     dt = trace.step_minutes / 60
     total = 0.0
-    for p in trace.points[start:start + n]:
-        total += max(0.0, p.load_kw - p.pv_kw) * dt * p.buy_price
-        total -= max(0.0, p.pv_kw - p.load_kw) * dt * p.sell_price
+    window = slice(start, start + n)
+    for load, pv, buy, sell in zip(trace.load_kw[window], trace.pv_kw[window],
+                                   trace.buy_price[window],
+                                   trace.sell_price[window]):
+        total += max(0.0, load - pv) * dt * buy
+        total -= max(0.0, pv - load) * dt * sell
     return total
 
 
@@ -143,21 +146,12 @@ class TestRunEpisode:
 
     def test_window_validation(self, battery, fixture_trace, fixture_sessions):
         policy = make_policy("idle", battery)
-        with pytest.raises(ConfigError):
-            run_episode(fixture_trace, fixture_sessions, battery, policy,
-                        RewardConfig(), 0, len(fixture_trace) + 1)
-
-    @pytest.mark.parametrize("horizon", [0, -5])
-    def test_horizon_below_one_rejected_before_first_step(
-            self, battery, fixture_trace, fixture_sessions, horizon):
-        seen = []
-        policy = NativePolicy(
-            lambda obs: seen.append(obs) or max(obs.forecast.values))
-        with pytest.raises(ConfigError):
-            run_episode(fixture_trace, fixture_sessions, battery, policy,
-                        RewardConfig(), 0, len(fixture_trace),
-                        horizon_steps=horizon)
-        assert seen == []
+        n = len(fixture_trace)
+        # A start past the end gives the CLI's default n_steps = n - start.
+        for start, n_steps in ((0, n + 1), (0, -3), (5000, n - 5000)):
+            with pytest.raises(ConfigError):
+                run_episode(fixture_trace, fixture_sessions, battery, policy,
+                            RewardConfig(), start, n_steps)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -179,13 +173,13 @@ class TestRunEpisode:
         policy = NativePolicy(
             lambda obs: 7.0 if obs.step_index % 5 < 3 else -7.0)
         report = run_episode(fixture_trace, sessions, battery, policy,
-                             RewardConfig(), start, n_steps, horizon_steps=12)
+                             RewardConfig(), start, n_steps)
 
         previous = None
         for r in report.records:
             obs = r.observation
             reference = observation_at(fixture_trace, sessions, obs.soc,
-                                       obs.step_index, battery, 12)
+                                       obs.step_index, battery)
             assert obs.plugged_in == reference.plugged_in
             assert obs.ttd_minutes == reference.ttd_minutes
             assert obs == reference
