@@ -7,8 +7,6 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Sequence
 
-import requests
-
 from .errors import ConfigError, OperatorTransportError
 from .prompts import PromptBundle
 
@@ -74,6 +72,12 @@ class HttpChatOperator(MutationOperator):
         self.token_count = 0
 
     def complete(self, bundle: PromptBundle) -> str:
+        # Imported here: http.client and urllib.request take 30-40 ms to
+        # import, and only a run with the HTTP operator sends a request.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -85,18 +89,33 @@ class HttpChatOperator(MutationOperator):
                 {"role": "user", "content": bundle.user_text},
             ],
         }
+        request = urllib.request.Request(
+            self.url, data=json.dumps(payload).encode(), headers=headers,
+            method="POST")
         try:
-            resp = requests.post(self.url, json=payload, headers=headers,
-                                 timeout=self.timeout_s)
-            resp.raise_for_status()
-            body = resp.json()
-            content = body["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError,
-                ValueError) as exc:
+            # HTTPError (any non-2xx status), URLError and timeouts are
+            # OSErrors; a body that is not JSON raises ValueError.
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+                body = json.load(resp)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # it holds the response, and its socket, open
             raise OperatorTransportError(f"{self.url}: {exc}") from exc
+        try:
+            content = body["choices"][0]["message"]["content"]
+        except (LookupError, TypeError) as exc:
+            raise OperatorTransportError(
+                f"{self.url}: reply has no choices[0].message.content "
+                f"({type(exc).__name__}: {exc})") from exc
+        if not isinstance(content, str):
+            raise OperatorTransportError(
+                f"{self.url}: reply content is {type(content).__name__}, "
+                "not a string")
         self.request_count += 1
-        usage = body.get("usage") or {}
-        self.token_count += usage.get("total_tokens", 0)
+        usage = body.get("usage")
+        tokens = usage.get("total_tokens", 0) if isinstance(usage, dict) else 0
+        if isinstance(tokens, int):
+            self.token_count += tokens
         return content
 
 

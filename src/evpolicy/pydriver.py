@@ -17,14 +17,18 @@ that never answer (v1 children) are still served: the parent keeps sending
 ``forecast`` to them on every request.
 
 Candidate code runs in this separate process, so a crashing or hanging policy
-cannot take the simulator down with it. Whatever the candidate prints, while
-its file runs and while ``decide_power`` runs, goes to stderr: replies are
-paired with requests by order, so one stray stdout line would shift them all.
+cannot take the simulator down with it. Replies are paired with requests by
+order, so one stray stdout line would shift them all. ``main`` therefore
+writes replies to a private duplicate of file descriptor 1 and points fd 1
+itself at stderr before the candidate's file runs: whatever the candidate
+writes to stdout, through ``print``, ``sys.__stdout__``, ``os.write(1, ...)``
+or a subprocess that inherits fd 1, goes to stderr.
 """
 from __future__ import annotations
 
 import inspect
 import json
+import os
 import sys
 from contextlib import redirect_stdout
 
@@ -70,14 +74,17 @@ def main(argv=None) -> int:
         print("usage: python -m evpolicy.pydriver <policy_file.py>",
               file=sys.stderr)
         return 2
-    namespace: dict = {}
-    with open(argv[0]) as fh, redirect_stdout(sys.stderr):
-        exec(compile(fh.read(), argv[0], "exec"), namespace)  # noqa: S102
-    fn = namespace.get("decide_power")
-    if not callable(fn):
-        print("policy file does not define decide_power()", file=sys.stderr)
-        return 2
-    serve(fn)
+    # os.dup's copy is not inherited by the candidate's subprocesses.
+    with os.fdopen(os.dup(1), "w") as replies:
+        os.dup2(2, 1)
+        namespace: dict = {}
+        with open(argv[0]) as fh, redirect_stdout(sys.stderr):
+            exec(compile(fh.read(), argv[0], "exec"), namespace)  # noqa: S102
+        fn = namespace.get("decide_power")
+        if not callable(fn):
+            print("policy file does not define decide_power()", file=sys.stderr)
+            return 2
+        serve(fn, stdout=replies)
     return 0
 
 

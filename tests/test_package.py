@@ -1,0 +1,65 @@
+"""The package root resolves its public names lazily (PEP 562)."""
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import evpolicy
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PUBLIC_NAMES = """
+    Action BaselineConfig BatteryConfig ConnectionSession EnvTrace
+    EpisodeReport ExternalProcessPolicy FitReport GuardrailPolicy LedgerEntry
+    Observation PolicyHandle PolicyProgram PriceForecast QuadrantSpec
+    RewardConfig StepRecord apply_action baseline_decide behavioral_metrics
+    build_ledger departure_penalty evaluate_rules export_ledger fit_score
+    forecast_at load_trace make_policy observation_at parse_rule_script
+    per_step_energy_cap quadrant_sample read_step_log render_examples
+    run_episode save_trace script_to_source step_profit synthetic_trace
+    trace_stats""".split()
+
+
+def modules_after(statement: str) -> set[str]:
+    """Names in sys.modules after ``statement`` runs in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\n"
+         "print('\\n'.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    return set(out.stdout.split())
+
+
+def test_pydriver_imports_no_other_evpolicy_module():
+    loaded = modules_after("import evpolicy.pydriver")
+    assert sorted(m for m in loaded if m.startswith("evpolicy")) == [
+        "evpolicy", "evpolicy.pydriver"]
+
+
+def test_cli_imports_no_http_client():
+    loaded = modules_after("import evpolicy.cli")
+    assert "evpolicy.cli" in loaded
+    assert loaded.isdisjoint({"requests", "urllib.request", "http.client"})
+
+
+def test_public_names_are_their_submodules_objects():
+    assert evpolicy.__all__ == sorted(PUBLIC_NAMES)
+    for name in evpolicy.__all__:
+        value = getattr(evpolicy, name)
+        module = importlib.import_module(value.__module__)
+        assert value is getattr(module, name)
+        assert name in dir(evpolicy)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        evpolicy.nope  # noqa: B018
+    assert not hasattr(evpolicy, "nope")
+
+
+def test_submodules_still_import_from_the_root():
+    from evpolicy import pydriver
+    assert pydriver is importlib.import_module("evpolicy.pydriver")
+    assert evpolicy.__version__ == "0.1.0"

@@ -32,6 +32,19 @@ def driver_cmd(candidate):
             str(HELPERS / candidate)]
 
 
+def assert_replies_unshifted(candidate):
+    """A candidate echoing its SoC gets each SoC back, with no fault."""
+    handle = ExternalProcessPolicy(driver_cmd(candidate), timeout_ms=5000)
+    socs = [0.3, 0.4, 0.5, 0.6, 0.7]
+    try:
+        decisions = [handle.decide(make_obs(step_index=i, soc=soc))
+                     for i, soc in enumerate(socs)]
+    finally:
+        handle.close()
+    assert decisions == socs
+    assert handle.fault_log == []
+
+
 def load_candidate(candidate):
     namespace: dict = {}
     exec((HELPERS / candidate).read_text(), namespace)  # noqa: S102
@@ -153,16 +166,13 @@ class TestExternalProcess:
             handle.close()
 
     def test_candidate_prints_do_not_shift_replies(self, battery):
-        handle = ExternalProcessPolicy(driver_cmd("print_candidate.py"),
-                                       timeout_ms=5000)
-        socs = [0.3, 0.4, 0.5, 0.6, 0.7]
-        try:
-            decisions = [handle.decide(make_obs(step_index=i, soc=soc))
-                         for i, soc in enumerate(socs)]
-        finally:
-            handle.close()
-        assert decisions == socs
-        assert handle.fault_log == []
+        assert_replies_unshifted("print_candidate.py")
+
+    @pytest.mark.parametrize("candidate", ["dunder_stdout_candidate.py",
+                                           "fd1_candidate.py"])
+    def test_candidate_stdout_writes_do_not_shift_replies(self, candidate):
+        # Around sys.stdout: sys.__stdout__ and file descriptor 1 itself.
+        assert_replies_unshifted(candidate)
 
     @pytest.mark.parametrize("exited", [False, True])
     def test_close_closes_pipes(self, exited):
