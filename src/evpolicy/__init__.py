@@ -21,8 +21,8 @@ _EXPORTS = {
     "rules": ("evaluate_rules", "parse_rule_script", "script_to_source"),
     "runtime": ("ExternalProcessPolicy", "GuardrailPolicy", "PolicyHandle",
                 "PolicyProgram", "make_policy"),
-    "simulation": ("Action", "BatteryConfig", "ConnectionSession",
-                   "EpisodeReport", "Observation", "StepRecord", "apply_action",
+    "simulation": ("BatteryConfig", "ConnectionSession", "EpisodeReport",
+                   "Observation", "StepRecord", "apply_action",
                    "observation_at", "per_step_energy_cap", "read_step_log",
                    "run_episode"),
 }

@@ -16,9 +16,8 @@ from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
 from .rewards import RewardConfig
 from .runtime import make_policy
-from .simulation import (DEFAULT_EPISODE_STEPS, BatteryConfig,
-                         ConnectionSession, default_sessions, read_step_log,
-                         run_episode)
+from .simulation import (BatteryConfig, ConnectionSession, default_n_steps,
+                         default_sessions, read_step_log, run_episode)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,8 +79,8 @@ def cmd_simulate(args) -> int:
     battery = _battery(config)
     sessions = _resolve_sessions(trace, config)
     reward_cfg = _reward(config)
-    n_steps = args.steps if args.steps is not None else min(
-        DEFAULT_EPISODE_STEPS, len(trace) - args.start)
+    n_steps = (args.steps if args.steps is not None
+               else default_n_steps(trace, args.start))
     policy = make_policy(args.policy, battery, options={
         "step_minutes": trace.step_minutes,
         "baseline": config.get("baseline", {}),
@@ -136,8 +135,8 @@ def cmd_evolve(args) -> int:
         policy = make_policy("baseline", battery, options={
             "step_minutes": trace.step_minutes,
             "baseline": config.get("baseline", {})})
-        n_steps = args.steps if args.steps is not None else min(
-            DEFAULT_EPISODE_STEPS, len(trace) - args.start)
+        n_steps = (args.steps if args.steps is not None
+                   else default_n_steps(trace, args.start))
         base_report = run_episode(trace, sessions, battery, policy, reward_cfg,
                                   start_step=args.start, n_steps=n_steps)
         all_entries = ledgers.build_ledger(base_report.step_rows())

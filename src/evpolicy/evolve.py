@@ -11,19 +11,23 @@ from typing import Sequence
 
 from .errors import ConfigError, OperatorTransportError, PolicyFault
 from .ledgers import LedgerEntry
-from .market import FORECAST_STEPS, EnvTrace, TraceStats, trace_stats
+from .market import FORECAST_STEPS, EnvTrace, trace_stats
 from .operators import MutationOperator
 from .prompts import PromptBundle, build_prompt, build_state_prompt
 from .rewards import FitReport, RewardConfig, fit_score
 from .runtime import (GuardrailPolicy, PolicyHandle, PolicyProgram,
                       policy_from_program)
-from .simulation import (DEFAULT_EPISODE_STEPS, BatteryConfig,
-                         ConnectionSession, EpisodeReport, run_episode)
+from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
+                         default_n_steps, run_episode)
 
 DEFAULT_ITERATIONS = 10
 DEFAULT_QUERY_CADENCE = 12  # hourly at 5-minute steps
 TRANSPORT_RETRIES = 3
+CANDIDATE_TIMEOUT_MS = 2000
 FLICKER_ISSUE_DIVISOR = 50
+PEAK_PRICE_THRESHOLD = 0.35  # a sell price at least this high is a spike
+TOP_MISMATCHES = 10
+MAX_FIT_EXAMPLES = 200
 _FENCED_RE = re.compile(r"```[a-zA-Z0-9_+-]*\n(.*?)```", re.DOTALL)
 _DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
@@ -114,11 +118,11 @@ def extract_program(model_reply: str, mode: str = "builtin_rules",
 
 
 def make_feedback(report: EpisodeReport, fit: FitReport | None,
-                  battery: BatteryConfig | None = None,
-                  iteration: int = 1, peak_price_threshold: float = 0.35,
-                  top_k: int = 10) -> FeedbackSummary:
-    """Summarize an episode into prompt-ready critique with step citations."""
-    battery = battery or BatteryConfig()
+                  battery: BatteryConfig, iteration: int = 1) -> FeedbackSummary:
+    """Summarize an episode into prompt-ready critique with step citations.
+
+    Cites at most ``TOP_MISMATCHES`` fit mismatches, largest gap first.
+    """
     records = report.records
     n = len(records)
     issues: list[Issue] = []
@@ -126,7 +130,7 @@ def make_feedback(report: EpisodeReport, fit: FitReport | None,
     if n:
         sells = sorted(r.observation.discharge_price for r in records)
         top_decile = sells[int(0.9 * (n - 1))]
-        spike_threshold = max(peak_price_threshold, top_decile)
+        spike_threshold = max(PEAK_PRICE_THRESHOLD, top_decile)
         reserve = battery.soc_min
 
         missed = [r for r in records
@@ -171,7 +175,7 @@ def make_feedback(report: EpisodeReport, fit: FitReport | None,
     mismatches = []
     if fit is not None:
         mismatches = sorted(fit.mismatches,
-                            key=lambda m: -abs(m[2] - m[1]))[:top_k]
+                            key=lambda m: -abs(m[2] - m[1]))[:TOP_MISMATCHES]
 
     return FeedbackSummary(
         iteration=iteration,
@@ -208,11 +212,10 @@ def _complete_with_retry(operator: MutationOperator, bundle: PromptBundle,
     raise last_exc
 
 
-def _reference_examples(report: EpisodeReport,
-                        max_examples: int = 200) -> list[tuple]:
+def _reference_examples(report: EpisodeReport) -> list[tuple]:
     """Plugged-in (observation, baseline action) pairs for fit scoring."""
     plugged = [r for r in report.records if r.observation.plugged_in]
-    stride = max(1, len(plugged) // max_examples)
+    stride = max(1, len(plugged) // MAX_FIT_EXAMPLES)
     return [(r.observation, r.applied_kw) for r in plugged[::stride]]
 
 
@@ -221,11 +224,9 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   battery: BatteryConfig, operator: MutationOperator,
                   reward_cfg: RewardConfig, seed: int = 0,
                   ledger_entries: Sequence[LedgerEntry] | None = None,
-                  stats: TraceStats | None = None,
                   program_mode: str = "builtin_rules",
                   out_dir=None, start_step: int = 0,
                   n_steps: int | None = None, min_fit: float | None = None,
-                  timeout_ms: int = 2000,
                   retry_base_delay: float = 0.5,
                   reference: EpisodeReport | None = None) -> EvolutionRun:
     """Run the six-stage loop for ``n_iterations`` and select the best.
@@ -233,7 +234,10 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     Selection: highest fit score for the imitation strategy, highest total
     reward otherwise (optionally floored by ``min_fit``); ties go to the
     earliest iteration. Failed iterations (no code block, parse error, policy
-    fault, transport failure) are recorded and skipped by selection.
+    fault) are recorded and skipped by selection. An iteration whose operator
+    request still fails after ``TRANSPORT_RETRIES`` tries ends the run: the
+    iterations so far are recorded (and ``run.json`` written), then the
+    :class:`OperatorTransportError` is raised.
 
     ``reference`` is the baseline episode over the same window; the imitation
     and hybrid strategies score fit against its plugged-in steps.
@@ -241,7 +245,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     if n_iterations < 1:
         raise ConfigError("n_iterations must be >= 1")
     if n_steps is None:
-        n_steps = min(DEFAULT_EPISODE_STEPS, len(trace) - start_step)
+        n_steps = default_n_steps(trace, start_step)
     fit_examples = []
     if strategy in ("imitation", "hybrid"):
         if reference is None:
@@ -249,8 +253,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         if (reference.start_step, reference.n_steps) != (start_step, n_steps):
             raise ConfigError("reference episode covers a different window")
         fit_examples = _reference_examples(reference)
-    if stats is None:
-        stats = trace_stats(trace)
+    stats = trace_stats(trace)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,6 +261,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     iterations: list[IterationRecord] = []
     prior: PolicyProgram | None = None
     feedback: FeedbackSummary | None = None
+    transport_error: OperatorTransportError | None = None
 
     for k in range(n_iterations):
         iter_dir = out_dir / f"iter_{k}" if out_dir is not None else None
@@ -278,8 +282,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             reply = _complete_with_retry(operator, bundle, retry_base_delay)
         except OperatorTransportError as exc:
             record.failure = f"operator transport failure: {exc}"
-            feedback = _regenerate_feedback(k + 1)
-            continue
+            transport_error = exc
+            break
         record.reply = reply
         if iter_dir is not None:
             (iter_dir / "reply.txt").write_text(reply)
@@ -304,7 +308,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                                            str(policy_path)]
 
         try:
-            policy = policy_from_program(program, battery, timeout_ms=timeout_ms)
+            policy = policy_from_program(program, battery,
+                                         timeout_ms=CANDIDATE_TIMEOUT_MS)
         except Exception as exc:  # parse error, spawn failure
             record.failure = f"policy construction failed: {exc}"
             feedback = _regenerate_feedback(k + 1)
@@ -364,6 +369,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         with open(out_dir / "run.json", "w") as fh:
             json.dump(run.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    if transport_error is not None:
+        raise transport_error
     return run
 
 
@@ -410,12 +417,12 @@ def run_runtime_agent(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                       battery: BatteryConfig, operator: MutationOperator,
                       reward_cfg: RewardConfig,
                       query_cadence_steps: int = DEFAULT_QUERY_CADENCE,
-                      seed: int = 0, start_step: int = 0,
+                      start_step: int = 0,
                       n_steps: int | None = None,
                       retry_base_delay: float = 0.5) -> EpisodeReport:
     """Online agent episode; the returned report carries a decision log."""
     if n_steps is None:
-        n_steps = min(DEFAULT_EPISODE_STEPS, len(trace) - start_step)
+        n_steps = default_n_steps(trace, start_step)
     inner = RuntimeLLMPolicy(operator, query_cadence_steps, battery,
                              retry_base_delay=retry_base_delay)
     policy = GuardrailPolicy(inner, battery)

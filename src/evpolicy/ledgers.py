@@ -161,17 +161,13 @@ def action_summary(entries: Sequence[LedgerEntry]) -> str:
     ])
 
 
-def render_examples(entries: Sequence[LedgerEntry],
-                    style: str = "compact") -> str:
-    """Deterministic text block; narrative style prepends the action summary."""
-    if style not in ("compact", "narrative"):
-        raise ValueError(f"unknown style {style!r}")
+def render_examples(entries: Sequence[LedgerEntry]) -> str:
+    """Deterministic text block: the action summary, a blank line, then one
+    formatted line per entry ("" for no entries)."""
     if not entries:
         return ""
-    lines = [format_entry(e) for e in entries]
-    if style == "narrative":
-        return action_summary(entries) + "\n\n" + "\n".join(lines)
-    return "\n".join(lines)
+    return (action_summary(entries) + "\n\n"
+            + "\n".join(format_entry(e) for e in entries))
 
 
 def export_ledger(entries: Sequence[LedgerEntry], path,

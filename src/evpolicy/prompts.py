@@ -105,7 +105,7 @@ def build_prompt(strategy: str, iteration: int,
 
     examples_block = ""
     if needs_examples:
-        examples_block = render_examples(ledger_examples, style="narrative")
+        examples_block = render_examples(ledger_examples)
     stats_block = _stats_block(stats) if strategy == "hybrid" and stats else ""
     prior_source = prior.source_text if prior is not None else ""
     feedback_block = render_feedback(feedback) if feedback is not None else ""

@@ -18,11 +18,13 @@ that never answer (v1 children) are still served: the parent keeps sending
 
 Candidate code runs in this separate process, so a crashing or hanging policy
 cannot take the simulator down with it. Replies are paired with requests by
-order, so one stray stdout line would shift them all. ``main`` therefore
-writes replies to a private duplicate of file descriptor 1 and points fd 1
-itself at stderr before the candidate's file runs: whatever the candidate
-writes to stdout, through ``print``, ``sys.__stdout__``, ``os.write(1, ...)``
-or a subprocess that inherits fd 1, goes to stderr.
+order, so one stray stdout line would shift them all, and one line the
+candidate read from stdin would be a request lost. ``main`` therefore reads
+requests from a private duplicate of file descriptor 0 and writes replies to
+one of fd 1, then points fd 0 at ``/dev/null`` and fd 1 at stderr before the
+candidate's file runs: whatever the candidate writes to stdout, through
+``print``, ``sys.__stdout__``, ``os.write(1, ...)`` or a subprocess that
+inherits fd 1, goes to stderr, and its stdin reads see end of file.
 """
 from __future__ import annotations
 
@@ -74,8 +76,11 @@ def main(argv=None) -> int:
         print("usage: python -m evpolicy.pydriver <policy_file.py>",
               file=sys.stderr)
         return 2
-    # os.dup's copy is not inherited by the candidate's subprocesses.
-    with os.fdopen(os.dup(1), "w") as replies:
+    # os.dup's copies are not inherited by the candidate's subprocesses.
+    with os.fdopen(os.dup(0)) as requests, \
+            os.fdopen(os.dup(1), "w") as replies:
+        with open(os.devnull) as null:
+            os.dup2(null.fileno(), 0)
         os.dup2(2, 1)
         namespace: dict = {}
         with open(argv[0]) as fh, redirect_stdout(sys.stderr):
@@ -84,7 +89,7 @@ def main(argv=None) -> int:
         if not callable(fn):
             print("policy file does not define decide_power()", file=sys.stderr)
             return 2
-        serve(fn, stdout=replies)
+        serve(fn, stdin=requests, stdout=replies)
     return 0
 
 

@@ -80,14 +80,14 @@ class BehaviorMetrics:
     action_distribution: dict
 
 
-def behavioral_metrics(records: Sequence) -> BehaviorMetrics:
-    """Cycle/flicker counts and the charge/discharge/idle distribution.
+def behavioral_metrics(powers: Sequence[float]) -> BehaviorMetrics:
+    """Cycle/flicker counts and the charge/discharge/idle distribution of a
+    sequence of applied powers (kW, one per step).
 
     A cycle is a transition between strictly positive and strictly negative
     applied power; intervening idle steps bridge to a single transition.
     Flicker counts only immediately adjacent sign reversals.
     """
-    powers = [r if isinstance(r, (int, float)) else r.applied_kw for r in records]
     cycles = 0
     flicker = 0
     last_nonzero = 0

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 from .baseline import BaselineConfig, baseline_decide
 from .errors import ConfigError, PolicyFault, PolicySpawnError
 from .pydriver import PROTOCOL
-from .rules import RuleScript, evaluate_rules, parse_rule_script
-from .simulation import Action, BatteryConfig, Observation
+from .rules import evaluate_rules, parse_rule_script
+from .simulation import BatteryConfig, Observation
 
 PROTOCOL_HANDSHAKE = {"protocol": PROTOCOL}
 MAX_CONSECUTIVE_FAULTS = 3
@@ -55,20 +55,18 @@ class PolicyHandle:
 
 
 class NativePolicy(PolicyHandle):
-    def __init__(self, fn: Callable[[Observation], object], name: str = "native"):
+    def __init__(self, fn: Callable[[Observation], float], name: str = "native"):
         super().__init__(name)
         self._fn = fn
 
     def decide(self, obs: Observation) -> float:
-        out = self._fn(obs)
-        return out.power_kw if isinstance(out, Action) else float(out)
+        return float(self._fn(obs))
 
 
 class RuleScriptPolicy(PolicyHandle):
-    def __init__(self, script: RuleScript | str, name: str = "rules"):
+    def __init__(self, source_text: str, name: str = "rules"):
         super().__init__(name)
-        self.script = (parse_rule_script(script)
-                       if isinstance(script, str) else script)
+        self.script = parse_rule_script(source_text)
 
     def decide(self, obs: Observation) -> float:
         return evaluate_rules(self.script, obs, fault_log=self.fault_log)
@@ -255,38 +253,22 @@ class GuardrailPolicy(PolicyHandle):
         self.inner.close()
 
 
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-def _make_baseline(battery: BatteryConfig, options: dict) -> PolicyHandle:
-    cfg = BaselineConfig(**options.get("baseline", {}))
-    step_minutes = options.get("step_minutes", 5)
-    return NativePolicy(
-        lambda obs: baseline_decide(obs, cfg, battery, step_minutes),
-        name="baseline")
-
-
-def _make_idle(battery: BatteryConfig, options: dict) -> PolicyHandle:
-    return NativePolicy(lambda obs: 0.0, name="idle")
-
-
-POLICY_REGISTRY: dict[str, Callable[[BatteryConfig, dict], PolicyHandle]] = {
-    "baseline": _make_baseline,
-    "idle": _make_idle,
-}
-
-
 def make_policy(spec: str, battery: BatteryConfig,
                 options: dict | None = None) -> PolicyHandle:
     """Build a handle from a CLI-style policy spec.
 
-    Accepts a registry name (``baseline``, ``idle``), a ``*.rules`` file path,
+    Accepts a policy name (``baseline``, ``idle``), a ``*.rules`` file path,
     or ``cmd:<command line>`` for an external process.
     """
     options = options or {}
-    if spec in POLICY_REGISTRY:
-        handle = POLICY_REGISTRY[spec](battery, options)
+    if spec == "baseline":
+        cfg = BaselineConfig(**options.get("baseline", {}))
+        step_minutes = options.get("step_minutes", 5)
+        handle = NativePolicy(
+            lambda obs: baseline_decide(obs, cfg, battery, step_minutes),
+            name="baseline")
+    elif spec == "idle":
+        handle = NativePolicy(lambda obs: 0.0, name="idle")
     elif spec.startswith("cmd:"):
         handle = ExternalProcessPolicy(
             spec[4:], timeout_ms=options.get("timeout_ms", 1000))
@@ -296,7 +278,7 @@ def make_policy(spec: str, battery: BatteryConfig,
     else:
         raise ConfigError(
             f"unknown policy {spec!r}: expected a registered name "
-            f"({', '.join(sorted(POLICY_REGISTRY))}), a .rules file, or cmd:...")
+            "(baseline, idle), a .rules file, or cmd:...")
     return GuardrailPolicy(handle, battery)
 
 

@@ -103,11 +103,6 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class Action:
-    power_kw: float  # + charge, - discharge, 0 idle
-
-
-@dataclass(frozen=True)
 class StepRecord:
     observation: Observation
     requested_kw: float
@@ -224,22 +219,16 @@ def _session_index(sessions: Sequence[ConnectionSession], start_step: int,
     return index
 
 
-_LOOK_UP = object()
-
-
-def observation_at(trace: EnvTrace, sessions: Sequence[ConnectionSession],
-                   soc: float, step_index: int, battery: BatteryConfig, *,
-                   session=_LOOK_UP) -> Observation:
+def observation_at(trace: EnvTrace, session: ConnectionSession | None,
+                   soc: float, step_index: int,
+                   battery: BatteryConfig) -> Observation:
     """What a policy sees at ``step_index`` with the EV at ``soc``.
 
-    ``session`` is the session plugged in at ``step_index`` (None when
-    unplugged) for a caller that already knows it; by default it is looked
-    up in ``sessions`` with :func:`session_at`.
+    ``session`` is the session plugged in at ``step_index``, or None when
+    the EV is away (as :func:`session_at` finds it).
     """
     if not 0 <= step_index < len(trace):
         raise IndexError(f"step_index {step_index} out of range")
-    if session is _LOOK_UP:
-        session = session_at(sessions, step_index)
     plugged = session is not None
     ttd = ((session.departure_step - step_index) * trace.step_minutes
            if plugged else 0.0)
@@ -274,14 +263,14 @@ def per_step_energy_cap(soc: float, bound: float, capacity_kwh: float,
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def apply_action(obs: Observation, requested, battery: BatteryConfig,
+def apply_action(obs: Observation, power: float, battery: BatteryConfig,
                  step_minutes: int) -> tuple[float, float, float, float]:
-    """Clamp the request to feasibility and integrate one step.
+    """Clamp the requested ``power`` (kW, + charge, - discharge) to
+    feasibility and integrate one step.
 
     Returns (applied_kw, soc_after, grid_import_kwh, grid_export_kwh). Never
     raises: infeasible requests are reduced, unplugged steps apply 0.
     """
-    power = requested.power_kw if isinstance(requested, Action) else float(requested)
     dt = step_minutes / 60.0
     if not obs.plugged_in or not math.isfinite(power):
         applied = 0.0
@@ -307,6 +296,12 @@ def apply_action(obs: Observation, requested, battery: BatteryConfig,
     grid_import = max(meter_kwh, 0.0)
     grid_export = max(-meter_kwh, 0.0)
     return applied, soc_after, grid_import, grid_export
+
+
+def default_n_steps(trace: EnvTrace, start_step: int) -> int:
+    """Steps in the default episode window from ``start_step``: up to
+    ``DEFAULT_EPISODE_STEPS``, cut at the end of the trace."""
+    return min(DEFAULT_EPISODE_STEPS, len(trace) - start_step)
 
 
 def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
@@ -343,7 +338,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             soc = session.arrival_soc  # EV just arrived
         current_session = session
 
-        obs = observation_at(trace, sessions, soc, t, battery, session=session)
+        obs = observation_at(trace, session, soc, t, battery)
         if obs.plugged_in:
             try:
                 requested = float(policy.decide(obs))
@@ -388,7 +383,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
         if denom > 0:
             total_reward = total_reward / denom
 
-    metrics = behavioral_metrics(records)
+    metrics = behavioral_metrics([r.applied_kw for r in records])
     return EpisodeReport(
         records=records,
         total_reward=total_reward,

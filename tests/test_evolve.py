@@ -113,10 +113,10 @@ class TestMakeFeedback:
                                  default_sessions(trace))
         examples = [(r.observation, r.applied_kw) for r in report.records[:40]]
         fit = fit_score(make_policy("idle", battery), examples)
-        fb = make_feedback(report, fit, battery, top_k=5)
+        fb = make_feedback(report, fit, battery)
         gaps = [abs(got - ref) for _, ref, got in fb.top_mismatches]
         assert gaps == sorted(gaps, reverse=True)
-        assert len(fb.top_mismatches) <= 5
+        assert len(fb.top_mismatches) <= 10
 
 
 class _FlakyOperator(MutationOperator):
@@ -189,13 +189,19 @@ class TestRunEvolution:
         assert operator.request_count == 3
         assert run.iterations[0].failure is None
 
-    def test_transport_exhaustion_marks_iteration(self):
+    def test_transport_exhaustion_marks_iteration(self, tmp_path):
+        # The first iteration whose retries run out ends the run: it is
+        # recorded in run.json, then the transport error is raised.
         operator = _FlakyOperator(99, REPLIES[0])
-        run = run_evolution("reasoning", 1, self.trace, self.sessions,
-                            self.battery, operator, self.reward_cfg,
-                            retry_base_delay=0.0)
-        assert "transport" in run.iterations[0].failure
-        assert run.best_index is None
+        with pytest.raises(OperatorTransportError):
+            run_evolution("reasoning", 3, self.trace, self.sessions,
+                          self.battery, operator, self.reward_cfg,
+                          retry_base_delay=0.0, out_dir=tmp_path)
+        assert operator.request_count == 3
+        run = json.loads((tmp_path / "run.json").read_text())
+        [iteration] = run["iterations"]
+        assert "transport" in iteration["failure"]
+        assert run["best_index"] is None
 
     def baseline_report(self):
         policy = make_policy("baseline", self.battery,

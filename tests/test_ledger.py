@@ -146,18 +146,14 @@ class TestFormatting:
     def test_render_narrative_has_header_then_lines(self):
         entries = [entry(0, "low_price_no_solar", 2.0),
                    entry(1, "low_price_no_solar", 0.0)]
-        text = render_examples(entries, style="narrative")
+        text = render_examples(entries)
         head, _, body = text.partition("\n\n")
         assert head.startswith("Total examples: 2")
         assert body.count("\n") == 1
         assert body.splitlines() == [format_entry(e) for e in entries]
 
     def test_render_empty_is_empty_string(self):
-        assert render_examples([], style="compact") == ""
-
-    def test_render_unknown_style(self):
-        with pytest.raises(ValueError):
-            render_examples([entry(0, "low_price_no_solar")], style="prose")
+        assert render_examples([]) == ""
 
 
 class TestRoundTrip:

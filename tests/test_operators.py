@@ -133,7 +133,8 @@ class TestTransportErrors:
 
 def test_evolve_retries_a_malformed_reply(tmp_path):
     # Each iteration's request is tried three times; an iteration whose
-    # operator keeps failing is recorded as a transport failure.
+    # operator keeps failing is recorded as a transport failure and ends
+    # the run with exit code 3.
     with ChatServer(b"[]") as server:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -144,7 +145,7 @@ def test_evolve_retries_a_malformed_reply(tmp_path):
                      "--strategy", "reasoning", "--iters", "1",
                      "--operator", "http", "--config", str(config),
                      "--out", str(out)])
-    assert code == 0
+    assert code == 3
     assert len(server.requests) == 3
     [iteration] = json.loads((out / "run.json").read_text())["iterations"]
     assert iteration["failure"].startswith("operator transport failure")

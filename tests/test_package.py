@@ -11,7 +11,7 @@ import evpolicy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PUBLIC_NAMES = """
-    Action BaselineConfig BatteryConfig ConnectionSession EnvTrace
+    BaselineConfig BatteryConfig ConnectionSession EnvTrace
     EpisodeReport ExternalProcessPolicy FitReport GuardrailPolicy LedgerEntry
     Observation PolicyHandle PolicyProgram PriceForecast QuadrantSpec
     RewardConfig StepRecord apply_action baseline_decide behavioral_metrics

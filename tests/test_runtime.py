@@ -174,6 +174,10 @@ class TestExternalProcess:
         # Around sys.stdout: sys.__stdout__ and file descriptor 1 itself.
         assert_replies_unshifted(candidate)
 
+    def test_candidate_stdin_reads_do_not_swallow_requests(self):
+        # A candidate reading stdin reads /dev/null, not the next request.
+        assert_replies_unshifted("stdin_candidate.py")
+
     @pytest.mark.parametrize("exited", [False, True])
     def test_close_closes_pipes(self, exited):
         # The child reads the handshake, then either serves or exits.

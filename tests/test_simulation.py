@@ -80,24 +80,28 @@ class TestApplyAction:
 class TestObservationAt:
     def test_ttd_inside_session(self, battery, fixture_trace):
         sessions = [ConnectionSession(0, 34, 0.5)]
-        obs = observation_at(fixture_trace, sessions, 0.5, 10, battery)
+        obs = observation_at(fixture_trace, session_at(sessions, 10), 0.5, 10,
+                             battery)
         assert obs.plugged_in
         assert obs.ttd_minutes == 24 * 5
 
     def test_outside_session(self, battery, fixture_trace):
         sessions = [ConnectionSession(10, 20, 0.5)]
-        obs = observation_at(fixture_trace, sessions, 0.5, 5, battery)
+        obs = observation_at(fixture_trace, session_at(sessions, 5), 0.5, 5,
+                             battery)
         assert not obs.plugged_in
         assert obs.ttd_minutes == 0
 
     def test_last_step_of_session(self, battery, fixture_trace):
         sessions = [ConnectionSession(0, 10, 0.5)]
-        obs = observation_at(fixture_trace, sessions, 0.5, 9, battery)
+        obs = observation_at(fixture_trace, session_at(sessions, 9), 0.5, 9,
+                             battery)
         assert obs.ttd_minutes == fixture_trace.step_minutes
 
     def test_index_out_of_range(self, battery, fixture_trace):
         with pytest.raises(IndexError):
-            observation_at(fixture_trace, [], 0.5, len(fixture_trace), battery)
+            observation_at(fixture_trace, None, 0.5, len(fixture_trace),
+                           battery)
 
 
 def household_only_cost(trace, start, n):
@@ -178,12 +182,12 @@ class TestRunEpisode:
         previous = None
         for r in report.records:
             obs = r.observation
-            reference = observation_at(fixture_trace, sessions, obs.soc,
+            session = session_at(sessions, obs.step_index)
+            reference = observation_at(fixture_trace, session, obs.soc,
                                        obs.step_index, battery)
             assert obs.plugged_in == reference.plugged_in
             assert obs.ttd_minutes == reference.ttd_minutes
             assert obs == reference
-            session = session_at(sessions, obs.step_index)
             if session is not None and session != previous:
                 assert obs.soc == session.arrival_soc
             previous = session
