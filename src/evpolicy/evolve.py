@@ -123,49 +123,47 @@ def make_feedback(report: EpisodeReport, fit: FitReport | None,
 
     Cites at most ``TOP_MISMATCHES`` fit mismatches, largest gap first.
     """
-    records = report.records
-    n = len(records)
+    n = report.n_steps
+    start = report.start_step
     issues: list[Issue] = []
 
     if n:
-        sells = sorted(r.observation.discharge_price for r in records)
-        top_decile = sells[int(0.9 * (n - 1))]
+        sell = report.trace.sell_price[start:start + n]
+        soc, applied = report.soc, report.applied_kw
+        top_decile = sorted(sell)[int(0.9 * (n - 1))]
         spike_threshold = max(PEAK_PRICE_THRESHOLD, top_decile)
         reserve = battery.soc_min
 
-        missed = [r for r in records
-                  if r.observation.plugged_in
-                  and r.observation.discharge_price >= spike_threshold
-                  and r.observation.soc > reserve + 0.05
-                  and r.applied_kw >= 0.0]
+        missed = [i for i, session in enumerate(report.step_sessions)
+                  if session is not None
+                  and sell[i] >= spike_threshold
+                  and soc[i] > reserve + 0.05
+                  and applied[i] >= 0.0]
         if missed:
             first = missed[0]
             issues.append(Issue(
                 text=(f"Missed arbitrage window at step "
-                      f"{first.observation.step_index} (sell price "
-                      f"{first.observation.discharge_price:.2f}, SoC "
-                      f"{first.observation.soc * 100:.0f}%); "
+                      f"{start + first} (sell price "
+                      f"{sell[first]:.2f}, SoC "
+                      f"{soc[first] * 100:.0f}%); "
                       f"{len(missed)} such step(s) in total."),
-                step_indices=tuple(r.observation.step_index for r in missed[:20])))
+                step_indices=tuple(start + i for i in missed[:20])))
 
-        floor_hits = [r for r in records
-                      if r.requested_kw < -1e-9
-                      and r.observation.soc <= battery.soc_min + 1e-9]
+        floor_hits = [i for i, requested in enumerate(report.requested_kw)
+                      if requested < -1e-9
+                      and soc[i] <= battery.soc_min + 1e-9]
         if floor_hits:
             issues.append(Issue(
                 text=(f"Attempted to discharge below the "
                       f"{round(battery.soc_min * 100)}% SoC floor at step "
-                      f"{floor_hits[0].observation.step_index} "
+                      f"{start + floor_hits[0]} "
                       f"({len(floor_hits)} step(s) in total)."),
-                step_indices=tuple(r.observation.step_index
-                                   for r in floor_hits[:20])))
+                step_indices=tuple(start + i for i in floor_hits[:20])))
 
         if report.flicker_count > n / FLICKER_ISSUE_DIVISOR:
-            flicker_step = next(
-                (records[i + 1].observation.step_index
-                 for i in range(n - 1)
-                 if records[i].applied_kw * records[i + 1].applied_kw < 0),
-                records[0].observation.step_index)
+            flicker_step = start + next(
+                (i + 1 for i in range(n - 1)
+                 if applied[i] * applied[i + 1] < 0), 0)
             issues.append(Issue(
                 text=(f"Policy flicker: {report.flicker_count} adjacent "
                       f"charge/discharge reversals (first at step "
@@ -214,9 +212,11 @@ def _complete_with_retry(operator: MutationOperator, bundle: PromptBundle,
 
 def _reference_examples(report: EpisodeReport) -> list[tuple]:
     """Plugged-in (observation, baseline action) pairs for fit scoring."""
-    plugged = [r for r in report.records if r.observation.plugged_in]
+    plugged = [i for i, session in enumerate(report.step_sessions)
+               if session is not None]
     stride = max(1, len(plugged) // MAX_FIT_EXAMPLES)
-    return [(r.observation, r.applied_kw) for r in plugged[::stride]]
+    return [(report.observation(i), report.applied_kw[i])
+            for i in plugged[::stride]]
 
 
 def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,

@@ -429,6 +429,8 @@ def _eval(node, obs):
         if node.name == "max":
             return max(args)
         values = obs.forecast.values
+        if not math.isfinite(args[0]):
+            raise _EvalFault(f"non-finite forecast horizon {args[0]!r}")
         h = int(round(args[0]))
         if h < 1:
             raise _EvalFault(f"forecast horizon {h} < 1")

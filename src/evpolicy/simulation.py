@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .errors import ConfigError, PolicyFault
 from .market import EnvTrace, PriceForecast, forecast_at
@@ -114,9 +114,59 @@ class StepRecord:
     step_reward: float
 
 
+class _RecordView(Sequence):
+    """Read-only sequence of an episode's :class:`StepRecord`s, each built
+    when it is read."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: EpisodeReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.applied_kw)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._report._record(k)
+                    for k in range(*i.indices(len(self)))]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"record index {i} out of range")
+        return self._report._record(i % n)
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        return map(self._report._record, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _RecordView)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class EpisodeReport:
-    records: list[StepRecord]
+    """An episode's totals and its step log, stored as one list per field.
+
+    Entry ``i`` of each column belongs to trace step ``start_step + i``:
+    ``step_sessions`` holds the session plugged in then (None when the EV is
+    away), ``soc`` the SoC before the step and ``soc_after`` the SoC after
+    it. Prices, load and PV stay in ``trace``'s columns. ``records`` is a
+    read-only view that builds each :class:`StepRecord` on demand,
+    observation included.
+    """
+
+    trace: EnvTrace
+    battery: BatteryConfig
+    step_sessions: list[ConnectionSession | None]
+    requested_kw: list[float]
+    applied_kw: list[float]
+    soc: list[float]
+    soc_after: list[float]
+    grid_import_kwh: list[float]
+    grid_export_kwh: list[float]
+    step_cost: list[float]
+    step_reward: list[float]
     total_reward: float
     total_cost: float
     total_profit: float
@@ -160,33 +210,60 @@ class EpisodeReport:
             json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
+    @property
+    def records(self) -> Sequence[StepRecord]:
+        return _RecordView(self)
+
+    def observation(self, i: int) -> Observation:
+        """What the policy saw at column entry ``i``, trace step
+        ``start_step + i``."""
+        return observation_at(self.trace, self.step_sessions[i], self.soc[i],
+                              self.start_step + i, self.battery)
+
+    def _record(self, i: int) -> StepRecord:
+        return StepRecord(
+            observation=self.observation(i),
+            requested_kw=self.requested_kw[i], applied_kw=self.applied_kw[i],
+            soc_after=self.soc_after[i],
+            grid_import_kwh=self.grid_import_kwh[i],
+            grid_export_kwh=self.grid_export_kwh[i],
+            step_cost=self.step_cost[i], step_reward=self.step_reward[i])
+
     def step_rows(self) -> Iterator[dict]:
         """One plain row per simulated step, as written to the step log."""
-        for r in self.records:
-            o = r.observation
+        buy, sell = self.trace.buy_price, self.trace.sell_price
+        load, pv = self.trace.load_kw, self.trace.pv_kw
+        minutes = self.trace.step_minutes
+        for t, session, soc, requested, applied, soc_after, grid_import, \
+                grid_export, cost, reward in zip(
+                    range(self.start_step, self.start_step + self.n_steps),
+                    self.step_sessions, self.soc, self.requested_kw,
+                    self.applied_kw, self.soc_after, self.grid_import_kwh,
+                    self.grid_export_kwh, self.step_cost, self.step_reward):
             yield {
-                "step": o.step_index,
-                "charge_price": o.charge_price,
-                "discharge_price": o.discharge_price,
-                "soc": o.soc,
-                "ttd_min": o.ttd_minutes,
-                "load_kw": o.load_kw,
-                "pv_kw": o.pv_kw,
-                "plugged_in": o.plugged_in,
-                "requested_kw": r.requested_kw,
-                "applied_kw": r.applied_kw,
-                "soc_after": r.soc_after,
-                "grid_import_kwh": r.grid_import_kwh,
-                "grid_export_kwh": r.grid_export_kwh,
-                "step_cost": r.step_cost,
-                "step_reward": r.step_reward,
+                "step": t,
+                "charge_price": buy[t],
+                "discharge_price": sell[t],
+                "soc": soc,
+                "ttd_min": _ttd_minutes(session, t, minutes),
+                "load_kw": load[t],
+                "pv_kw": pv[t],
+                "plugged_in": session is not None,
+                "requested_kw": requested,
+                "applied_kw": applied,
+                "soc_after": soc_after,
+                "grid_import_kwh": grid_import,
+                "grid_export_kwh": grid_export,
+                "step_cost": cost,
+                "step_reward": reward,
             }
 
     def write_step_log(self, path) -> None:
         """JSON-lines step log: one object per simulated step."""
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(path, "w") as fh:
             for row in self.step_rows():
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(encode(row) + "\n")
 
 
 def read_step_log(path) -> list[dict]:
@@ -229,22 +306,28 @@ def observation_at(trace: EnvTrace, session: ConnectionSession | None,
     """
     if not 0 <= step_index < len(trace):
         raise IndexError(f"step_index {step_index} out of range")
-    plugged = session is not None
-    ttd = ((session.departure_step - step_index) * trace.step_minutes
-           if plugged else 0.0)
     return Observation(
         step_index=step_index,
         charge_price=trace.buy_price[step_index],
         discharge_price=trace.sell_price[step_index],
         soc=soc,
-        ttd_minutes=float(ttd),
+        ttd_minutes=_ttd_minutes(session, step_index, trace.step_minutes),
         load_kw=trace.load_kw[step_index],
         pv_kw=trace.pv_kw[step_index],
         max_charge_kw=battery.max_charge_kw,
         max_discharge_kw=battery.max_discharge_kw,
         forecast=forecast_at(trace, step_index),
-        plugged_in=plugged,
+        plugged_in=session is not None,
     )
+
+
+def _ttd_minutes(session: ConnectionSession | None, step_index: int,
+                 step_minutes: int) -> float:
+    """Minutes from ``step_index`` to the departure of ``session``; 0 when
+    the EV is away."""
+    if session is None:
+        return 0.0
+    return float((session.departure_step - step_index) * step_minutes)
 
 
 def per_step_energy_cap(soc: float, bound: float, capacity_kwh: float,
@@ -292,10 +375,16 @@ def apply_action(obs: Observation, power: float, battery: BatteryConfig,
     else:
         soc_after = obs.soc
 
-    meter_kwh = (obs.load_kw - obs.pv_kw) * dt + applied * dt
-    grid_import = max(meter_kwh, 0.0)
-    grid_export = max(-meter_kwh, 0.0)
+    grid_import, grid_export = _meter_energy(obs.load_kw, obs.pv_kw, applied,
+                                             dt)
     return applied, soc_after, grid_import, grid_export
+
+
+def _meter_energy(load_kw: float, pv_kw: float, applied_kw: float,
+                  dt: float) -> tuple[float, float]:
+    """(grid_import_kwh, grid_export_kwh) over one step of ``dt`` hours."""
+    meter_kwh = (load_kw - pv_kw) * dt + applied_kw * dt
+    return max(meter_kwh, 0.0), max(-meter_kwh, 0.0)
 
 
 def default_n_steps(trace: EnvTrace, start_step: int) -> int:
@@ -310,9 +399,12 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                 n_steps: int = DEFAULT_EPISODE_STEPS) -> EpisodeReport:
     """Deterministic rollout of ``policy`` over ``n_steps`` trace steps.
 
-    Departure penalties apply for sessions whose departure falls inside the
-    simulated window. Policy faults abort with a :class:`PolicyFault` carrying
-    the failing step index.
+    Only plugged-in steps build an :class:`Observation` and reach
+    ``policy.decide``; a step with the EV away applies 0 kW and keeps the
+    SoC. The report stores the step log as columns (see
+    :class:`EpisodeReport`). Departure penalties apply for sessions whose
+    departure falls inside the simulated window. Policy faults abort with a
+    :class:`PolicyFault` carrying the failing step index.
     """
     if start_step < 0 or n_steps < 0 or start_step + n_steps > len(trace):
         raise ConfigError(
@@ -320,51 +412,65 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             f"of length {len(trace)}")
     sessions = sorted(sessions, key=lambda s: s.arrival_step)
     validate_sessions(sessions, battery)
-    plugged_sessions = _session_index(sessions, start_step,
-                                      start_step + n_steps)
+    step_sessions = _session_index(sessions, start_step, start_step + n_steps)
 
     violations_before = getattr(policy, "violation_counter", 0)
+    buy, sell = trace.buy_price, trace.sell_price
+    load, pv = trace.load_kw, trace.pv_kw
+    dt = trace.step_minutes / 60.0
     soc = UNPLUGGED_SOC
     current_session = None
-    records: list[StepRecord] = []
+    requested_col: list[float] = []
+    applied_col: list[float] = []
+    soc_col: list[float] = []
+    soc_after_col: list[float] = []
+    import_col: list[float] = []
+    export_col: list[float] = []
+    cost_col: list[float] = []
+    reward_col: list[float] = []
     total_profit = 0.0
     total_penalty = 0.0
     total_cost = 0.0
     clamp_events = 0
     deficits = []
 
-    for t, session in enumerate(plugged_sessions, start_step):
-        if session is not None and session is not current_session:
-            soc = session.arrival_soc  # EV just arrived
-        current_session = session
-
-        obs = observation_at(trace, session, soc, t, battery)
-        if obs.plugged_in:
+    for t, session in enumerate(step_sessions, start_step):
+        if session is None:
+            # The EV is away: nothing to decide, 0 kW applied, SoC kept.
+            requested = applied = 0.0
+            soc_after = soc
+            grid_import, grid_export = _meter_energy(load[t], pv[t], 0.0, dt)
+        else:
+            # A session's steps are contiguous, so a new one has just arrived.
+            if session is not current_session:
+                soc = session.arrival_soc
+                current_session = session
+            obs = observation_at(trace, session, soc, t, battery)
             try:
-                requested = float(policy.decide(obs))
+                guarded = float(policy.decide(obs))
             except PolicyFault as fault:
                 fault.step_index = t
                 raise
-            # Records carry the pre-guardrail intent so downstream critique
+            # Columns carry the pre-guardrail intent so downstream critique
             # can see blocked requests; physics uses the guarded value.
-            raw_requested = getattr(policy, "last_raw_kw", requested)
-            if not math.isfinite(raw_requested):
-                raw_requested = requested
-        else:
-            requested = raw_requested = 0.0
+            requested = getattr(policy, "last_raw_kw", guarded)
+            if not math.isfinite(requested):
+                requested = guarded
+            applied, soc_after, grid_import, grid_export = apply_action(
+                obs, guarded, battery, trace.step_minutes)
+            if abs(applied - guarded) > CLAMP_EPS:
+                clamp_events += 1
 
-        applied, soc_after, grid_import, grid_export = apply_action(
-            obs, requested, battery, trace.step_minutes)
-        if obs.plugged_in and abs(applied - requested) > CLAMP_EPS:
-            clamp_events += 1
-
-        cost = obs.charge_price * grid_import - obs.discharge_price * grid_export
-        reward = step_profit(grid_import, grid_export,
-                             obs.charge_price, obs.discharge_price)
-        records.append(StepRecord(
-            observation=obs, requested_kw=raw_requested, applied_kw=applied,
-            soc_after=soc_after, grid_import_kwh=grid_import,
-            grid_export_kwh=grid_export, step_cost=cost, step_reward=reward))
+        cost = buy[t] * grid_import - sell[t] * grid_export
+        reward = step_profit(grid_import, grid_export, buy[t], sell[t])
+        requested_col.append(requested)
+        applied_col.append(applied)
+        soc_col.append(soc)
+        soc_after_col.append(soc_after)
+        import_col.append(grid_import)
+        export_col.append(grid_export)
+        cost_col.append(cost)
+        reward_col.append(reward)
         total_profit += reward
         total_cost += cost
         soc = soc_after
@@ -372,20 +478,29 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
         if session is not None and t == session.departure_step - 1:
             total_penalty += departure_penalty(session, soc, reward_cfg)
             deficits.append((session, max(0.0, session.target_soc - soc)))
-            current_session = None
 
     total_reward = total_profit + total_penalty
-    if reward_cfg.mode == "normalized" and records:
-        dt = trace.step_minutes / 60.0
-        peak_buy = max(r.observation.charge_price for r in records)
-        household_kwh = sum(r.observation.load_kw for r in records) * dt
+    if reward_cfg.mode == "normalized" and n_steps:
+        stop = start_step + n_steps
+        peak_buy = max(buy[start_step:stop])
+        household_kwh = sum(load[start_step:stop]) * dt
         denom = peak_buy * household_kwh
         if denom > 0:
             total_reward = total_reward / denom
 
-    metrics = behavioral_metrics([r.applied_kw for r in records])
+    metrics = behavioral_metrics(applied_col)
     return EpisodeReport(
-        records=records,
+        trace=trace,
+        battery=battery,
+        step_sessions=step_sessions,
+        requested_kw=requested_col,
+        applied_kw=applied_col,
+        soc=soc_col,
+        soc_after=soc_after_col,
+        grid_import_kwh=import_col,
+        grid_export_kwh=export_col,
+        step_cost=cost_col,
+        step_reward=reward_col,
         total_reward=total_reward,
         total_cost=total_cost,
         total_profit=total_profit,

@@ -137,6 +137,23 @@ class TestEvolveCommand:
         assert len([p for p in policies if "baseline" in p]) == 1
         assert len(policies) == 3
 
+    def test_non_finite_horizon_reply_does_not_end_the_run(self, tmp_path):
+        nines = "9" * 400
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text("\n".join(json.dumps({"reply": f"```\n{src}\n```"})
+                                     for src in [
+            f"if soc > 0 then fc_max({nines})",
+            "if charge_price <= 0.12 and soc < 0.8 then max_charge_kw",
+        ]) + "\n")
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "2",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        assert [it["failure"] for it in run["iterations"]] == [None, None]
+        assert run["best_index"] == 1
+
     def test_missing_replies_file_is_config_error(self, tmp_path):
         code = main(["evolve", "--synthetic", "days=1", "seed=3",
                      "--operator", "mock:/no/such/file.jsonl",

@@ -8,6 +8,7 @@ from evpolicy.errors import RuleParseError
 from evpolicy.market import PriceForecast
 from evpolicy.rules import (evaluate_rules, parse_rule_script,
                             script_to_source)
+from evpolicy.runtime import RuleScriptPolicy
 from tests.conftest import make_obs
 
 PEAK_SCRIPT = "if discharge_price >= 0.35 and soc > 0.20 then -max_discharge_kw"
@@ -89,6 +90,23 @@ class TestEvaluation:
         obs = make_obs(pv_kw=0.0)
         assert evaluate_rules(script, obs, fault_log=faults) == 0.0
         assert faults and "division by zero" in faults[0]
+
+    @pytest.mark.parametrize("horizon", [
+        "9" * 400,                       # parses to inf
+        "9" * 400 + " - " + "9" * 400,   # inf - inf is NaN
+    ], ids=["inf", "nan"])
+    def test_non_finite_horizon_faults_to_idle(self, horizon):
+        policy = RuleScriptPolicy(f"if soc > 0 then fc_max({horizon})")
+        assert policy.decide(make_obs(step_index=7)) == 0.0
+        assert len(policy.fault_log) == 1
+        assert policy.fault_log[0].startswith(
+            "step 7: non-finite forecast horizon")
+
+    def test_horizon_below_one_keeps_its_message(self):
+        faults = []
+        script = parse_rule_script("if soc > 0 then fc_max(0.2)")
+        assert evaluate_rules(script, make_obs(), fault_log=faults) == 0.0
+        assert faults == ["step 0: forecast horizon 0 < 1"]
 
     def test_ttd_maps_to_minutes(self):
         script = parse_rule_script("if ttd <= 60 then max_charge_kw")

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -9,14 +10,71 @@ from hypothesis import strategies as st
 
 from evpolicy.errors import ConfigError
 from evpolicy.market import synthetic_trace
-from evpolicy.rewards import RewardConfig
-from evpolicy.runtime import NativePolicy, make_policy
-from evpolicy.simulation import (BatteryConfig, ConnectionSession,
-                                 apply_action, default_sessions,
-                                 observation_at, run_episode, session_at)
+from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
+from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
+from evpolicy.simulation import (UNPLUGGED_SOC, BatteryConfig,
+                                 ConnectionSession, StepRecord, apply_action,
+                                 default_sessions, observation_at,
+                                 run_episode, session_at)
 from tests.conftest import make_obs
 
 DATA = Path(__file__).parent / "data"
+
+
+def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
+                      n_steps):
+    """Per-step rollout that builds every record from ``observation_at``,
+    ``apply_action`` and ``step_profit``; returns (records, total_reward)."""
+    soc, current = UNPLUGGED_SOC, None
+    records, profit, penalty = [], 0.0, 0.0
+    for t in range(start, start + n_steps):
+        session = session_at(sessions, t)
+        if session is not None and session is not current:
+            soc = session.arrival_soc
+        current = session
+        obs = observation_at(trace, session, soc, t, battery)
+        power = raw = 0.0
+        if session is not None:
+            power = policy.decide(obs)
+            raw = getattr(policy, "last_raw_kw", power)
+            if not math.isfinite(raw):
+                raw = power
+        applied, soc_after, grid_import, grid_export = apply_action(
+            obs, power, battery, trace.step_minutes)
+        reward = step_profit(grid_import, grid_export, obs.charge_price,
+                             obs.discharge_price)
+        records.append(StepRecord(
+            observation=obs, requested_kw=raw, applied_kw=applied,
+            soc_after=soc_after, grid_import_kwh=grid_import,
+            grid_export_kwh=grid_export,
+            step_cost=(obs.charge_price * grid_import
+                       - obs.discharge_price * grid_export),
+            step_reward=reward))
+        profit += reward
+        soc = soc_after
+        if session is not None and t == session.departure_step - 1:
+            penalty += departure_penalty(session, soc, reward_cfg)
+    total = profit + penalty
+    if reward_cfg.mode == "normalized" and records:
+        household_kwh = (sum(r.observation.load_kw for r in records)
+                         * (trace.step_minutes / 60.0))
+        denom = max(r.observation.charge_price for r in records) * household_kwh
+        if denom > 0:
+            total = total / denom
+    return records, total
+
+
+def reference_row(r):
+    """The step-log row of one record."""
+    o = r.observation
+    return {"step": o.step_index, "charge_price": o.charge_price,
+            "discharge_price": o.discharge_price, "soc": o.soc,
+            "ttd_min": o.ttd_minutes, "load_kw": o.load_kw, "pv_kw": o.pv_kw,
+            "plugged_in": o.plugged_in, "requested_kw": r.requested_kw,
+            "applied_kw": r.applied_kw, "soc_after": r.soc_after,
+            "grid_import_kwh": r.grid_import_kwh,
+            "grid_export_kwh": r.grid_export_kwh, "step_cost": r.step_cost,
+            "step_reward": r.step_reward}
 
 
 class TestApplyAction:
@@ -198,6 +256,74 @@ class TestRunEpisode:
         assert report.departure_deficits == [
             (s, max(0.0, s.target_soc - soc_after[s.departure_step - 1]))
             for s in departing]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_per_step_reference(self, data):
+        battery = BatteryConfig()
+        trace = synthetic_trace(days=data.draw(st.integers(1, 3)),
+                                seed=data.draw(st.integers(0, 1000)))
+        soc = st.floats(min_value=battery.soc_min, max_value=battery.soc_max)
+        sessions, step = [], data.draw(st.integers(0, 100))
+        for gap, length in data.draw(st.lists(
+                st.tuples(st.integers(0, 150), st.integers(1, 300)),
+                max_size=5)):
+            arrival = step + gap
+            if arrival >= len(trace):
+                break
+            sessions.append(ConnectionSession(
+                arrival, min(arrival + length, len(trace)), data.draw(soc),
+                data.draw(soc.filter(lambda v: v > battery.soc_min))))
+            step = arrival + length
+        start = data.draw(st.integers(0, len(trace) - 1))
+        n_steps = data.draw(st.integers(0, len(trace) - start))
+        guarded = data.draw(st.booleans())
+        # Out-of-envelope and non-finite powers exercise the guardrail; an
+        # unguarded policy gets finite ones, which apply_action clamps.
+        power = (st.one_of(st.floats(-30, 30), st.sampled_from(
+                     [0.0, 7.0, -7.0, 1e6, -1e6, math.inf, -math.inf,
+                      math.nan]))
+                 if guarded else st.floats(-30, 30))
+        palette = data.draw(st.lists(power, min_size=1, max_size=8))
+
+        def make():
+            inner = NativePolicy(
+                lambda obs: palette[obs.step_index % len(palette)])
+            return GuardrailPolicy(inner, battery) if guarded else inner
+
+        for mode in ("raw", "normalized"):
+            reward_cfg = RewardConfig(mode=mode)
+            report = run_episode(trace, sessions, battery, make(), reward_cfg,
+                                 start, n_steps)
+            records, total = reference_episode(trace, sessions, battery,
+                                               make(), reward_cfg, start,
+                                               n_steps)
+            assert report.total_reward == total
+            assert len(report.records) == n_steps
+            assert list(report.records) == records
+            assert list(report.step_rows()) == [reference_row(r)
+                                                 for r in records]
+        if records:
+            assert report.records[-1] == records[-1]
+            assert report.records[1::2] == records[1::2]
+
+    def test_episode_retains_under_250_bytes_per_step(self, battery):
+        """Columns, not per-step objects: unplugged steps build nothing."""
+        trace = synthetic_trace(days=60, seed=3)
+        trace.forecast_column  # built once per trace, not per episode
+        sessions = default_sessions(trace)
+        policy = make_policy("baseline", battery, options={"step_minutes": 5})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = run_episode(trace, sessions, battery, policy,
+                                 RewardConfig(), 0, len(trace))
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_steps == len(trace)
+        assert retained / len(trace) < 250
 
     def test_rollout_memory_stays_small(self, battery):
         """Records must not pin a copy of the forecast per step."""
