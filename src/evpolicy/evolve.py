@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, OperatorTransportError, PolicyFault
-from .ledgers import LedgerEntry
+from .ledgers import LedgerEntry, render_examples
 from .market import FORECAST_STEPS, EnvTrace, trace_stats
 from .operators import MutationOperator
 from .prompts import PromptBundle, build_prompt, build_state_prompt
@@ -254,6 +254,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             raise ConfigError("reference episode covers a different window")
         fit_examples = _reference_examples(reference)
     stats = trace_stats(trace)
+    # The examples are the same in every prompt of the run: render them once.
+    examples_block = render_examples(ledger_entries or ())
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,7 +270,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         if iter_dir is not None:
             iter_dir.mkdir(parents=True, exist_ok=True)
 
-        bundle = build_prompt(strategy, k + 1, ledger_entries, stats,
+        bundle = build_prompt(strategy, k + 1, examples_block, stats,
                               prior=prior, feedback=feedback, battery=battery)
         record = IterationRecord(index=k, prompt=bundle, reply=None,
                                  program=None, failure=None, report=None,

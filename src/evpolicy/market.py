@@ -113,6 +113,10 @@ class PriceForecast:
     def values(self) -> tuple[float, ...]:
         return self._column[self._start:self._start + self.horizon_steps]
 
+    def head(self, n: int) -> tuple[float, ...]:
+        """The first ``min(n, horizon_steps)`` values, in one slice."""
+        return self._column[self._start:self._start + min(n, self.horizon_steps)]
+
     def __eq__(self, other):
         if not isinstance(other, PriceForecast):
             return NotImplemented

@@ -2,10 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ConfigError
-from .ledgers import LedgerEntry, render_examples
 from .market import TraceStats
 from .simulation import BatteryConfig, Observation
 
@@ -84,28 +82,29 @@ def render_feedback(feedback) -> str:
     return "\n".join(lines)
 
 
-def build_prompt(strategy: str, iteration: int,
-                 ledger_examples: Sequence[LedgerEntry] | None,
+def build_prompt(strategy: str, iteration: int, examples_block: str,
                  stats: TraceStats | None,
                  prior=None, feedback=None,
                  battery: BatteryConfig | None = None) -> PromptBundle:
     """Deterministic prompt assembly for one evolution iteration.
 
-    ``prior`` is the previous iteration's policy program and ``feedback`` its
-    evaluation summary; both are required from iteration 2 onward.
+    ``examples_block`` is the ledger examples as
+    :func:`~evpolicy.ledgers.render_examples` renders them, once per run;
+    only the imitation and hybrid strategies use it. ``prior`` is the
+    previous iteration's policy program and ``feedback`` its evaluation
+    summary; both are required from iteration 2 onward.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     battery = battery or BatteryConfig()
     needs_examples = strategy in ("imitation", "hybrid")
-    if needs_examples and not ledger_examples:
+    if needs_examples and not examples_block:
         raise ConfigError(f"{strategy} strategy needs ledger examples")
     if strategy == "hybrid" and stats is None:
         raise ConfigError("hybrid strategy needs trace statistics")
 
-    examples_block = ""
-    if needs_examples:
-        examples_block = render_examples(ledger_examples)
+    if not needs_examples:
+        examples_block = ""
     stats_block = _stats_block(stats) if strategy == "hybrid" and stats else ""
     prior_source = prior.source_text if prior is not None else ""
     feedback_block = render_feedback(feedback) if feedback is not None else ""

@@ -1,4 +1,4 @@
-"""Threshold-rule language: parser, type checker, evaluator, pretty-printer.
+"""Threshold-rule language: parser, type checker, evaluators, pretty-printer.
 
 A script is a sequence of ``if <condition> then <power expression>`` rules.
 The first rule whose condition holds decides the signed kW output; an implicit
@@ -12,7 +12,9 @@ auditable and terminates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 from .errors import RuleParseError
 
@@ -25,6 +27,18 @@ NUMERIC_FUNCS = ("min", "max")
 
 _KEYWORDS = ("if", "then", "and", "or", "not")
 _CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
+
+# A script is untrusted, so the parser bounds how deep it nests. Then parsing,
+# both evaluators, the printer and dataclass ==/hash/repr stay below the
+# interpreter's default recursion limit of 1000 frames: on Python 3.11 the
+# deepest accepted script takes about 600 frames to parse (nine per '('), 140
+# to repr and 70 to evaluate. MAX_RULE_DEPTH bounds the nodes on any path from a condition
+# or action to a leaf. MAX_RULE_NESTING bounds the open '(', calls, unary '-'
+# and 'not' at any point of the source; it is twice the depth because the
+# printer writes a '-' or 'not' node as two such levels, so every script the
+# parser accepts prints to source that it accepts again.
+MAX_RULE_DEPTH = 32
+MAX_RULE_NESTING = 2 * MAX_RULE_DEPTH
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +106,14 @@ class Rule:
 @dataclass(frozen=True)
 class RuleScript:
     rules: tuple[Rule, ...]
+
+    @cached_property
+    def compiled(self) -> tuple:
+        """One (condition, action) pair of closures per rule, built on first
+        use and kept on the script; not a field, so ==, hash and repr ignore
+        it."""
+        return tuple((_compile(rule.condition), _compile(rule.action))
+                     for rule in self.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +192,33 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        # id(node) -> depth of each inner node. Every node stays referenced
+        # until the parse ends, so no id is reused meanwhile.
+        self._depths: dict[int, int] = {}
+        self._nesting = 0
+
+    def _node(self, node, tok: _Token, *children):
+        """Record the depth of ``node``, whose children are ``children``
+        (a leaf, unrecorded, has depth 1), and return it; fail at ``tok``
+        past MAX_RULE_DEPTH. Chains of '+', 'and' etc. are built in loops,
+        so only this check keeps a long chain from nesting without bound."""
+        depths = self._depths
+        depth = 1 + max([depths.get(id(c), 1) for c in children])
+        if depth > MAX_RULE_DEPTH:
+            raise RuleParseError(
+                f"expression nests deeper than {MAX_RULE_DEPTH} levels",
+                tok.line, tok.col, tok.text)
+        depths[id(node)] = depth
+        return node
+
+    def _enter(self, tok: _Token) -> None:
+        """Open one '(', call, '-' or 'not' level; fail past MAX_RULE_NESTING
+        before the parser recurses into it."""
+        self._nesting += 1
+        if self._nesting > MAX_RULE_NESTING:
+            raise RuleParseError(
+                f"more than {MAX_RULE_NESTING} nested parentheses, calls, "
+                "'-' or 'not'", tok.line, tok.col, tok.text)
 
     @property
     def cur(self) -> _Token:
@@ -222,19 +271,19 @@ class _Parser:
     def parse_or(self):
         node = self.parse_and()
         while self.cur.text == "or":
-            self.advance()
+            tok = self.advance()
             right = self.parse_and()
             self._check_bool_pair(node, right, "or")
-            node = Or(node, right)
+            node = self._node(Or(node, right), tok, node, right)
         return node
 
     def parse_and(self):
         node = self.parse_not()
         while self.cur.text == "and":
-            self.advance()
+            tok = self.advance()
             right = self.parse_not()
             self._check_bool_pair(node, right, "and")
-            node = And(node, right)
+            node = self._node(And(node, right), tok, node, right)
         return node
 
     def _check_bool_pair(self, left, right, op: str) -> None:
@@ -244,40 +293,43 @@ class _Parser:
 
     def parse_not(self):
         if self.cur.text == "not":
-            self.advance()
+            tok = self.advance()
+            self._enter(tok)
             operand = self.parse_not()
+            self._nesting -= 1
             if type_of(operand) != "bool":
                 raise self._fail("'not' needs a boolean operand")
-            return Not(operand)
+            return self._node(Not(operand), tok, operand)
         return self.parse_comparison()
 
     def parse_comparison(self):
         node = self.parse_sum()
         if self.cur.text in _CMP_OPS:
-            op = self.advance().text
+            tok = self.advance()
+            op = tok.text
             right = self.parse_sum()
             for side in (node, right):
                 if type_of(side) != "num":
                     raise self._fail(f"'{op}' compares numbers")
-            return Cmp(op, node, right)
+            return self._node(Cmp(op, node, right), tok, node, right)
         return node
 
     def parse_sum(self):
         node = self.parse_term()
         while self.cur.text in ("+", "-"):
-            op = self.advance().text
+            tok = self.advance()
             right = self.parse_term()
-            self._check_num_pair(node, right, op)
-            node = Bin(op, node, right)
+            self._check_num_pair(node, right, tok.text)
+            node = self._node(Bin(tok.text, node, right), tok, node, right)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.cur.text in ("*", "/"):
-            op = self.advance().text
+            tok = self.advance()
             right = self.parse_unary()
-            self._check_num_pair(node, right, op)
-            node = Bin(op, node, right)
+            self._check_num_pair(node, right, tok.text)
+            node = self._node(Bin(tok.text, node, right), tok, node, right)
         return node
 
     def _check_num_pair(self, left, right, op: str) -> None:
@@ -287,11 +339,13 @@ class _Parser:
 
     def parse_unary(self):
         if self.cur.text == "-":
-            self.advance()
+            tok = self.advance()
+            self._enter(tok)
             operand = self.parse_unary()
+            self._nesting -= 1
             if type_of(operand) != "num":
                 raise self._fail("unary '-' needs a numeric operand")
-            return Neg(operand)
+            return self._node(Neg(operand), tok, operand)
         return self.parse_atom()
 
     def parse_atom(self):
@@ -301,8 +355,10 @@ class _Parser:
             return Num(float(tok.text))
         if tok.text == "(":
             self.advance()
+            self._enter(tok)
             node = self.parse_expr()
             self.expect(")")
+            self._nesting -= 1
             return node
         if tok.kind == "ident":
             name = tok.text
@@ -323,10 +379,12 @@ class _Parser:
             raise RuleParseError(f"unknown function {name!r}",
                                  tok.line, tok.col, name)
         self.expect("(")
+        self._enter(tok)
         args = [self.parse_expr()]
         while self.accept(","):
             args.append(self.parse_expr())
         self.expect(")")
+        self._nesting -= 1
         arity = 1 if name in FORECAST_FUNCS else 2
         if len(args) != arity:
             raise RuleParseError(f"{name} takes {arity} argument(s)",
@@ -335,7 +393,7 @@ class _Parser:
             if type_of(a) != "num":
                 raise RuleParseError(f"{name} needs numeric arguments",
                                      tok.line, tok.col, name)
-        return Call(name, tuple(args))
+        return self._node(Call(name, tuple(args)), tok, *args)
 
 
 def type_of(node) -> str:
@@ -384,11 +442,87 @@ def script_to_source(script: RuleScript) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluator
+# Evaluators: compiled closures, and the tree walker they are tested against
 # ---------------------------------------------------------------------------
 
 class _EvalFault(Exception):
     pass
+
+
+def _divide(left, right):
+    if right == 0:
+        raise _EvalFault("division by zero")
+    return left / right
+
+
+def _mean(window):
+    return sum(window) / len(window)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "<": operator.lt, "<=": operator.le,
+           ">": operator.gt, ">=": operator.ge, "==": operator.eq,
+           "!=": operator.ne}
+_AGGREGATES = {"fc_max": max, "fc_min": min, "fc_mean": _mean}
+
+
+def _compile(node):
+    """A closure ``f(obs)`` that returns ``_eval(node, obs)`` or raises the
+    same :class:`_EvalFault`, evaluating operands in the same order."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda obs: value
+    if isinstance(node, Var):
+        return operator.attrgetter(
+            "ttd_minutes" if node.name == "ttd" else node.name)
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda obs: -operand(obs)
+    if isinstance(node, (Bin, Cmp)):
+        op, left = _BINARY[node.op], _compile(node.left)
+        if isinstance(node.right, Num) and (node.op != "/"
+                                            or node.right.value != 0):
+            constant = node.right.value
+            return lambda obs: op(left(obs), constant)
+        if node.op == "/":
+            op = _divide
+        right = _compile(node.right)
+        return lambda obs: op(left(obs), right(obs))
+    if isinstance(node, (And, Or)):
+        left, right = _compile(node.left), _compile(node.right)
+        if isinstance(node, And):
+            return lambda obs: left(obs) and right(obs)
+        return lambda obs: left(obs) or right(obs)
+    if isinstance(node, Not):
+        operand = _compile(node.operand)
+        return lambda obs: not operand(obs)
+    if isinstance(node, Call):
+        if node.name in NUMERIC_FUNCS:
+            pick = min if node.name == "min" else max
+            first, second = (_compile(a) for a in node.args)
+            return lambda obs: pick(first(obs), second(obs))
+        return _compile_aggregate(_AGGREGATES[node.name], node.args[0])
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _compile_aggregate(reduce, horizon_node):
+    """``fc_*``: ``reduce`` over the first ``min(h, horizon)`` forecast
+    values, sliced once from the forecast's column."""
+    if isinstance(horizon_node, Num) and math.isfinite(horizon_node.value):
+        h = int(round(horizon_node.value))
+        if h >= 1:  # a constant horizon is checked once
+            return lambda obs: reduce(obs.forecast.head(h))
+    horizon = _compile(horizon_node)
+
+    def aggregate(obs):
+        value = horizon(obs)
+        if not math.isfinite(value):
+            raise _EvalFault(f"non-finite forecast horizon {value!r}")
+        h = int(round(value))
+        if h < 1:
+            raise _EvalFault(f"forecast horizon {h} < 1")
+        return reduce(obs.forecast.head(h))
+    return aggregate
 
 
 def _eval(node, obs):
@@ -443,12 +577,14 @@ def _eval(node, obs):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def evaluate_rules(script: RuleScript, obs, fault_log: list | None = None) -> float:
-    """First matching rule decides; runtime faults yield 0 and are logged."""
+def _first_match(rules, obs, fault_log: list | None) -> float:
+    """``rules`` holds (condition, action) callables of ``obs``. The first
+    rule whose condition holds decides; a runtime fault yields 0 and is
+    logged."""
     try:
-        for rule in script.rules:
-            if _eval(rule.condition, obs):
-                value = float(_eval(rule.action, obs))
+        for condition, action in rules:
+            if condition(obs):
+                value = float(action(obs))
                 if not math.isfinite(value):
                     raise _EvalFault(f"non-finite action value {value!r}")
                 return value
@@ -457,3 +593,20 @@ def evaluate_rules(script: RuleScript, obs, fault_log: list | None = None) -> fl
         if fault_log is not None:
             fault_log.append(f"step {obs.step_index}: {fault}")
         return 0.0
+
+
+def evaluate_rules(script: RuleScript, obs, fault_log: list | None = None) -> float:
+    """First matching rule decides; runtime faults yield 0 and are logged.
+
+    Runs the script's compiled closures (:attr:`RuleScript.compiled`).
+    """
+    return _first_match(script.compiled, obs, fault_log)
+
+
+def evaluate_rules_reference(script: RuleScript, obs,
+                             fault_log: list | None = None) -> float:
+    """:func:`evaluate_rules` by walking the tree at every call: the
+    specification the compiled path is tested against."""
+    return _first_match([(partial(_eval, rule.condition),
+                          partial(_eval, rule.action))
+                         for rule in script.rules], obs, fault_log)

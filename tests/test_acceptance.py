@@ -11,7 +11,7 @@ import pytest
 
 from evpolicy.errors import PolicyFault
 from evpolicy.evolve import run_evolution
-from evpolicy.ledgers import QUADRANTS, quadrant_sample
+from evpolicy.ledgers import QUADRANTS, quadrant_sample, render_examples
 from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator
 from evpolicy.prompts import SIGNATURE_BLOCK, build_prompt
@@ -239,13 +239,13 @@ def test_09_prompt_fidelity():
     action_for = {"low_price_high_solar": 7.0, "high_price_no_solar": -7.0,
                   "low_price_no_solar": 0.0}
     entries = [replace(e, action_kw=action_for[e.quadrant]) for e in entries]
-    hybrid = build_prompt("hybrid", 1, entries, STATS)
+    hybrid = build_prompt("hybrid", 1, render_examples(entries), STATS)
     assert "Charge actions: 630 (42.0%)" in hybrid.user_text
     assert "Discharge actions: 345 (23.0%)" in hybrid.user_text
     assert "Idle actions: 525 (35.0%)" in hybrid.user_text
     assert SIGNATURE_BLOCK in hybrid.user_text
 
-    reasoning = build_prompt("reasoning", 1, entries, STATS)
+    reasoning = build_prompt("reasoning", 1, render_examples(entries), STATS)
     assert "{SoC:" not in reasoning.user_text
     assert reasoning.examples_block == ""
     _pass("hybrid prompt carries exact action-count lines and the "

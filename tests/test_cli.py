@@ -51,6 +51,13 @@ class TestSimulate:
         code, out = run_simulate(tmp_path, "--policy", str(rules))
         assert code == 0
 
+    def test_too_deep_rules_file_is_a_parse_error(self, tmp_path, capsys):
+        rules = tmp_path / "deep.rules"
+        rules.write_text("if soc > 0 then " + "(" * 200 + "1" + ")" * 200)
+        code, _ = run_simulate(tmp_path, "--policy", str(rules))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 1, col ")
+
     def test_unknown_policy_is_config_error(self, tmp_path, capsys):
         code, _ = run_simulate(tmp_path, "--policy", "nonsense")
         assert code == 1
@@ -153,6 +160,24 @@ class TestEvolveCommand:
         run = json.loads((out / "run.json").read_text())
         assert [it["failure"] for it in run["iterations"]] == [None, None]
         assert run["best_index"] == 1
+
+    def test_too_deep_reply_fails_one_iteration(self, tmp_path):
+        sources = ["if soc < 0.25 then max_charge_kw",
+                   "if soc > 0 then " + " + ".join(["0.001"] * 1500),
+                   "if charge_price <= 0.12 and soc < 0.8 then max_charge_kw"]
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text("".join(json.dumps({"reply": f"```\n{src}\n```"})
+                                   + "\n" for src in sources))
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "3",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        failures = [it["failure"] for it in
+                    json.loads((out / "run.json").read_text())["iterations"]]
+        assert failures[0] is None and failures[2] is None
+        assert failures[1].startswith("policy construction failed: line 1, ")
+        assert "deeper than" in failures[1]
 
     def test_missing_replies_file_is_config_error(self, tmp_path):
         code = main(["evolve", "--synthetic", "days=1", "seed=3",

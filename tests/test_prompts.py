@@ -2,6 +2,7 @@ import pytest
 
 from evpolicy.errors import ConfigError
 from evpolicy.evolve import FeedbackSummary, Issue
+from evpolicy.ledgers import render_examples
 from evpolicy.market import TraceStats
 from evpolicy.prompts import (SIGNATURE_BLOCK, PromptBundle, build_prompt,
                               build_state_prompt, render_feedback)
@@ -27,14 +28,14 @@ def some_entries(n_charge=3, n_discharge=1, n_idle=2):
 
 class TestSystemText:
     def test_safety_sentence_present(self):
-        bundle = build_prompt("reasoning", 1, None, None)
+        bundle = build_prompt("reasoning", 1, "", None)
         assert ("If the SoC is below 20%, prioritize charging regardless "
                 "of price.") in bundle.system_text
 
     def test_limits_reflect_battery(self):
         battery = BatteryConfig(max_charge_kw=11.0, max_discharge_kw=9.0,
                                 soc_min=0.15)
-        bundle = build_prompt("reasoning", 1, None, None, battery=battery)
+        bundle = build_prompt("reasoning", 1, "", None, battery=battery)
         assert "-9 kW" in bundle.system_text
         assert "+11 kW" in bundle.system_text
         assert "below 15%" in bundle.system_text
@@ -42,26 +43,30 @@ class TestSystemText:
 
 class TestStrategies:
     def test_reasoning_has_no_examples(self):
-        bundle = build_prompt("reasoning", 1, some_entries(), STATS)
+        bundle = build_prompt("reasoning", 1, render_examples(some_entries()),
+                              STATS)
         assert bundle.examples_block == ""
         assert "SoC: 45%" not in bundle.user_text
         assert SIGNATURE_BLOCK in bundle.user_text
 
     def test_imitation_requires_examples(self):
         with pytest.raises(ConfigError):
-            build_prompt("imitation", 1, None, STATS)
+            build_prompt("imitation", 1, "", STATS)
 
     def test_imitation_includes_examples_and_goal(self):
-        bundle = build_prompt("imitation", 1, some_entries(), None)
+        bundle = build_prompt("imitation", 1, render_examples(some_entries()),
+                              None)
         assert "Total examples: 6" in bundle.user_text
         assert "MATCHES these training examples" in bundle.user_text
 
     def test_hybrid_requires_stats(self):
         with pytest.raises(ConfigError):
-            build_prompt("hybrid", 1, some_entries(), None)
+            build_prompt("hybrid", 1, render_examples(some_entries()),
+                         None)
 
     def test_hybrid_threshold_lines(self):
-        bundle = build_prompt("hybrid", 1, some_entries(), STATS)
+        bundle = build_prompt("hybrid", 1, render_examples(some_entries()),
+                              STATS)
         assert ("CHARGE when: charge_price <= 0.120 (runtime median)"
                 in bundle.stats_block)
         assert ("DISCHARGE when: discharge_price >= 0.250 (runtime median)"
@@ -70,14 +75,14 @@ class TestStrategies:
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
-            build_prompt("telepathy", 1, None, None)
+            build_prompt("telepathy", 1, "", None)
 
     def test_runtime_strategy_redirects(self):
         with pytest.raises(ConfigError):
-            build_prompt("runtime", 1, None, None)
+            build_prompt("runtime", 1, "", None)
 
     def test_rules_alternative_documented(self):
-        bundle = build_prompt("reasoning", 1, None, None)
+        bundle = build_prompt("reasoning", 1, "", None)
         assert "fc_max(h)" in bundle.user_text
 
 
@@ -108,7 +113,7 @@ class TestFeedbackRound:
     def test_second_iteration_carries_prior_and_repair_task(self):
         prior = PolicyProgram(name="p", mode="builtin_rules",
                               source_text="if soc < 0.3 then 7")
-        bundle = build_prompt("reasoning", 2, None, None, prior=prior,
+        bundle = build_prompt("reasoning", 2, "", None, prior=prior,
                               feedback=self.make_feedback())
         assert "PREVIOUS FUNCTION:" in bundle.user_text
         assert "if soc < 0.3 then 7" in bundle.user_text

@@ -1,15 +1,21 @@
-import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evpolicy.errors import RuleParseError
-from evpolicy.market import PriceForecast
-from evpolicy.rules import (evaluate_rules, parse_rule_script,
+from evpolicy.market import PriceForecast, synthetic_trace
+from evpolicy.rewards import RewardConfig
+from evpolicy.rules import (FORECAST_FUNCS, MAX_RULE_DEPTH, MAX_RULE_NESTING,
+                            OBSERVATION_FIELDS, evaluate_rules,
+                            evaluate_rules_reference, parse_rule_script,
                             script_to_source)
-from evpolicy.runtime import RuleScriptPolicy
+from evpolicy.runtime import PolicyHandle, RuleScriptPolicy
+from evpolicy.simulation import BatteryConfig, default_sessions, run_episode
 from tests.conftest import make_obs
+
+FC_RULES = Path(__file__).parent / "data" / "fc_aggregates.rules"
 
 PEAK_SCRIPT = "if discharge_price >= 0.35 and soc > 0.20 then -max_discharge_kw"
 
@@ -140,3 +146,211 @@ class TestRoundTrip:
         script = parse_rule_script(source)
         printed = script_to_source(script)
         assert parse_rule_script(printed) == script
+
+
+def chain(n_terms: int) -> str:
+    """A script whose action is ``0.001 + 0.001 + ...``: depth ``n_terms``."""
+    return "if soc > 0 then " + " + ".join(["0.001"] * n_terms)
+
+
+TOO_DEEP = {
+    "long_chain": chain(1500),
+    "deep_parentheses": "if soc > 0 then " + "(" * 200 + "1" + ")" * 200,
+    "unary_minus": "if soc > 0 then " + "- " * 1500 + "1",
+    "not": "if " + "not " * 1500 + "soc > 0 then 1",
+}
+
+AT_LIMIT = {
+    "chain": chain(MAX_RULE_DEPTH),
+    "unary_minus": "if soc > 0 then " + "- " * (MAX_RULE_DEPTH - 1) + "1",
+    "not": "if " + "not " * (MAX_RULE_DEPTH - 2) + "soc > 0 then 1",
+    "calls": "if soc > 0 then " + "fc_max(min(" * ((MAX_RULE_DEPTH - 1) // 2)
+             + "soc" + ", 3))" * ((MAX_RULE_DEPTH - 1) // 2),
+    "parentheses": "if soc > 0 then " + "(" * MAX_RULE_NESTING + "ttd"
+                   + ")" * MAX_RULE_NESTING,
+}
+
+
+class TestNestingLimits:
+    @pytest.mark.parametrize("source", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+    def test_too_deep_raises_parse_error(self, source):
+        with pytest.raises(RuleParseError) as err:
+            parse_rule_script(source)
+        assert err.value.line == 1 and err.value.column > 1
+        assert str(err.value).startswith(f"line 1, col {err.value.column}: ")
+
+    def test_one_past_each_limit_fails(self):
+        with pytest.raises(RuleParseError, match="deeper than"):
+            parse_rule_script(chain(MAX_RULE_DEPTH + 1))
+        n = MAX_RULE_NESTING + 1
+        with pytest.raises(RuleParseError, match="nested"):
+            parse_rule_script("if soc > 0 then " + "(" * n + "1" + ")" * n)
+
+    @pytest.mark.parametrize("source", AT_LIMIT.values(), ids=AT_LIMIT.keys())
+    def test_script_at_the_limit_runs_and_round_trips(self, source):
+        script = parse_rule_script(source)
+        fc = PriceForecast(horizon_steps=4, values=(0.1, 0.4, 0.2, 0.3))
+        for obs in (make_obs(soc=0.5, forecast=fc), make_obs(soc=0.0)):
+            fast, slow = [], []
+            assert (evaluate_rules(script, obs, fast)
+                    == evaluate_rules_reference(script, obs, slow))
+            assert fast == slow
+        printed = script_to_source(script)
+        assert parse_rule_script(printed) == script
+        assert hash(parse_rule_script(printed)) == hash(script)
+        assert repr(parse_rule_script(printed)) == repr(script)
+
+
+# -- compiled path against the tree walker ----------------------------------
+
+HORIZONS = st.sampled_from([
+    "0", "0.4", "0.5", "1", "1.5", "2.5", "3", "36", "288", "300", "-3",
+    "9" * 30,                           # huge and finite
+    "9" * 400,                          # parses to inf
+    "9" * 400 + " - " + "9" * 400,      # NaN
+])
+NUM_LEAVES = st.one_of(
+    st.sampled_from(OBSERVATION_FIELDS),
+    st.sampled_from(["0", "0.5", "1", "2", "7", "288", "9" * 400]),
+    st.floats(0, 400).map(lambda x: f"{x:.3f}"),
+)
+
+
+def _num_branches(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(st.sampled_from(["min", "max"]), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]}, {t[2]})"),
+        st.tuples(st.sampled_from(FORECAST_FUNCS), HORIZONS | inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+    )
+
+
+NUMS = st.recursive(NUM_LEAVES, _num_branches, max_leaves=6)
+COMPARISONS = st.tuples(
+    NUMS, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]), NUMS).map(
+    lambda t: f"{t[0]} {t[1]} {t[2]}")
+BOOLS = st.recursive(COMPARISONS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["and", "or"]), inner).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    inner.map(lambda b: f"(not {b})"),
+), max_leaves=3)
+SCRIPTS = st.lists(st.tuples(BOOLS, NUMS), max_size=3).map(
+    lambda rules: "\n".join(f"if {c} then {a}" for c, a in rules))
+FIELD_VALUES = st.one_of(st.just(0.0), st.floats(-1e3, 1e3),
+                         st.sampled_from([-0.0, 1e-300, 1e308, -1e308]))
+
+
+@st.composite
+def observations(draw):
+    """An observation whose forecast is a window, of 1-300 steps, somewhere
+    in a longer price column; some fields are zero."""
+    horizon = draw(st.integers(1, 300))
+    prices = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=12))
+    column = [prices[i % len(prices)] + i / 1000 for i in range(horizon + 20)]
+    start = draw(st.integers(0, 20))
+    fields = {name: draw(FIELD_VALUES) for name in (
+        "charge_price", "discharge_price", "soc", "ttd_minutes", "load_kw",
+        "pv_kw", "max_charge_kw", "max_discharge_kw")}
+    return make_obs(step_index=draw(st.integers(0, 10_000)),
+                    forecast=PriceForecast.window(tuple(column), start,
+                                                  horizon), **fields)
+
+
+def outcome(evaluate, script, obs):
+    """The returned value (repr, so -0.0 differs from 0.0) or the exception
+    raised, and the fault log."""
+    faults = []
+    try:
+        result = repr(evaluate(script, obs, faults))
+    except Exception as exc:  # both paths must fail alike, too
+        result = f"{type(exc).__name__}: {exc}"
+    return result, faults
+
+
+class TestCompiledMatchesReference:
+    @given(source=SCRIPTS, obs_list=st.lists(observations(), min_size=1,
+                                             max_size=3))
+    @settings(max_examples=200, deadline=None)
+    # Rare draws: a constant zero divisor, and faults on both sides of an
+    # operator or behind a short circuit, where order decides the message.
+    @example(source="if soc >= 0 then ttd / 0", obs_list=[make_obs()])
+    @example(source="if soc >= 0 then 1 / (soc - soc) + fc_max(0)",
+             obs_list=[make_obs()])
+    @example(source="if fc_min(-1) < 1 / (soc - soc) then 1",
+             obs_list=[make_obs()])
+    @example(source="if soc < 0 and fc_max(0) > 1 or soc > 2 then 1",
+             obs_list=[make_obs()])
+    # A mean summed in another order rounds differently: 0.1 * 10 != 1.
+    @example(source="if soc >= 0 then fc_mean(10)", obs_list=[make_obs(
+        forecast=PriceForecast(horizon_steps=10, values=(0.1,) * 10))])
+    def test_same_value_and_faults(self, source, obs_list):
+        try:
+            script = parse_rule_script(source)
+        except RuleParseError:  # a draw past the nesting limits
+            assume(False)
+        for obs in obs_list:
+            assert (outcome(evaluate_rules, script, obs)
+                    == outcome(evaluate_rules_reference, script, obs))
+
+    def test_reference_sees_the_same_faults(self):
+        script = parse_rule_script(
+            "if pv_kw > 0 then 1 / (pv_kw - pv_kw)\n"
+            "if soc > 0 then fc_max(soc - 1)")
+        for obs in (make_obs(pv_kw=1.0), make_obs(soc=0.5)):
+            fast, slow = outcome(evaluate_rules, script, obs), \
+                outcome(evaluate_rules_reference, script, obs)
+            assert fast == slow and fast[1]
+
+
+class ReferencePolicy(PolicyHandle):
+    """A rule script evaluated by the tree walker at every step."""
+
+    def __init__(self, source_text: str):
+        super().__init__("reference")
+        self.script = parse_rule_script(source_text)
+
+    def decide(self, obs) -> float:
+        return evaluate_rules_reference(self.script, obs,
+                                        fault_log=self.fault_log)
+
+
+EPISODE_SCRIPTS = [
+    FC_RULES.read_text(),
+    "if fc_max(36) > 1.5 * charge_price and soc < 0.9 then max_charge_kw\n"
+    "if fc_mean(ttd / 5 + 1) < discharge_price then -max_discharge_kw",
+    "if charge_price <= fc_min(soc * 300 + 1) then min(max_charge_kw, 5)\n"
+    "if discharge_price > fc_mean(72) then -(max_discharge_kw / 2)",
+    # Faults: a horizon below 1 far from departure, division by zero in sun.
+    "if soc < 0.5 then fc_mean(24 - ttd / 30)\n"
+    "if pv_kw > 0 then load_kw / (pv_kw - pv_kw)\n"
+    "if soc > 0.6 then -fc_max(12)",
+]
+
+
+@pytest.fixture(scope="module")
+def week():
+    trace = synthetic_trace(days=7, seed=11)
+    return trace, default_sessions(trace)
+
+
+@pytest.mark.parametrize("source", EPISODE_SCRIPTS,
+                         ids=["file", "max_mean", "min_mean", "faulting"])
+def test_episode_matches_reference(week, source):
+    trace, sessions = week
+    reports = []
+    fault_logs = []
+    for policy in (RuleScriptPolicy(source), ReferencePolicy(source)):
+        reports.append(run_episode(trace, sessions, BatteryConfig(), policy,
+                                   RewardConfig(), 0, len(trace)))
+        fault_logs.append(policy.fault_log)
+    fast, slow = reports
+    for column in ("requested_kw", "applied_kw", "soc", "soc_after",
+                   "grid_import_kwh", "grid_export_kwh", "step_cost",
+                   "step_reward"):
+        assert getattr(fast, column) == getattr(slow, column), column
+    assert fast.summary_dict() == slow.summary_dict()
+    assert fault_logs[0] == fault_logs[1]
+    assert bool(fault_logs[0]) == (source is EPISODE_SCRIPTS[-1])
