@@ -22,8 +22,7 @@ class BaselineConfig:
 
 
 def baseline_decide(obs: Observation, cfg: BaselineConfig,
-                    battery: BatteryConfig,
-                    step_minutes: int = 5) -> float:
+                    battery: BatteryConfig) -> float:
     """Priority-ordered rules: safety, peak discharge, PV surplus, cheap charge.
 
     Threshold conventions: discharge fires at price >= peak threshold, the SoC
@@ -33,16 +32,16 @@ def baseline_decide(obs: Observation, cfg: BaselineConfig,
         return 0.0
 
     charge_cap = per_step_energy_cap(obs.soc, battery.soc_max,
-                                     battery.capacity_kwh, step_minutes,
-                                     "charge", battery.charge_eff)
+                                     battery.capacity_kwh, "charge",
+                                     battery.charge_eff)
     # Safety first: below the reserve, charge regardless of price.
     if obs.soc < cfg.min_soc_reserve:
         return min(obs.max_charge_kw, charge_cap)
 
     if obs.discharge_price >= cfg.peak_price_threshold and obs.soc > cfg.min_soc_reserve:
         discharge_cap = per_step_energy_cap(obs.soc, cfg.min_soc_reserve,
-                                            battery.capacity_kwh, step_minutes,
-                                            "discharge", battery.discharge_eff)
+                                            battery.capacity_kwh, "discharge",
+                                            battery.discharge_eff)
         return -min(obs.max_discharge_kw, discharge_cap)
 
     if obs.pv_kw > obs.load_kw and obs.soc < battery.soc_max:

@@ -14,6 +14,7 @@ from .errors import (ConfigError, EvPolicyError, OperatorTransportError,
                      PolicyFault, PolicySpawnError)
 from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
+from .prompts import STRATEGIES
 from .rewards import RewardConfig
 from .runtime import make_policy
 from .simulation import (BatteryConfig, ConnectionSession, default_n_steps,
@@ -39,31 +40,54 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
+    return config
+
+
+def _from_config(cls, fields, section: str):
+    """``cls(**fields)``; a bad field is a ConfigError naming ``section``."""
+    try:
+        return cls(**fields)
+    except TypeError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _resolve_trace(args, config: dict) -> EnvTrace:
     if getattr(args, "synthetic", None):
         kv = _parse_kv(args.synthetic)
-        return synthetic_trace(days=int(kv.get("days", 7)),
-                               seed=int(kv.get("seed", args.seed)))
+        try:
+            days, seed = int(kv.get("days", 7)), int(kv.get("seed", args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"--synthetic: {exc}") from exc
+        return synthetic_trace(days=days, seed=seed)
     if getattr(args, "trace", None):
         return load_trace(args.trace, schema=config.get("trace_schema"))
     raise ConfigError("provide --trace FILE or --synthetic days=N seed=S")
 
 
-def _resolve_sessions(trace: EnvTrace, config: dict) -> list[ConnectionSession]:
-    if "sessions" in config:
-        return [ConnectionSession(**s) for s in config["sessions"]]
-    return default_sessions(trace)
+def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
+                               list[ConnectionSession], RewardConfig]:
+    """The config, trace, battery, sessions and reward settings of a run."""
+    config = _load_config(args.config)
+    trace = _resolve_trace(args, config)
+    battery = _from_config(BatteryConfig, config.get("battery", {}), "battery")
+    sessions = ([_from_config(ConnectionSession, s, f"sessions[{i}]")
+                 for i, s in enumerate(config["sessions"])]
+                if "sessions" in config else default_sessions(trace))
+    reward_cfg = _from_config(RewardConfig, config.get("reward", {}), "reward")
+    return config, trace, battery, sessions, reward_cfg
 
 
-def _battery(config: dict) -> BatteryConfig:
-    return BatteryConfig(**config.get("battery", {}))
-
-
-def _reward(config: dict) -> RewardConfig:
-    return RewardConfig(**config.get("reward", {}))
+def _strategies(text: str) -> list[str]:
+    """The comma-separated ``--strategy`` list: known names, each once."""
+    strategies = [s.strip() for s in text.split(",") if s.strip()]
+    if (not strategies or not set(strategies) <= set(STRATEGIES)
+            or len(set(strategies)) < len(strategies)):
+        raise ConfigError(f"--strategy {text!r}: expected one or more of "
+                          f"{', '.join(STRATEGIES)}, each at most once")
+    return strategies
 
 
 def _write_run_config(out_dir: Path, payload: dict) -> None:
@@ -74,15 +98,10 @@ def _write_run_config(out_dir: Path, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    trace = _resolve_trace(args, config)
-    battery = _battery(config)
-    sessions = _resolve_sessions(trace, config)
-    reward_cfg = _reward(config)
+    config, trace, battery, sessions, reward_cfg = _run_inputs(args)
     n_steps = (args.steps if args.steps is not None
                else default_n_steps(trace, args.start))
     policy = make_policy(args.policy, battery, options={
-        "step_minutes": trace.step_minutes,
         "baseline": config.get("baseline", {}),
         "timeout_ms": config.get("policy_timeout_ms", 1000),
     })
@@ -121,19 +140,14 @@ def cmd_ledger(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    config = _load_config(args.config)
-    trace = _resolve_trace(args, config)
-    battery = _battery(config)
-    sessions = _resolve_sessions(trace, config)
-    reward_cfg = _reward(config)
-    strategies = [s.strip() for s in args.strategy.split(",") if s.strip()]
+    strategies = _strategies(args.strategy)
+    config, trace, battery, sessions, reward_cfg = _run_inputs(args)
 
     # One baseline episode feeds both the ledger examples and the fit
     # reference of the imitation and hybrid strategies.
     base_report = ledger_entries = None
     if any(s in ("imitation", "hybrid") for s in strategies):
         policy = make_policy("baseline", battery, options={
-            "step_minutes": trace.step_minutes,
             "baseline": config.get("baseline", {})})
         n_steps = (args.steps if args.steps is not None
                    else default_n_steps(trace, args.start))
@@ -161,7 +175,7 @@ def cmd_evolve(args) -> int:
             sessions=sessions, battery=battery, operator=operator,
             reward_cfg=reward_cfg, seed=args.seed,
             ledger_entries=ledger_entries, program_mode=args.mode,
-            out_dir=out_root / strategy if "," in args.strategy else out_root,
+            out_dir=out_root / strategy if len(strategies) > 1 else out_root,
             start_step=args.start, n_steps=args.steps, min_fit=args.min_fit,
             retry_base_delay=config.get("retry_base_delay", 0.5),
             reference=base_report)

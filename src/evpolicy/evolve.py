@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .errors import ConfigError, OperatorTransportError, PolicyFault
 from .ledgers import LedgerEntry, render_examples
-from .market import FORECAST_STEPS, EnvTrace, trace_stats
+from .market import FORECAST_STEPS, STEP_MINUTES, EnvTrace, trace_stats
 from .operators import MutationOperator
 from .prompts import PromptBundle, build_prompt, build_state_prompt
 from .rewards import FitReport, RewardConfig, fit_score
@@ -21,7 +21,7 @@ from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
                          default_n_steps, run_episode)
 
 DEFAULT_ITERATIONS = 10
-DEFAULT_QUERY_CADENCE = 12  # hourly at 5-minute steps
+DEFAULT_QUERY_CADENCE = 60 // STEP_MINUTES  # hourly
 TRANSPORT_RETRIES = 3
 CANDIDATE_TIMEOUT_MS = 2000
 FLICKER_ISSUE_DIVISOR = 50
@@ -91,8 +91,7 @@ class EvolutionRun:
 
 
 def extract_program(model_reply: str, mode: str = "builtin_rules",
-                    name: str = "candidate",
-                    metadata: dict | None = None) -> PolicyProgram | None:
+                    name: str = "candidate") -> PolicyProgram | None:
     """Pull candidate source out of a model reply.
 
     First fenced code block wins; failing that, the longest blank-line
@@ -113,8 +112,7 @@ def extract_program(model_reply: str, mode: str = "builtin_rules",
         source = max(candidates, key=len)
     if not source:
         return None
-    return PolicyProgram(name=name, source_text=source, mode=mode,
-                         metadata=dict(metadata or {}))
+    return PolicyProgram(name=name, source_text=source, mode=mode)
 
 
 def make_feedback(report: EpisodeReport, fit: FitReport | None,
@@ -296,18 +294,14 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             record.failure = "extraction failure: no code block found"
             feedback = _regenerate_feedback(k + 1)
             continue
-        program.metadata.update({"origin_iteration": k,
-                                 "parent": prior.name if prior else None,
-                                 "strategy": strategy})
         record.program = program
         if iter_dir is not None:
             (iter_dir / "policy.txt").write_text(program.source_text)
         if program.mode == "external_process":
             policy_path = ((iter_dir or Path(".")) / "policy.py")
             policy_path.write_text(program.source_text)
-            program.metadata["command"] = [sys.executable, "-m",
-                                           "evpolicy.pydriver",
-                                           str(policy_path)]
+            program.command = [sys.executable, "-m", "evpolicy.pydriver",
+                               str(policy_path)]
 
         try:
             policy = policy_from_program(program, battery,

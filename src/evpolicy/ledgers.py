@@ -16,6 +16,8 @@ QUADRANTS = (
     "high_price_high_solar",
 )
 
+SOLAR_SPLIT_KW = 0.1  # PV above this counts as high solar
+
 LEDGER_COLUMNS = ("step", "soc_pct", "charge_price", "discharge_price",
                   "pv_kw", "load_kw", "ttd_min", "action_kw", "reward",
                   "quadrant")
@@ -24,7 +26,6 @@ LEDGER_COLUMNS = ("step", "soc_pct", "charge_price", "discharge_price",
 @dataclass(frozen=True)
 class QuadrantSpec:
     price_split: float
-    solar_split: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -44,19 +45,17 @@ class LedgerEntry:
 def classify_quadrant(charge_price: float, pv_kw: float,
                       spec: QuadrantSpec) -> str:
     high_price = charge_price > spec.price_split
-    high_solar = pv_kw > spec.solar_split
+    high_solar = pv_kw > SOLAR_SPLIT_KW
     if high_price:
         return "high_price_high_solar" if high_solar else "high_price_no_solar"
     return "low_price_high_solar" if high_solar else "low_price_no_solar"
 
 
-def default_quadrant_spec(prices: Sequence[float],
-                          solar_split: float = 0.1) -> QuadrantSpec:
+def default_quadrant_spec(prices: Sequence[float]) -> QuadrantSpec:
     if not prices:
         raise ConfigError("cannot derive a price split from no prices")
     ordered = sorted(prices)
-    return QuadrantSpec(price_split=ordered[(len(ordered) - 1) // 2],
-                        solar_split=solar_split)
+    return QuadrantSpec(price_split=ordered[(len(ordered) - 1) // 2])
 
 
 def build_ledger(rows: Iterable[dict]) -> list[LedgerEntry]:

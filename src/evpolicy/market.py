@@ -1,8 +1,8 @@
 """Household/market time series: loading, validation, price forecasts, fixtures.
 
 The canonical on-disk format is a CSV with header
-``timestamp,load_kw,pv_kw,buy_price,sell_price`` and ISO-8601 timestamps at a
-uniform step (5 minutes by default).
+``timestamp,load_kw,pv_kw,buy_price,sell_price`` and ISO-8601 timestamps
+``STEP_MINUTES`` apart.
 """
 from __future__ import annotations
 
@@ -19,51 +19,48 @@ from .errors import TraceSchemaError, TraceValidationError
 
 CANONICAL_COLUMNS = ("timestamp", "load_kw", "pv_kw", "buy_price", "sell_price")
 
-FORECAST_STEPS = 288  # 24 h at 5-minute steps
+STEP_MINUTES = 5  # every trace, episode and step log uses this one step
+STEP = timedelta(minutes=STEP_MINUTES)
+STEP_HOURS = STEP_MINUTES / 60.0
+STEPS_PER_DAY = 24 * 60 // STEP_MINUTES
+FORECAST_STEPS = STEPS_PER_DAY  # 24 h ahead
 
-_COLUMN_FIELDS = ("timestamps", "load_kw", "pv_kw", "buy_price", "sell_price")
+_COLUMN_FIELDS = ("load_kw", "pv_kw", "buy_price", "sell_price")
 
 
 @dataclass(frozen=True)
 class EnvTrace:
-    """Immutable, validated exogenous series, one tuple per canonical column.
+    """Immutable, validated exogenous series: the wall-clock time of step 0
+    and one tuple per value column. Step ``i`` is at ``start + i * STEP``.
 
     Safe to share across episodes.
     """
 
-    timestamps: tuple[datetime, ...]
+    start: datetime
     load_kw: tuple[float, ...]
     pv_kw: tuple[float, ...]
     buy_price: tuple[float, ...]
     sell_price: tuple[float, ...]
-    step_minutes: int = 5
 
     def __post_init__(self):
         for name in _COLUMN_FIELDS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         columns = [getattr(self, name) for name in _COLUMN_FIELDS]
-        if self.step_minutes <= 0:
-            raise TraceValidationError("step_minutes must be positive")
         lengths = [len(column) for column in columns]
         if len(set(lengths)) != 1:
             raise TraceValidationError(f"columns differ in length: {lengths}")
         if len(self) < 2:
             raise TraceValidationError("trace needs at least 2 points")
-        delta = timedelta(minutes=self.step_minutes)
-        for i, (ts, load, pv, buy, sell) in enumerate(zip(*columns)):
+        for i, (load, pv, buy, sell) in enumerate(zip(*columns)):
             if load < 0 or pv < 0:
                 raise TraceValidationError(
                     f"row {i + 1}: load_kw and pv_kw must be non-negative")
             for v in (load, pv, buy, sell):
                 if not math.isfinite(v):
                     raise TraceValidationError(f"row {i + 1}: non-finite value")
-            if i > 0 and ts - self.timestamps[i - 1] != delta:
-                raise TraceValidationError(
-                    f"row {i + 1}: expected {self.step_minutes}-minute spacing, "
-                    f"got {ts - self.timestamps[i - 1]}")
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.load_kw)
 
     @cached_property
     def forecast_column(self) -> tuple[float, ...]:
@@ -131,13 +128,14 @@ class PriceForecast:
                 f"values={self.values!r})")
 
 
-def load_trace(path, schema: Mapping[str, str] | None = None,
-               step_minutes: int = 5) -> EnvTrace:
+def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
     """Load and validate a trace CSV.
 
     ``schema`` maps logical names (``timestamp``, ``load_kw``, ``pv_kw``,
     ``buy_price``, ``sell_price``, optionally ``price``) to column names in the
-    file. With a single ``price`` column, buy and sell both use it.
+    file. With a single ``price`` column, buy and sell both use it. Rows must
+    be ``STEP_MINUTES`` apart; a row that fails to parse is reported before
+    a spacing fault.
     """
     schema = dict(schema) if schema else {c: c for c in CANONICAL_COLUMNS}
     path = Path(path)
@@ -161,17 +159,23 @@ def load_trace(path, schema: Mapping[str, str] | None = None,
     if buy_col is None:
         raise TraceSchemaError(f"{path}: no price column mapped")
 
-    columns = ([], [], [], [], [])
+    stamps, columns = [], ([], [], [], [])
     for i, row in enumerate(rows):
         try:
-            values = (datetime.fromisoformat(row[ts_col]), float(row[load_col]),
-                      float(row[pv_col]), float(row[buy_col]),
-                      float(row[sell_col]))
+            stamps.append(datetime.fromisoformat(row[ts_col]))
+            values = (float(row[load_col]), float(row[pv_col]),
+                      float(row[buy_col]), float(row[sell_col]))
         except (TypeError, ValueError) as exc:
             raise TraceValidationError(f"{path}: row {i + 1}: {exc}") from exc
         for column, value in zip(columns, values):
             column.append(value)
-    return EnvTrace(*columns, step_minutes=step_minutes)
+    for row, (before, ts) in enumerate(zip(stamps, stamps[1:]), 2):
+        if ts - before != STEP:
+            raise TraceValidationError(
+                f"row {row}: expected {STEP_MINUTES}-minute spacing, "
+                f"got {ts - before}")
+    # No start for an empty file: EnvTrace rejects it as too short.
+    return EnvTrace(stamps[0] if stamps else None, *columns)
 
 
 def save_trace(trace: EnvTrace, path) -> None:
@@ -179,11 +183,11 @@ def save_trace(trace: EnvTrace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
-        for ts, load, pv, buy, sell in zip(trace.timestamps, trace.load_kw,
-                                           trace.pv_kw, trace.buy_price,
-                                           trace.sell_price):
-            writer.writerow([ts.isoformat(), repr(load), repr(pv), repr(buy),
-                             repr(sell)])
+        for i, (load, pv, buy, sell) in enumerate(zip(
+                trace.load_kw, trace.pv_kw, trace.buy_price,
+                trace.sell_price)):
+            writer.writerow([(trace.start + i * STEP).isoformat(), repr(load),
+                             repr(pv), repr(buy), repr(sell)])
 
 
 def forecast_at(trace: EnvTrace, step_index: int) -> PriceForecast:
@@ -223,8 +227,6 @@ class TraceStats:
 
 def trace_stats(trace: EnvTrace) -> TraceStats:
     """Exact order statistics of the trace (lower-middle median convention)."""
-    if len(trace) == 0:
-        raise TraceValidationError("empty trace")
     buys = sorted(trace.buy_price)
     sells = sorted(trace.sell_price)
     return TraceStats(
@@ -240,9 +242,9 @@ def trace_stats(trace: EnvTrace) -> TraceStats:
     )
 
 
-def synthetic_trace(days: int = 7, seed: int = 0, step_minutes: int = 5,
-                    start: datetime | None = None) -> EnvTrace:
-    """Sinusoidal daily price/PV/load pattern with seeded noise.
+def synthetic_trace(days: int = 7, seed: int = 0) -> EnvTrace:
+    """Sinusoidal daily price/PV/load pattern with seeded noise, starting at
+    midnight on 2024-01-01.
 
     Prices sit near 0.10-0.15 overnight with an evening peak that regularly
     crosses 0.35, so the baseline controller's rules all get exercised.
@@ -250,12 +252,9 @@ def synthetic_trace(days: int = 7, seed: int = 0, step_minutes: int = 5,
     if days < 1:
         raise TraceValidationError("days must be >= 1")
     rng = random.Random(seed)
-    start = start or datetime(2024, 1, 1)
-    steps_per_day = 24 * 60 // step_minutes
-    timestamps, loads, pvs, prices = [], [], [], []
-    for i in range(days * steps_per_day):
-        ts = start + timedelta(minutes=i * step_minutes)
-        hour = (i % steps_per_day) * step_minutes / 60.0
+    loads, pvs, prices = [], [], []
+    for i in range(days * STEPS_PER_DAY):
+        hour = (i % STEPS_PER_DAY) * STEP_MINUTES / 60.0
         price = (0.12 + 0.03 * math.sin(2 * math.pi * (hour - 9.0) / 24.0)
                  + 0.30 * math.exp(-((hour - 18.5) / 1.6) ** 2)
                  + rng.gauss(0.0, 0.004))
@@ -266,9 +265,7 @@ def synthetic_trace(days: int = 7, seed: int = 0, step_minutes: int = 5,
                    + 1.0 * math.exp(-((hour - 7.5) / 1.2) ** 2)
                    + 1.6 * math.exp(-((hour - 19.0) / 2.0) ** 2)
                    + rng.gauss(0.0, 0.05))
-        timestamps.append(ts)
         loads.append(load)
         pvs.append(pv)
         prices.append(price)
-    return EnvTrace(timestamps, loads, pvs, prices, prices,
-                    step_minutes=step_minutes)
+    return EnvTrace(datetime(2024, 1, 1), loads, pvs, prices, prices)

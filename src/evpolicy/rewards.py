@@ -5,6 +5,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import ConfigError
+
 FIT_TOLERANCE_KW = 0.5
 
 
@@ -17,10 +19,10 @@ class RewardConfig:
 
     def __post_init__(self):
         if self.mode not in ("raw", "normalized"):
-            raise ValueError(f"unknown reward mode {self.mode!r}")
+            raise ConfigError(f"unknown reward mode {self.mode!r}")
         if min(self.deficit_penalty_coeff, self.satisfaction_exponent_scale,
                self.satisfaction_weight) < 0:
-            raise ValueError("reward coefficients must be >= 0")
+            raise ConfigError("reward coefficients must be >= 0")
 
 
 def step_profit(grid_import_kwh: float, grid_export_kwh: float,

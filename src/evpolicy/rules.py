@@ -413,9 +413,18 @@ def parse_rule_script(source_text: str) -> RuleScript:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
+def _number(value: float) -> str:
+    """Plain digits that parse back to ``value``, a parsed literal: a finite
+    non-negative float, or inf from a literal that overflowed."""
+    if value == math.inf:
+        return "1" + "0" * 309  # 10**309 overflows, so it parses to inf
+    from decimal import Decimal  # imported here: no command path prints
+    return format(Decimal(repr(value)), "f")
+
+
 def _fmt(node) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        return _number(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):

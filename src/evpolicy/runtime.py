@@ -9,7 +9,7 @@ import shlex
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .baseline import BaselineConfig, baseline_decide
@@ -29,7 +29,7 @@ class PolicyProgram:
     name: str
     source_text: str
     mode: str  # builtin_rules | external_process
-    metadata: dict = field(default_factory=dict)
+    command: list[str] | None = None  # argv that serves an external_process
 
     def __post_init__(self):
         if self.mode not in ("builtin_rules", "external_process"):
@@ -88,9 +88,8 @@ class ExternalProcessPolicy(PolicyHandle):
     child, which never answers, receives it on every request.
     """
 
-    def __init__(self, command: Sequence[str] | str, timeout_ms: int = 1000,
-                 name: str = "external"):
-        super().__init__(name)
+    def __init__(self, command: Sequence[str] | str, timeout_ms: int = 1000):
+        super().__init__("external")
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout_s = timeout_ms / 1000.0
         try:
@@ -262,11 +261,12 @@ def make_policy(spec: str, battery: BatteryConfig,
     """
     options = options or {}
     if spec == "baseline":
-        cfg = BaselineConfig(**options.get("baseline", {}))
-        step_minutes = options.get("step_minutes", 5)
-        handle = NativePolicy(
-            lambda obs: baseline_decide(obs, cfg, battery, step_minutes),
-            name="baseline")
+        try:
+            cfg = BaselineConfig(**options.get("baseline", {}))
+        except TypeError as exc:  # an unknown or mistyped config field
+            raise ConfigError(f"baseline: {exc}") from exc
+        handle = NativePolicy(lambda obs: baseline_decide(obs, cfg, battery),
+                              name="baseline")
     elif spec == "idle":
         handle = NativePolicy(lambda obs: 0.0, name="idle")
     elif spec.startswith("cmd:"):
@@ -288,6 +288,5 @@ def policy_from_program(program: PolicyProgram, battery: BatteryConfig,
     if program.mode == "builtin_rules":
         handle = RuleScriptPolicy(program.source_text, name=program.name)
     else:
-        handle = ExternalProcessPolicy(program.metadata["command"],
-                                       timeout_ms=timeout_ms)
+        handle = ExternalProcessPolicy(program.command, timeout_ms=timeout_ms)
     return GuardrailPolicy(handle, battery)

@@ -5,9 +5,12 @@ import json
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from datetime import timedelta
+from typing import NamedTuple
 
 from .errors import ConfigError, PolicyFault
-from .market import EnvTrace, PriceForecast, forecast_at
+from .market import (STEP, STEP_HOURS, STEP_MINUTES, STEPS_PER_DAY, EnvTrace,
+                     PriceForecast, forecast_at)
 from .rewards import RewardConfig, behavioral_metrics, departure_penalty, step_profit
 
 DEFAULT_EPISODE_STEPS = 1500
@@ -64,31 +67,22 @@ def validate_sessions(sessions: Sequence[ConnectionSession],
         prev_end = s.departure_step
 
 
-def default_sessions(trace: EnvTrace, arrival_soc: float = 0.5,
-                     target_soc: float = 0.80) -> list[ConnectionSession]:
-    """Home 18:00-07:30 pattern over the whole trace (an assumed schedule)."""
-    sessions = []
-    spd = 24 * 60 // trace.step_minutes
-    arrival_off = int(18.0 * 60 // trace.step_minutes)
-    depart_off = int(7.5 * 60 // trace.step_minutes)
-    day = -1
-    while True:
-        day += 1
-        arrival = day * spd + arrival_off
-        departure = (day + 1) * spd + depart_off
-        if arrival >= len(trace) - 1:
-            break
-        sessions.append(ConnectionSession(
-            arrival_step=arrival,
-            departure_step=min(departure, len(trace)),
-            arrival_soc=arrival_soc, target_soc=target_soc))
-    if not sessions:  # trace shorter than a day: stay plugged throughout
-        sessions = [ConnectionSession(0, len(trace), arrival_soc, target_soc)]
-    return sessions
+def default_sessions(trace: EnvTrace) -> list[ConnectionSession]:
+    """Home 18:00-07:30 by the trace's clock (an assumed schedule), from the
+    first 18:00 at or after the trace's start; arrival at 50 % SoC."""
+    evening = trace.start.replace(hour=18, minute=0, second=0, microsecond=0)
+    if evening < trace.start:
+        evening += timedelta(days=1)
+    first = -((trace.start - evening) // STEP)  # first step at or after it
+    stay = (13 * 60 + 30) // STEP_MINUTES  # 18:00 to 07:30
+    sessions = [ConnectionSession(arrival, min(arrival + stay, len(trace)), 0.5)
+                for arrival in range(first, len(trace) - 1, STEPS_PER_DAY)]
+    # A trace that ends by its first evening stays plugged in throughout.
+    return sessions or [ConnectionSession(0, len(trace), 0.5)]
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
+    """One per decision, so a NamedTuple: immutable and quick to build."""
     step_index: int
     charge_price: float
     discharge_price: float
@@ -102,8 +96,7 @@ class Observation:
     plugged_in: bool
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     observation: Observation
     requested_kw: float
     applied_kw: float
@@ -233,7 +226,6 @@ class EpisodeReport:
         """One plain row per simulated step, as written to the step log."""
         buy, sell = self.trace.buy_price, self.trace.sell_price
         load, pv = self.trace.load_kw, self.trace.pv_kw
-        minutes = self.trace.step_minutes
         for t, session, soc, requested, applied, soc_after, grid_import, \
                 grid_export, cost, reward in zip(
                     range(self.start_step, self.start_step + self.n_steps),
@@ -245,7 +237,7 @@ class EpisodeReport:
                 "charge_price": buy[t],
                 "discharge_price": sell[t],
                 "soc": soc,
-                "ttd_min": _ttd_minutes(session, t, minutes),
+                "ttd_min": _ttd_minutes(session, t),
                 "load_kw": load[t],
                 "pv_kw": pv[t],
                 "plugged_in": session is not None,
@@ -311,7 +303,7 @@ def observation_at(trace: EnvTrace, session: ConnectionSession | None,
         charge_price=trace.buy_price[step_index],
         discharge_price=trace.sell_price[step_index],
         soc=soc,
-        ttd_minutes=_ttd_minutes(session, step_index, trace.step_minutes),
+        ttd_minutes=_ttd_minutes(session, step_index),
         load_kw=trace.load_kw[step_index],
         pv_kw=trace.pv_kw[step_index],
         max_charge_kw=battery.max_charge_kw,
@@ -321,69 +313,64 @@ def observation_at(trace: EnvTrace, session: ConnectionSession | None,
     )
 
 
-def _ttd_minutes(session: ConnectionSession | None, step_index: int,
-                 step_minutes: int) -> float:
+def _ttd_minutes(session: ConnectionSession | None, step_index: int) -> float:
     """Minutes from ``step_index`` to the departure of ``session``; 0 when
     the EV is away."""
     if session is None:
         return 0.0
-    return float((session.departure_step - step_index) * step_minutes)
+    return float((session.departure_step - step_index) * STEP_MINUTES)
 
 
 def per_step_energy_cap(soc: float, bound: float, capacity_kwh: float,
-                        step_minutes: int, direction: str,
-                        efficiency: float = 0.95) -> float:
+                        direction: str, efficiency: float) -> float:
     """Largest power (kW) whose one-step energy transfer stays inside ``bound``.
 
     ``direction`` is "charge" (bound = SoC ceiling) or "discharge"
     (bound = reserve floor); efficiency losses are accounted for.
     """
-    dt = step_minutes / 60.0
     if direction == "discharge":
-        return max(0.0, (soc - bound) * capacity_kwh * efficiency / dt)
+        return max(0.0, (soc - bound) * capacity_kwh * efficiency / STEP_HOURS)
     if direction == "charge":
-        return max(0.0, (bound - soc) * capacity_kwh / (dt * efficiency))
+        return max(0.0, (bound - soc) * capacity_kwh / (STEP_HOURS * efficiency))
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def apply_action(obs: Observation, power: float, battery: BatteryConfig,
-                 step_minutes: int) -> tuple[float, float, float, float]:
+def apply_action(obs: Observation, power: float,
+                 battery: BatteryConfig) -> tuple[float, float, float, float]:
     """Clamp the requested ``power`` (kW, + charge, - discharge) to
     feasibility and integrate one step.
 
     Returns (applied_kw, soc_after, grid_import_kwh, grid_export_kwh). Never
     raises: infeasible requests are reduced, unplugged steps apply 0.
     """
-    dt = step_minutes / 60.0
     if not obs.plugged_in or not math.isfinite(power):
         applied = 0.0
     elif power > 0:
         applied = min(power, battery.max_charge_kw, per_step_energy_cap(
-            obs.soc, battery.soc_max, battery.capacity_kwh, step_minutes,
-            "charge", battery.charge_eff))
+            obs.soc, battery.soc_max, battery.capacity_kwh, "charge",
+            battery.charge_eff))
     elif power < 0:
         applied = max(power, -battery.max_discharge_kw, -per_step_energy_cap(
-            obs.soc, battery.soc_min, battery.capacity_kwh, step_minutes,
-            "discharge", battery.discharge_eff))
+            obs.soc, battery.soc_min, battery.capacity_kwh, "discharge",
+            battery.discharge_eff))
     else:
         applied = 0.0
 
     if applied > 0:
-        soc_after = obs.soc + applied * dt * battery.charge_eff / battery.capacity_kwh
+        soc_after = obs.soc + applied * STEP_HOURS * battery.charge_eff / battery.capacity_kwh
     elif applied < 0:
-        soc_after = obs.soc + applied * dt / (battery.discharge_eff * battery.capacity_kwh)
+        soc_after = obs.soc + applied * STEP_HOURS / (battery.discharge_eff * battery.capacity_kwh)
     else:
         soc_after = obs.soc
 
-    grid_import, grid_export = _meter_energy(obs.load_kw, obs.pv_kw, applied,
-                                             dt)
+    grid_import, grid_export = _meter_energy(obs.load_kw, obs.pv_kw, applied)
     return applied, soc_after, grid_import, grid_export
 
 
-def _meter_energy(load_kw: float, pv_kw: float, applied_kw: float,
-                  dt: float) -> tuple[float, float]:
-    """(grid_import_kwh, grid_export_kwh) over one step of ``dt`` hours."""
-    meter_kwh = (load_kw - pv_kw) * dt + applied_kw * dt
+def _meter_energy(load_kw: float, pv_kw: float,
+                  applied_kw: float) -> tuple[float, float]:
+    """(grid_import_kwh, grid_export_kwh) over one step."""
+    meter_kwh = (load_kw - pv_kw) * STEP_HOURS + applied_kw * STEP_HOURS
     return max(meter_kwh, 0.0), max(-meter_kwh, 0.0)
 
 
@@ -417,7 +404,6 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     violations_before = getattr(policy, "violation_counter", 0)
     buy, sell = trace.buy_price, trace.sell_price
     load, pv = trace.load_kw, trace.pv_kw
-    dt = trace.step_minutes / 60.0
     soc = UNPLUGGED_SOC
     current_session = None
     requested_col: list[float] = []
@@ -439,7 +425,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             # The EV is away: nothing to decide, 0 kW applied, SoC kept.
             requested = applied = 0.0
             soc_after = soc
-            grid_import, grid_export = _meter_energy(load[t], pv[t], 0.0, dt)
+            grid_import, grid_export = _meter_energy(load[t], pv[t], 0.0)
         else:
             # A session's steps are contiguous, so a new one has just arrived.
             if session is not current_session:
@@ -457,7 +443,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             if not math.isfinite(requested):
                 requested = guarded
             applied, soc_after, grid_import, grid_export = apply_action(
-                obs, guarded, battery, trace.step_minutes)
+                obs, guarded, battery)
             if abs(applied - guarded) > CLAMP_EPS:
                 clamp_events += 1
 
@@ -483,7 +469,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     if reward_cfg.mode == "normalized" and n_steps:
         stop = start_step + n_steps
         peak_buy = max(buy[start_step:stop])
-        household_kwh = sum(load[start_step:stop]) * dt
+        household_kwh = sum(load[start_step:stop]) * STEP_HOURS
         denom = peak_buy * household_kwh
         if denom > 0:
             total_reward = total_reward / denom

@@ -4,7 +4,7 @@ import math
 import random
 import sys
 import time
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -37,8 +37,7 @@ def _pass(line: str) -> None:
 def build_trace(price_fn, load_fn, pv_fn, n=288):
     t0 = datetime(2024, 3, 1)
     prices = [price_fn(i) for i in range(n)]
-    return EnvTrace(timestamps=[t0 + timedelta(minutes=5 * i)
-                                for i in range(n)],
+    return EnvTrace(start=t0,
                     load_kw=[load_fn(i) for i in range(n)],
                     pv_kw=[pv_fn(i) for i in range(n)],
                     buy_price=prices, sell_price=prices)
@@ -114,7 +113,7 @@ def test_03_baseline_behavior_on_constructed_day():
         load_fn=lambda i: 0.5,
         pv_fn=lambda i: 3.0 if 132 <= i < 168 else 0.0)
     sessions = [ConnectionSession(0, 288, 0.5, 0.8)]
-    policy = make_policy("baseline", battery, options={"step_minutes": 5})
+    policy = make_policy("baseline", battery)
     report = run_episode(trace, sessions, battery, policy, RewardConfig(),
                          0, 288)
     spike = [r.applied_kw for r in report.records
@@ -140,8 +139,7 @@ def test_04_anticipatory_arbitrage_beats_baseline():
     sessions = [ConnectionSession(0, 288, 0.5, 0.25)]
     started = time.perf_counter()
     base = run_episode(trace, sessions, battery,
-                       make_policy("baseline", battery,
-                                   options={"step_minutes": 5}),
+                       make_policy("baseline", battery),
                        RewardConfig(), 0, 288)
     program = PolicyProgram(
         name="anticipatory", mode="builtin_rules",

@@ -12,14 +12,14 @@ CFG = BaselineConfig()
 class TestPerStepEnergyCap:
     def test_discharge_cap_near_reserve(self):
         # 0.01 * 40 * 0.95 / (5/60) = 4.56 kW, evaluated by hand
-        cap = per_step_energy_cap(0.21, 0.20, 40.0, 5, "discharge", 0.95)
+        cap = per_step_energy_cap(0.21, 0.20, 40.0, "discharge", 0.95)
         assert cap == pytest.approx(4.56, abs=1e-12)
 
     def test_charge_at_ceiling_is_zero(self):
-        assert per_step_energy_cap(1.0, 1.0, 40.0, 5, "charge", 0.95) == 0.0
+        assert per_step_energy_cap(1.0, 1.0, 40.0, "charge", 0.95) == 0.0
 
     def test_huge_capacity_not_binding(self):
-        cap = per_step_energy_cap(0.50, 0.20, 1e6, 5, "discharge", 0.95)
+        cap = per_step_energy_cap(0.50, 0.20, 1e6, "discharge", 0.95)
         assert cap >= 7.0
 
 
@@ -69,7 +69,7 @@ class TestBaselineDecide:
                 ttd_minutes=rng.uniform(0, 600))
             kw = baseline_decide(obs, CFG, battery)
             assert -battery.max_discharge_kw <= kw <= battery.max_charge_kw
-            _, soc_after, _, _ = apply_action(obs, kw, battery, 5)
+            _, soc_after, _, _ = apply_action(obs, kw, battery)
             assert CFG.min_soc_reserve - 1e-9 <= soc_after <= battery.soc_max + 1e-9
 
     def test_safety_rule_has_priority(self):

@@ -92,6 +92,35 @@ class TestSimulate:
         assert "policy fault" in capsys.readouterr().err
 
 
+CONFIG_MISTAKES = {
+    "unknown_battery_key": {"battery": {"capacity": 40}},
+    "unknown_baseline_key": {"baseline": {"peak_price": 0.3}},
+    "session_missing_fields": {"sessions": [{"arrival_step": 0}]},
+    "unknown_reward_mode": {"reward": {"mode": "nrm"}},
+    "config_is_a_list": [],
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("config", CONFIG_MISTAKES.values(),
+                             ids=CONFIG_MISTAKES.keys())
+    def test_config_mistake_is_an_error_line(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, _ = run_simulate(tmp_path, "--policy", "baseline",
+                               "--config", str(path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_integer_synthetic_days(self, tmp_path, capsys):
+        code = main(["simulate", "--synthetic", "days=abc", "--policy", "idle",
+                     "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestLedgerCommand:
     def test_ledger_from_step_log(self, tmp_path, capsys):
         _, out = run_simulate(tmp_path)
@@ -178,6 +207,30 @@ class TestEvolveCommand:
         assert failures[0] is None and failures[2] is None
         assert failures[1].startswith("policy construction failed: line 1, ")
         assert "deeper than" in failures[1]
+
+    @pytest.mark.parametrize("strategy", ["", ",", " , ", "hybrid,hybird",
+                                          "hybrid,hybrid"])
+    def test_bad_strategy_list_fails_before_any_write(self, tmp_path, capsys,
+                                                      strategy):
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", strategy, "--iters", "1",
+                     "--operator", "mock:/no/such/file.jsonl",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_one_strategy_with_trailing_comma_writes_to_out(self, tmp_path):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning,", "--iters", "1",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        assert (out / "run.json").exists()
+        assert not (out / "reasoning").exists()
 
     def test_missing_replies_file_is_config_error(self, tmp_path):
         code = main(["evolve", "--synthetic", "days=1", "seed=3",

@@ -70,7 +70,7 @@ class TestExtractProgram:
 
 class TestMakeFeedback:
     def run_policy(self, spec, battery, trace, sessions):
-        policy = make_policy(spec, battery, options={"step_minutes": 5})
+        policy = make_policy(spec, battery)
         return run_episode(trace, sessions, battery, policy, RewardConfig(),
                            0, len(trace))
 
@@ -204,8 +204,7 @@ class TestRunEvolution:
         assert run["best_index"] is None
 
     def baseline_report(self):
-        policy = make_policy("baseline", self.battery,
-                             options={"step_minutes": 5})
+        policy = make_policy("baseline", self.battery)
         return run_episode(self.trace, self.sessions, self.battery, policy,
                            self.reward_cfg, 0, len(self.trace))
 

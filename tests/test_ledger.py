@@ -28,7 +28,7 @@ def synthetic_ledger(per_quadrant):
 
 
 class TestClassification:
-    SPEC = QuadrantSpec(price_split=0.20, solar_split=0.1)
+    SPEC = QuadrantSpec(price_split=0.20)
 
     def test_four_corners(self):
         assert classify_quadrant(0.30, 2.0, self.SPEC) == "high_price_high_solar"
@@ -174,8 +174,7 @@ class TestBuildLedger:
         from evpolicy.rewards import RewardConfig
         from evpolicy.runtime import make_policy
         from evpolicy.simulation import read_step_log, run_episode
-        policy = make_policy("baseline", battery,
-                             options={"step_minutes": 5})
+        policy = make_policy("baseline", battery)
         report = run_episode(fixture_trace, fixture_sessions, battery, policy,
                              RewardConfig(), 0, len(fixture_trace))
         entries = build_ledger(report.step_rows())

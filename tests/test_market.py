@@ -1,5 +1,5 @@
 import math
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +11,12 @@ from evpolicy.market import (FORECAST_STEPS, EnvTrace, PriceForecast,
                              synthetic_trace, trace_stats)
 
 
-def make_trace(prices, step_minutes=5, load=0.5, pv=0.0):
-    start = datetime(2024, 1, 1)
+def make_trace(prices, load=0.5, pv=0.0):
     n = len(prices)
     return EnvTrace(
-        timestamps=[start + timedelta(minutes=i * step_minutes)
-                    for i in range(n)],
+        start=datetime(2024, 1, 1),
         load_kw=[load] * n, pv_kw=[pv] * n, buy_price=prices,
-        sell_price=prices, step_minutes=step_minutes)
+        sell_price=prices)
 
 
 def write_csv(path, rows, header="timestamp,load_kw,pv_kw,buy_price,sell_price"):
@@ -81,17 +79,49 @@ class TestLoadTrace:
         save_trace(trace, f)
         assert load_trace(f) == trace
 
+    @given(start=st.datetimes(datetime(1990, 1, 1), datetime(2090, 1, 1)),
+           prices=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_keeps_any_start(self, tmp_path_factory, start, prices):
+        n = len(prices)
+        trace = EnvTrace(start, [0.5] * n, [0.0] * n, prices, prices)
+        f = tmp_path_factory.mktemp("rt") / "rt.csv"
+        save_trace(trace, f)
+        assert load_trace(f) == trace
+
+    def test_other_step_length_rejected_at_row_2(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, [
+            "2024-01-01T00:00:00,0.5,0.0,0.10,0.10",
+            "2024-01-01T00:15:00,0.6,0.0,0.12,0.12",
+            "2024-01-01T00:30:00,0.7,0.1,0.30,0.30",
+        ])
+        with pytest.raises(TraceValidationError,
+                           match="^row 2: expected 5-minute spacing, "
+                                 "got 0:15:00$"):
+            load_trace(f)
+
+    def test_parse_fault_reported_before_spacing_fault(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, [
+            "2024-01-01T00:00:00,0.5,0.0,0.10,0.10",
+            "2024-01-01T00:15:00,0.6,0.0,0.12,0.12",
+            "2024-01-01T00:20:00,abc,0.1,0.30,0.30",
+        ])
+        with pytest.raises(TraceValidationError, match="row 3: could not"):
+            load_trace(f)
+
 
 class TestColumns:
     def test_unequal_column_lengths_rejected(self):
         trace = make_trace([0.1, 0.2, 0.3])
         with pytest.raises(TraceValidationError, match="differ in length"):
-            EnvTrace(trace.timestamps, trace.load_kw, trace.pv_kw[:2],
+            EnvTrace(trace.start, trace.load_kw, trace.pv_kw[:2],
                      trace.buy_price, trace.sell_price)
 
     def test_list_columns_stored_as_tuples(self):
         trace = make_trace([0.1, 0.2, 0.3])
-        for column in (trace.timestamps, trace.load_kw, trace.pv_kw,
+        for column in (trace.load_kw, trace.pv_kw,
                        trace.buy_price, trace.sell_price):
             assert type(column) is tuple and len(column) == 3
 
@@ -191,7 +221,7 @@ class TestSynthetic:
     def test_length_and_spacing(self):
         trace = synthetic_trace(days=2, seed=0)
         assert len(trace) == 2 * 288
-        assert trace.step_minutes == 5
+        assert trace.start == datetime(2024, 1, 1)
 
     def test_evening_peak_crosses_baseline_threshold(self):
         trace = synthetic_trace(days=1, seed=0)

@@ -140,10 +140,29 @@ ROUND_TRIP_SOURCES = [
 ]
 
 
+# Number literals as the tokenizer reads them: plain digits, any length.
+LITERALS = st.one_of(
+    st.integers(0, 10**40).map(str),                   # whole, up to huge
+    st.tuples(st.integers(0, 10**20), st.integers(0, 330)).map(
+        lambda t: f"0.{'0' * t[1]}{t[0]}"),            # tiny and subnormal
+    st.integers(300, 420).map(lambda n: "9" * n),      # finite or inf
+)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
     def test_pretty_print_reparses_identically(self, source):
         script = parse_rule_script(source)
+        printed = script_to_source(script)
+        assert parse_rule_script(printed) == script
+
+    @given(a=LITERALS, b=LITERALS, c=LITERALS)
+    @example(a="0.00001", b="12345678901234567890", c="9" * 400)
+    @example(a="0." + "0" * 323 + "5", b="9" * 308, c="1" + "0" * 308)
+    @settings(max_examples=200, deadline=None)
+    def test_every_literal_prints_as_digits_that_reparse(self, a, b, c):
+        script = parse_rule_script(f"if soc > {a} then {b} + fc_max({c})\n"
+                                   f"if ttd < {c} then -{a}")
         printed = script_to_source(script)
         assert parse_rule_script(printed) == script
 

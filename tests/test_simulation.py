@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evpolicy.errors import ConfigError
-from evpolicy.market import synthetic_trace
+from evpolicy.market import STEP, STEP_MINUTES, EnvTrace, synthetic_trace
 from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
 from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
 from evpolicy.simulation import (UNPLUGGED_SOC, BatteryConfig,
@@ -40,7 +41,7 @@ def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
             if not math.isfinite(raw):
                 raw = power
         applied, soc_after, grid_import, grid_export = apply_action(
-            obs, power, battery, trace.step_minutes)
+            obs, power, battery)
         reward = step_profit(grid_import, grid_export, obs.charge_price,
                              obs.discharge_price)
         records.append(StepRecord(
@@ -57,7 +58,7 @@ def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
     total = profit + penalty
     if reward_cfg.mode == "normalized" and records:
         household_kwh = (sum(r.observation.load_kw for r in records)
-                         * (trace.step_minutes / 60.0))
+                         * (STEP_MINUTES / 60.0))
         denom = max(r.observation.charge_price for r in records) * household_kwh
         if denom > 0:
             total = total / denom
@@ -80,7 +81,7 @@ def reference_row(r):
 class TestApplyAction:
     def test_charge_soc_update_matches_hand_calculation(self, battery):
         obs = make_obs(soc=0.50)
-        applied, soc_after, imp, exp = apply_action(obs, 7.0, battery, 5)
+        applied, soc_after, imp, exp = apply_action(obs, 7.0, battery)
         # Independent spreadsheet-style calculation of the update rule.
         expected = 0.50 + 7.0 * (5 / 60) * 0.95 / 40.0
         assert applied == 7.0
@@ -89,24 +90,24 @@ class TestApplyAction:
 
     def test_discharge_blocked_at_floor(self, battery):
         obs = make_obs(soc=0.20)
-        applied, soc_after, _, _ = apply_action(obs, -5.0, battery, 5)
+        applied, soc_after, _, _ = apply_action(obs, -5.0, battery)
         assert applied == 0.0
         assert soc_after == 0.20
 
     def test_power_envelope_clamp(self, battery):
         obs = make_obs(soc=0.50)
-        applied, _, _, _ = apply_action(obs, 10.0, battery, 5)
+        applied, _, _, _ = apply_action(obs, 10.0, battery)
         assert applied == 7.0
 
     def test_unplugged_forces_zero(self, battery):
         obs = make_obs(soc=0.50, plugged_in=False)
-        applied, soc_after, _, _ = apply_action(obs, 7.0, battery, 5)
+        applied, soc_after, _, _ = apply_action(obs, 7.0, battery)
         assert applied == 0.0
         assert soc_after == 0.50
 
     def test_discharge_offsets_load_then_exports(self, battery):
         obs = make_obs(soc=0.8, load_kw=1.0, pv_kw=0.0)
-        applied, _, imp, exp = apply_action(obs, -5.0, battery, 5)
+        applied, _, imp, exp = apply_action(obs, -5.0, battery)
         assert applied == -5.0
         # meter sees 1.0 - 5.0 = -4 kW for 5 min
         assert imp == 0.0
@@ -121,7 +122,7 @@ class TestApplyAction:
     def test_bounds_and_energy_conservation(self, soc, request_kw, load, pv):
         battery = BatteryConfig()
         obs = make_obs(soc=soc, load_kw=load, pv_kw=pv)
-        applied, soc_after, imp, exp = apply_action(obs, request_kw, battery, 5)
+        applied, soc_after, imp, exp = apply_action(obs, request_kw, battery)
         assert -7.0 <= applied <= 7.0
         assert battery.soc_min - 1e-9 <= soc_after <= battery.soc_max + 1e-9
         assert imp >= 0 and exp >= 0 and (imp == 0 or exp == 0)
@@ -133,6 +134,43 @@ class TestApplyAction:
         if math.isfinite(request_kw):
             assert applied * request_kw >= 0
             assert abs(applied) <= abs(request_kw) + 1e-12
+
+
+def trace_starting_at(start, days=2):
+    n = days * 288
+    return EnvTrace(start, [0.5] * n, [0.0] * n, [0.1] * n, [0.1] * n)
+
+
+class TestDefaultSessions:
+    def test_midnight_start_keeps_the_schedule(self):
+        sessions = default_sessions(trace_starting_at(datetime(2024, 1, 1)))
+        assert [(s.arrival_step, s.departure_step) for s in sessions] == \
+            [(216, 378), (504, 576)]
+
+    @pytest.mark.parametrize("start", [datetime(2024, 5, 1, 12),
+                                       datetime(2024, 5, 1, 12, 2),
+                                       datetime(2024, 5, 1, 19, 30)])
+    def test_sessions_follow_the_trace_clock(self, start):
+        trace = trace_starting_at(start, days=3)
+        sessions = default_sessions(trace)
+        for s in sessions:
+            arrival = start + s.arrival_step * STEP
+            assert arrival >= arrival.replace(hour=18, minute=0) > \
+                arrival - STEP
+            if s.departure_step < len(trace):
+                departure = start + s.departure_step * STEP
+                assert departure >= departure.replace(hour=7, minute=30) > \
+                    departure - STEP
+        # no session starts before the first 18:00 after the start
+        assert start + sessions[0].arrival_step * STEP - start < \
+            timedelta(days=1)
+        assert sessions[0].arrival_soc == 0.5
+        assert sessions[0].target_soc == 0.80
+
+    def test_noon_start_arrives_at_six_in_the_evening(self):
+        sessions = default_sessions(trace_starting_at(datetime(2024, 5, 1, 12)))
+        assert (sessions[0].arrival_step, sessions[0].departure_step) == \
+            (72, 234)
 
 
 class TestObservationAt:
@@ -154,17 +192,28 @@ class TestObservationAt:
         sessions = [ConnectionSession(0, 10, 0.5)]
         obs = observation_at(fixture_trace, session_at(sessions, 9), 0.5, 9,
                              battery)
-        assert obs.ttd_minutes == fixture_trace.step_minutes
+        assert obs.ttd_minutes == STEP_MINUTES
 
     def test_index_out_of_range(self, battery, fixture_trace):
         with pytest.raises(IndexError):
             observation_at(fixture_trace, None, 0.5, len(fixture_trace),
                            battery)
 
+    def test_policy_cannot_change_what_the_physics_reads(self, battery,
+                                                         fixture_trace):
+        obs = observation_at(fixture_trace, ConnectionSession(0, 10, 0.5),
+                             0.5, 3, battery)
+        with pytest.raises(AttributeError):
+            obs.soc = 0.9
+        assert obs == observation_at(fixture_trace,
+                                     ConnectionSession(0, 10, 0.5), 0.5, 3,
+                                     battery)
+        assert repr(obs).startswith("Observation(step_index=3, ")
+
 
 def household_only_cost(trace, start, n):
     """Independent oracle: meter cost with the charger idle."""
-    dt = trace.step_minutes / 60
+    dt = STEP_MINUTES / 60
     total = 0.0
     window = slice(start, start + n)
     for load, pv, buy, sell in zip(trace.load_kw[window], trace.pv_kw[window],
@@ -196,8 +245,7 @@ class TestRunEpisode:
     def test_determinism(self, battery, fixture_trace, fixture_sessions):
         reports = []
         for _ in range(2):
-            policy = make_policy("baseline", battery,
-                                 options={"step_minutes": 5})
+            policy = make_policy("baseline", battery)
             reports.append(run_episode(fixture_trace, fixture_sessions,
                                        battery, policy, RewardConfig(),
                                        0, len(fixture_trace)))
@@ -312,7 +360,7 @@ class TestRunEpisode:
         trace = synthetic_trace(days=60, seed=3)
         trace.forecast_column  # built once per trace, not per episode
         sessions = default_sessions(trace)
-        policy = make_policy("baseline", battery, options={"step_minutes": 5})
+        policy = make_policy("baseline", battery)
         gc.collect()
         tracemalloc.start()
         try:
@@ -328,7 +376,7 @@ class TestRunEpisode:
     def test_rollout_memory_stays_small(self, battery):
         """Records must not pin a copy of the forecast per step."""
         trace = synthetic_trace(days=30, seed=0)
-        policy = make_policy("baseline", battery, options={"step_minutes": 5})
+        policy = make_policy("baseline", battery)
         tracemalloc.start()
         try:
             report = run_episode(trace, default_sessions(trace), battery,
@@ -356,7 +404,7 @@ class TestRunEpisode:
                           RewardConfig(mode="raw"), 0, 288)
         norm = run_episode(fixture_trace, fixture_sessions, battery, policy,
                            RewardConfig(mode="normalized"), 0, 288)
-        dt = fixture_trace.step_minutes / 60
+        dt = STEP_MINUTES / 60
         peak = max(r.observation.charge_price for r in raw.records)
         kwh = sum(r.observation.load_kw for r in raw.records) * dt
         assert norm.total_reward == pytest.approx(raw.total_reward / (peak * kwh),
@@ -370,7 +418,7 @@ class TestGoldenBaseline:
         from evpolicy.market import load_trace
         trace = load_trace(trace_path)
         sessions = default_sessions(trace)
-        policy = make_policy("baseline", battery, options={"step_minutes": 5})
+        policy = make_policy("baseline", battery)
         report = run_episode(trace, sessions, battery, policy, RewardConfig(),
                              0, len(trace))
         golden = json.loads(golden_path.read_text())
