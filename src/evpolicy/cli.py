@@ -63,7 +63,11 @@ def _resolve_trace(args, config: dict) -> EnvTrace:
             raise ConfigError(f"--synthetic: {exc}") from exc
         return synthetic_trace(days=days, seed=seed)
     if getattr(args, "trace", None):
-        return load_trace(args.trace, schema=config.get("trace_schema"))
+        schema = config.get("trace_schema")
+        if schema is not None and not isinstance(schema, dict):
+            raise ConfigError("trace_schema: expected an object mapping "
+                              f"names to columns, got {schema!r}")
+        return load_trace(args.trace, schema=schema)
     raise ConfigError("provide --trace FILE or --synthetic days=N seed=S")
 
 
@@ -73,9 +77,15 @@ def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
     config = _load_config(args.config)
     trace = _resolve_trace(args, config)
     battery = _from_config(BatteryConfig, config.get("battery", {}), "battery")
-    sessions = ([_from_config(ConnectionSession, s, f"sessions[{i}]")
-                 for i, s in enumerate(config["sessions"])]
-                if "sessions" in config else default_sessions(trace))
+    sessions = config.get("sessions")
+    if "sessions" not in config:
+        sessions = default_sessions(trace)
+    elif isinstance(sessions, list):
+        sessions = [_from_config(ConnectionSession, s, f"sessions[{i}]")
+                    for i, s in enumerate(sessions)]
+    else:
+        raise ConfigError(f"sessions: expected a list of objects, "
+                          f"got {sessions!r}")
     reward_cfg = _from_config(RewardConfig, config.get("reward", {}), "reward")
     return config, trace, battery, sessions, reward_cfg
 
@@ -295,6 +305,8 @@ def main(argv=None) -> int:
         return EXIT_TRANSPORT
     except (PolicyFault, PolicySpawnError) as exc:
         print(f"policy fault: {exc}", file=sys.stderr)
+        if getattr(exc, "diagnostics", ""):  # e.g. a candidate's traceback
+            print(exc.diagnostics, file=sys.stderr)
         return EXIT_POLICY_FAULT
     except EvPolicyError as exc:
         print(f"error: {exc}", file=sys.stderr)

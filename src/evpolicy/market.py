@@ -170,10 +170,14 @@ def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
         for column, value in zip(columns, values):
             column.append(value)
     for row, (before, ts) in enumerate(zip(stamps, stamps[1:]), 2):
-        if ts - before != STEP:
+        try:
+            spacing = ts - before
+        except TypeError as exc:  # a naive timestamp next to an aware one
+            raise TraceValidationError(f"{path}: row {row}: {exc}") from exc
+        if spacing != STEP:
             raise TraceValidationError(
                 f"row {row}: expected {STEP_MINUTES}-minute spacing, "
-                f"got {ts - before}")
+                f"got {spacing}")
     # No start for an empty file: EnvTrace rejects it as too short.
     return EnvTrace(stamps[0] if stamps else None, *columns)
 
@@ -225,20 +229,23 @@ class TraceStats:
         return self.buy_q3 - self.buy_q1
 
 
-def trace_stats(trace: EnvTrace) -> TraceStats:
-    """Exact order statistics of the trace (lower-middle median convention)."""
-    buys = sorted(trace.buy_price)
-    sells = sorted(trace.sell_price)
+def trace_stats(trace: EnvTrace, start_step: int = 0,
+                n_steps: int | None = None) -> TraceStats:
+    """Exact order statistics of steps ``[start_step, start_step + n_steps)``,
+    by default the whole trace (lower-middle median convention)."""
+    window = slice(start_step, None if n_steps is None else start_step + n_steps)
+    buys = sorted(trace.buy_price[window])
+    sells = sorted(trace.sell_price[window])
     return TraceStats(
-        n_steps=len(trace),
+        n_steps=len(buys),
         buy_median=_lower_order_stat(buys, 0.5),
         buy_q1=_lower_order_stat(buys, 0.25),
         buy_q3=_lower_order_stat(buys, 0.75),
         sell_median=_lower_order_stat(sells, 0.5),
         sell_q1=_lower_order_stat(sells, 0.25),
         sell_q3=_lower_order_stat(sells, 0.75),
-        pv_peak_kw=max(trace.pv_kw),
-        load_peak_kw=max(trace.load_kw),
+        pv_peak_kw=max(trace.pv_kw[window]),
+        load_peak_kw=max(trace.load_kw[window]),
     )
 
 

@@ -29,8 +29,6 @@ class PromptBundle:
     user_text: str
     examples_block: str = ""
     stats_block: str = ""
-    prior_source: str = ""
-    feedback_block: str = ""
 
 
 def _system_text(battery: BatteryConfig) -> str:
@@ -106,8 +104,6 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
     if not needs_examples:
         examples_block = ""
     stats_block = _stats_block(stats) if strategy == "hybrid" and stats else ""
-    prior_source = prior.source_text if prior is not None else ""
-    feedback_block = render_feedback(feedback) if feedback is not None else ""
 
     parts = ["TASK: Generate a decide_power program to control EV charging."]
     if examples_block:
@@ -127,10 +123,10 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
                      "the objectives and constraints alone.")
     parts.append("REQUIRED FUNCTION SIGNATURE:\n" + SIGNATURE_BLOCK)
     parts.append(RULES_FORMAT_NOTE)
-    if prior_source:
-        parts.append("PREVIOUS FUNCTION:\n```\n" + prior_source + "\n```")
-    if feedback_block:
-        parts.append(feedback_block)
+    if prior is not None and prior.source_text:
+        parts.append("PREVIOUS FUNCTION:\n```\n" + prior.source_text + "\n```")
+    if feedback is not None:
+        parts.append(render_feedback(feedback))
         parts.append("TASK: Rewrite the function to fix the identified issues.")
 
     return PromptBundle(
@@ -138,8 +134,6 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
         user_text="\n\n".join(parts),
         examples_block=examples_block,
         stats_block=stats_block,
-        prior_source=prior_source,
-        feedback_block=feedback_block,
     )
 
 

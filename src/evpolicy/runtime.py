@@ -4,11 +4,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
+import selectors
 import shlex
 import subprocess
-import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,6 +21,9 @@ from .simulation import BatteryConfig, Observation
 PROTOCOL_HANDSHAKE = {"protocol": PROTOCOL}
 MAX_CONSECUTIVE_FAULTS = 3
 STDERR_TAIL_BYTES = 2000
+READ_BYTES = 65536  # one pipe's default capacity on Linux
+EXIT_WAIT_S = 1.0  # for a child whose stdout closed to exit
+CLOSE_WAIT_S = 2.0  # for a closed child's pipes and exit
 GUARDRAIL_EPS = 1e-9
 
 
@@ -78,9 +81,13 @@ class ExternalProcessPolicy(PolicyHandle):
     Per-decision timeout; a timeout or malformed reply substitutes idle and is
     logged. Three consecutive faults abort via :class:`PolicyFault`. A reply
     that arrives after its request timed out is discarded, never taken as a
-    later step's reply. The child's stderr is drained continuously, so a
-    chatty child never blocks on a full pipe; only its last few kilobytes are
-    kept for diagnostics.
+    later step's reply.
+
+    While a reply is awaited, one ``select`` loop reads the child's stdout
+    and its stderr, so a chatty child never blocks on a full pipe; only the
+    last ``STDERR_TAIL_BYTES`` of stderr are kept for diagnostics. End of
+    file on stdout is a :class:`PolicyFault` at once, naming the child's
+    exit code. ``select`` on pipes makes this class POSIX-only.
 
     A v2 child answers the handshake with ``{"protocol": "v2g-policy/2",
     "forecast": <bool>}`` as its first line; requests omit ``forecast`` once
@@ -95,44 +102,70 @@ class ExternalProcessPolicy(PolicyHandle):
         try:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, text=True, bufsize=1)
+                stderr=subprocess.PIPE)
         except OSError as exc:
             raise PolicySpawnError(f"cannot spawn {argv!r}: {exc}") from exc
-        self._lines: queue.Queue[str] = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-        # Tail of the child's stderr; only the drain thread assigns it.
-        self._stderr = b""
-        self._stderr_reader = threading.Thread(target=self._drain_stderr,
-                                               daemon=True)
-        self._stderr_reader.start()
+        self._selector = selectors.DefaultSelector()
+        for pipe in (self._proc.stdout, self._proc.stderr):
+            self._selector.register(pipe, selectors.EVENT_READ)
+        self._stdout = b""  # read from stdout, not yet split into lines
+        self._stdout_open = True
+        self._stderr = b""  # tail of the child's stderr
         self._consecutive_faults = 0
         self._awaiting_answer = True  # no line from the child read yet
         self._send_forecast = True
         self._owed_replies = 0  # replies still due to timed-out requests
         self._send(PROTOCOL_HANDSHAKE)
 
-    def _pump(self) -> None:
-        for line in self._proc.stdout:
-            self._lines.put(line)
-
-    def _drain_stderr(self) -> None:
-        fd = self._proc.stderr.fileno()
-        while chunk := os.read(fd, 4096):
-            self._stderr = (self._stderr + chunk)[-STDERR_TAIL_BYTES:]
-
     def _send(self, payload: dict) -> None:
         try:
-            self._proc.stdin.write(json.dumps(payload) + "\n")
+            self._proc.stdin.write(json.dumps(payload).encode() + b"\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise PolicyFault(f"policy process pipe closed: {exc}",
-                              diagnostics=self._stderr_tail()) from exc
+        except OSError:  # the child has exited; the end of file on its
+            pass         # stdout reports it, with the exit code
+
+    def _read_ready(self, deadline: float) -> bool:
+        """Read what the child writes before ``deadline``; False if nothing.
+
+        A pipe at end of file leaves the selector.
+        """
+        events = self._selector.select(max(0.0, deadline - time.monotonic()))
+        for key, _ in events:
+            chunk = os.read(key.fd, READ_BYTES)
+            if not chunk:
+                self._selector.unregister(key.fileobj)
+                self._stdout_open &= key.fileobj is not self._proc.stdout
+            elif key.fileobj is self._proc.stdout:
+                self._stdout += chunk
+            else:
+                self._stderr = (self._stderr + chunk)[-STDERR_TAIL_BYTES:]
+        return bool(events)
+
+    def _drain(self, deadline: float) -> None:
+        """Read both pipes to end of file, or until ``deadline``."""
+        while self._selector.get_map() and self._read_ready(deadline):
+            pass
 
     def _stderr_tail(self) -> str:
-        if self._proc.poll() is not None:  # let the drain reach end of file
-            self._stderr_reader.join(timeout=1.0)
+        if self._proc.poll() is not None:  # read what is left to end of file
+            self._drain(time.monotonic() + EXIT_WAIT_S)
         return self._stderr.decode(errors="replace")
+
+    def _next_line(self, deadline: float) -> str | None:
+        """The child's next stdout line, or None at the deadline."""
+        while (end := self._stdout.find(b"\n")) < 0:
+            if not self._stdout_open:
+                try:
+                    status = f"exit code {self._proc.wait(EXIT_WAIT_S)}"
+                except subprocess.TimeoutExpired:
+                    status = "still running"
+                raise PolicyFault(f"policy process closed its stdout ({status})",
+                                  diagnostics=self._stderr_tail())
+            if time.monotonic() >= deadline:
+                return None
+            self._read_ready(deadline)
+        line, self._stdout = self._stdout[:end], self._stdout[end + 1:]
+        return line.decode(errors="replace").strip()
 
     def decide(self, obs: Observation) -> float:
         request = {
@@ -148,28 +181,26 @@ class ExternalProcessPolicy(PolicyHandle):
         if self._send_forecast:
             request["forecast"] = list(obs.forecast.values)
         self._send(request)
+        reply = self._read_reply(obs, time.monotonic() + self.timeout_s)
+        if reply is None:
+            self._owed_replies += 1
+            return self._fault(obs, "timeout waiting for reply")
         try:
-            reply = self._read_reply(obs, time.monotonic() + self.timeout_s)
             value = float(reply)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite reply {reply!r}")
-        except queue.Empty:
-            self._owed_replies += 1
-            return self._fault(obs, "timeout waiting for reply")
         except ValueError as exc:
             return self._fault(obs, f"malformed reply: {exc}")
         self._consecutive_faults = 0
         return value
 
-    def _read_reply(self, obs: Observation, deadline: float) -> str:
-        """Return this step's reply line; raise queue.Empty at the deadline.
+    def _read_reply(self, obs: Observation, deadline: float) -> str | None:
+        """Return this step's reply line, or None at the deadline.
 
         The handshake answer (only as the child's first line) and replies
         still owed to timed-out requests are consumed on the way.
         """
-        while True:
-            line = self._lines.get(
-                timeout=max(0.0, deadline - time.monotonic())).strip()
+        while (line := self._next_line(deadline)) is not None:
             first, self._awaiting_answer = self._awaiting_answer, False
             if first and line.startswith("{"):
                 self._take_answer(obs, line)
@@ -177,6 +208,7 @@ class ExternalProcessPolicy(PolicyHandle):
                 self._owed_replies -= 1
             else:
                 return line
+        return None
 
     def _take_answer(self, obs: Observation, line: str) -> None:
         """Read the child's handshake answer; a bad one keeps the forecast."""
@@ -202,26 +234,25 @@ class ExternalProcessPolicy(PolicyHandle):
         return 0.0
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.write(json.dumps({"end": True}) + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError, ValueError):
-                pass
-        try:
+        """Send ``end``, read both pipes to end of file, then reap the child.
+
+        A child still running at the deadline is killed.
+        """
+        with suppress(OSError):  # the child has exited
+            if self._proc.poll() is None:
+                self._proc.stdin.write(b'{"end": true}\n')
+        with suppress(OSError):  # unflushed bytes for a child that has exited
             self._proc.stdin.close()
-        except OSError:  # unflushed bytes for a child that has exited
-            pass
+        deadline = time.monotonic() + CLOSE_WAIT_S
+        self._drain(deadline)
         try:
-            self._proc.wait(timeout=2)
+            self._proc.wait(max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        for reader, pipe in ((self._reader, self._proc.stdout),
-                             (self._stderr_reader, self._proc.stderr)):
-            reader.join(timeout=1.0)
-            if not reader.is_alive():  # never close a pipe under a reader
-                pipe.close()
+        self._selector.close()
+        self._proc.stdout.close()
+        self._proc.stderr.close()
 
 
 class GuardrailPolicy(PolicyHandle):

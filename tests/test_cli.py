@@ -1,10 +1,12 @@
 import csv
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from evpolicy.cli import main
+from evpolicy.market import save_trace, synthetic_trace
 
 REPLIES_JSONL = "\n".join(json.dumps({"reply": f"```\n{src}\n```"}) for src in [
     "if soc < 0.25 then max_charge_kw",
@@ -83,13 +85,24 @@ class TestSimulate:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"policy_timeout_ms": 50}))
         helper = Path(__file__).parent / "helpers" / "silent_child.py"
-        import sys
         code = main(["simulate", "--synthetic", "days=1", "seed=3",
                      "--policy", f"cmd:{sys.executable} {helper}",
                      "--config", str(config), "--start", "216",
                      "--steps", "20", "--out", str(tmp_path / "run")])
         assert code == 2
         assert "policy fault" in capsys.readouterr().err
+
+    def test_policy_fault_prints_the_candidate_traceback(self, tmp_path,
+                                                         capsys):
+        candidate = tmp_path / "broken.py"
+        candidate.write_text("def decide_power(charge_price\n    return 0\n")
+        code, _ = run_simulate(
+            tmp_path, "--policy",
+            f"cmd:{sys.executable} -m evpolicy.pydriver {candidate}")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("policy fault: policy process closed its stdout")
+        assert "SyntaxError" in err
 
 
 CONFIG_MISTAKES = {
@@ -98,6 +111,8 @@ CONFIG_MISTAKES = {
     "session_missing_fields": {"sessions": [{"arrival_step": 0}]},
     "unknown_reward_mode": {"reward": {"mode": "nrm"}},
     "config_is_a_list": [],
+    "sessions_not_a_list": {"sessions": 5},
+    "trace_schema_not_an_object": {"trace_schema": 5},
 }
 
 
@@ -105,13 +120,29 @@ class TestConfigErrors:
     @pytest.mark.parametrize("config", CONFIG_MISTAKES.values(),
                              ids=CONFIG_MISTAKES.keys())
     def test_config_mistake_is_an_error_line(self, tmp_path, capsys, config):
+        # A trace file, not --synthetic, so that trace_schema is read.
+        trace = tmp_path / "trace.csv"
+        save_trace(synthetic_trace(days=1, seed=3), trace)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-        code, _ = run_simulate(tmp_path, "--policy", "baseline",
-                               "--config", str(path))
+        code = main(["simulate", "--trace", str(trace), "--policy", "baseline",
+                     "--config", str(path), "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_naive_and_aware_timestamps_are_an_error_line(self, tmp_path,
+                                                          capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,load_kw,pv_kw,buy_price,sell_price\n"
+                         "2024-01-01T00:00:00,0.5,0,0.1,0.1\n"
+                         "2024-01-01T00:05:00+00:00,0.5,0,0.1,0.1\n")
+        code = main(["simulate", "--trace", str(trace), "--policy", "idle",
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {trace}: row 2: ")
+        assert "Traceback" not in err
 
     def test_non_integer_synthetic_days(self, tmp_path, capsys):
         code = main(["simulate", "--synthetic", "days=abc", "--policy", "idle",
@@ -231,6 +262,27 @@ class TestEvolveCommand:
         assert code == 0
         assert (out / "run.json").exists()
         assert not (out / "reasoning").exists()
+
+    def test_python_candidates_skip_one_that_does_not_parse(self, tmp_path):
+        sources = ["def decide_power(charge_price\n    return 0",
+                   (Path(__file__).parent / "helpers"
+                    / "price_candidate.py").read_text()]
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text("".join(json.dumps({"reply": f"```\n{src}\n```"})
+                                   + "\n" for src in sources))
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "2",
+                     "--mode", "external_process",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        bad, good = run["iterations"]
+        assert bad["failure"].startswith("policy fault at step ")
+        assert "closed its stdout (exit code 1)" in bad["failure"]
+        assert "SyntaxError" in bad["failure"]
+        assert good["failure"] is None
+        assert run["best_index"] == 1
 
     def test_missing_replies_file_is_config_error(self, tmp_path):
         code = main(["evolve", "--synthetic", "days=1", "seed=3",

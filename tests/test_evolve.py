@@ -6,7 +6,7 @@ from evpolicy.errors import ConfigError, OperatorTransportError
 from evpolicy.evolve import (DEFAULT_QUERY_CADENCE, EvolutionRun,
                              RuntimeLLMPolicy, extract_program, make_feedback,
                              run_evolution, run_runtime_agent)
-from evpolicy.market import synthetic_trace
+from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator, MutationOperator, make_operator
 from evpolicy.rewards import RewardConfig, fit_score
 from evpolicy.runtime import PolicyProgram, make_policy, policy_from_program
@@ -259,6 +259,28 @@ class TestRunEvolution:
                           self.reward_cfg, retry_base_delay=0.0,
                           ledger_entries=self.baseline_ledger(report),
                           n_steps=report.n_steps - 1, reference=report)
+
+    def test_hybrid_prompt_ignores_data_after_the_window(self):
+        # A second day with doubled prices lies outside the evaluated first
+        # day, so the thresholds the prompt recommends must not move.
+        t = self.trace
+        longer = EnvTrace(t.start, t.load_kw * 2, t.pv_kw * 2,
+                          t.buy_price + tuple(2 * p for p in t.buy_price),
+                          t.sell_price + tuple(2 * p for p in t.sell_price))
+        ledger = self.baseline_ledger(self.baseline_report())
+        prompts = []
+        for trace in (t, longer):
+            reference = run_episode(trace, self.sessions, self.battery,
+                                    make_policy("baseline", self.battery),
+                                    self.reward_cfg, 0, len(t))
+            run = run_evolution("hybrid", 1, trace, self.sessions,
+                                self.battery, MockOperator(REPLIES[:1]),
+                                self.reward_cfg, retry_base_delay=0.0,
+                                ledger_entries=ledger, n_steps=len(t),
+                                reference=reference)
+            prompts.append(run.iterations[0].prompt.user_text)
+        assert "RECOMMENDED THRESHOLDS" in prompts[0]
+        assert prompts[1] == prompts[0]
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ConfigError):

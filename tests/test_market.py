@@ -203,6 +203,12 @@ class TestStats:
         assert stats.load_peak_kw == 1.5
         assert stats.pv_peak_kw == 3.25
 
+    def test_window_excludes_other_steps(self):
+        stats = trace_stats(make_trace([0.9, 0.10, 0.12, 0.30, 0.9]), 1, 3)
+        assert stats.n_steps == 3
+        assert (stats.buy_q1, stats.buy_median, stats.buy_q3) == (
+            0.10, 0.12, 0.12)
+
     @given(st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=2,
                     max_size=40))
     @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,44 @@ class TestExternalProcess:
             handle.close()
         assert handle.fault_log == [f"step {i}: timeout waiting for reply"
                                     for i in range(3)]
+
+
+    def test_candidate_that_does_not_parse_faults_at_once(self, tmp_path):
+        # The child exits before its first reply; waiting out the 30 s
+        # timeout would be a stall, not a diagnosis.
+        candidate = tmp_path / "broken.py"
+        candidate.write_text("def decide_power(charge_price\n    return 0\n")
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-m", "evpolicy.pydriver", str(candidate)],
+            timeout_ms=30000)
+        started = time.monotonic()
+        try:
+            with pytest.raises(PolicyFault) as err:
+                handle.decide(make_obs(step_index=0))
+        finally:
+            handle.close()
+        assert time.monotonic() - started < 10
+        assert "closed its stdout (exit code 1)" in str(err.value)
+        assert "SyntaxError" in err.value.diagnostics
+
+    def test_close_reads_stderr_written_after_last_reply(self):
+        # 200 KB is three times a pipe's capacity: the child finishes only
+        # if close() keeps reading, and the tail is the last bytes written.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import sys\n"
+             "for line in sys.stdin:\n"
+             "    if 'protocol' in line: continue\n"
+             "    if 'end' in line: break\n"
+             "    print('0', flush=True)\n"
+             "sys.stderr.write('x' * 200_000 + 'LAST')\n"], timeout_ms=5000)
+        assert handle.decide(make_obs()) == 0.0
+        started = time.monotonic()
+        handle.close()
+        assert time.monotonic() - started < 1.5
+        assert handle._proc.returncode == 0
+        assert handle._stderr_tail().endswith("x" * 100 + "LAST")
+        assert len(handle._stderr_tail()) == STDERR_TAIL_BYTES
 
 
 class TestPydriver:
