@@ -251,9 +251,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         if (reference.start_step, reference.n_steps) != (start_step, n_steps):
             raise ConfigError("reference episode covers a different window")
         fit_examples = _reference_examples(reference)
-    # Only the hybrid prompt quotes statistics: those of the evaluated window.
-    stats = (trace_stats(trace, start_step, n_steps) if strategy == "hybrid"
-             else None)
+    stats = trace_stats(trace, start_step, n_steps)  # the evaluated window
     # The examples are the same in every prompt of the run: render them once.
     examples_block = render_examples(ledger_entries or ())
     out_dir = Path(out_dir) if out_dir is not None else None

@@ -109,7 +109,6 @@ class ExternalProcessPolicy(PolicyHandle):
         for pipe in (self._proc.stdout, self._proc.stderr):
             self._selector.register(pipe, selectors.EVENT_READ)
         self._stdout = b""  # read from stdout, not yet split into lines
-        self._stdout_open = True
         self._stderr = b""  # tail of the child's stderr
         self._consecutive_faults = 0
         self._awaiting_answer = True  # no line from the child read yet
@@ -134,7 +133,6 @@ class ExternalProcessPolicy(PolicyHandle):
             chunk = os.read(key.fd, READ_BYTES)
             if not chunk:
                 self._selector.unregister(key.fileobj)
-                self._stdout_open &= key.fileobj is not self._proc.stdout
             elif key.fileobj is self._proc.stdout:
                 self._stdout += chunk
             else:
@@ -142,8 +140,12 @@ class ExternalProcessPolicy(PolicyHandle):
         return bool(events)
 
     def _drain(self, deadline: float) -> None:
-        """Read both pipes to end of file, or until ``deadline``."""
-        while self._selector.get_map() and self._read_ready(deadline):
+        """Read both pipes to end of file, or until ``deadline``.
+
+        The deadline holds against a child that never stops writing.
+        """
+        while (self._selector.get_map() and time.monotonic() < deadline
+               and self._read_ready(deadline)):
             pass
 
     def _stderr_tail(self) -> str:
@@ -152,9 +154,15 @@ class ExternalProcessPolicy(PolicyHandle):
         return self._stderr.decode(errors="replace")
 
     def _next_line(self, deadline: float) -> str | None:
-        """The child's next stdout line, or None at the deadline."""
+        """The child's next stdout line, or None at the deadline.
+
+        At end of file an unterminated last line is still returned.
+        """
         while (end := self._stdout.find(b"\n")) < 0:
-            if not self._stdout_open:
+            if self._proc.stdout not in self._selector.get_map():
+                if self._stdout:  # an unterminated last line
+                    self._stdout += b"\n"
+                    continue
                 try:
                     status = f"exit code {self._proc.wait(EXIT_WAIT_S)}"
                 except subprocess.TimeoutExpired:

@@ -348,7 +348,6 @@ class TestExternalProcess:
         assert handle.fault_log == [f"step {i}: timeout waiting for reply"
                                     for i in range(3)]
 
-
     def test_candidate_that_does_not_parse_faults_at_once(self, tmp_path):
         # The child exits before its first reply; waiting out the 30 s
         # timeout would be a stall, not a diagnosis.
@@ -385,6 +384,43 @@ class TestExternalProcess:
         assert handle._proc.returncode == 0
         assert handle._stderr_tail().endswith("x" * 100 + "LAST")
         assert len(handle._stderr_tail()) == STDERR_TAIL_BYTES
+
+    def test_close_kills_child_that_never_stops_writing_stderr(self):
+        # A child that never stops writing can find its pipe ready at every
+        # select, here forced so: close() must still kill it at its deadline.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import sys\n"
+             "while True:\n"
+             "    sys.stderr.write('y' * 1000)\n"], timeout_ms=5000)
+        read_ready = handle._read_ready
+        started = time.monotonic()
+
+        def always_ready(deadline):
+            read_ready(deadline)
+            assert time.monotonic() - started < 5, "close() kept reading"
+            return True
+
+        handle._read_ready = always_ready
+        try:
+            handle.close()
+        finally:
+            handle._proc.kill()
+        assert time.monotonic() - started < 3
+        assert handle._proc.returncode == -9  # SIGKILL
+
+    def test_unterminated_last_line_is_the_reply(self):
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import sys\n"
+             "sys.stdin.readline()\n"  # the handshake
+             "sys.stdin.readline()\n"
+             "sys.stdout.write('0.5')\n"], timeout_ms=5000)
+        try:
+            assert handle.decide(make_obs()) == 0.5
+        finally:
+            handle.close()
+        assert handle.fault_log == []
 
 
 class TestPydriver:
