@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "baseline": ("BaselineConfig", "baseline_decide"),
-    "ledgers": ("LedgerEntry", "QuadrantSpec", "build_ledger", "export_ledger",
+    "ledgers": ("LedgerEntry", "build_ledger", "export_ledger",
                 "quadrant_sample", "render_examples"),
     "market": ("EnvTrace", "PriceForecast", "forecast_at", "load_trace",
                "save_trace", "synthetic_trace", "trace_stats"),

@@ -17,8 +17,8 @@ from .operators import make_operator
 from .prompts import STRATEGIES
 from .rewards import RewardConfig
 from .runtime import make_policy
-from .simulation import (BatteryConfig, ConnectionSession, default_n_steps,
-                         default_sessions, read_step_log, run_episode)
+from .simulation import (BatteryConfig, ConnectionSession, default_sessions,
+                         read_step_log, run_episode)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,6 +44,17 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
     return config
+
+
+def _config_number(config: dict, key: str, default, kind=(int, float)):
+    """``config[key]``, or ``default`` when absent; a value that is not a
+    ``kind`` (an int, or by default any real number) is a ConfigError."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key}: expected "
+                          f"{'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    return value
 
 
 def _from_config(cls, fields, section: str):
@@ -109,22 +120,20 @@ def _write_run_config(out_dir: Path, payload: dict) -> None:
 
 def cmd_simulate(args) -> int:
     config, trace, battery, sessions, reward_cfg = _run_inputs(args)
-    n_steps = (args.steps if args.steps is not None
-               else default_n_steps(trace, args.start))
     policy = make_policy(args.policy, battery, options={
         "baseline": config.get("baseline", {}),
-        "timeout_ms": config.get("policy_timeout_ms", 1000),
+        "timeout_ms": _config_number(config, "policy_timeout_ms", 1000),
     })
     try:
         report = run_episode(trace, sessions, battery, policy, reward_cfg,
-                             start_step=args.start, n_steps=n_steps)
+                             start_step=args.start, n_steps=args.steps)
     finally:
         policy.close()
 
     out_dir = Path(args.out)
     _write_run_config(out_dir, {
         "command": "simulate", "policy": args.policy, "seed": args.seed,
-        "start": args.start, "steps": n_steps,
+        "start": args.start, "steps": report.n_steps,
         "trace": args.trace or f"synthetic:{' '.join(args.synthetic or [])}",
         "battery": asdict(battery), "reward": asdict(reward_cfg),
         "sessions": [asdict(s) for s in sessions],
@@ -152,6 +161,7 @@ def cmd_ledger(args) -> int:
 def cmd_evolve(args) -> int:
     strategies = _strategies(args.strategy)
     config, trace, battery, sessions, reward_cfg = _run_inputs(args)
+    retry_base_delay = _config_number(config, "retry_base_delay", 0.5)
 
     # One baseline episode feeds both the ledger examples and the fit
     # reference of the imitation and hybrid strategies.
@@ -159,12 +169,11 @@ def cmd_evolve(args) -> int:
     if any(s in ("imitation", "hybrid") for s in strategies):
         policy = make_policy("baseline", battery, options={
             "baseline": config.get("baseline", {})})
-        n_steps = (args.steps if args.steps is not None
-                   else default_n_steps(trace, args.start))
         base_report = run_episode(trace, sessions, battery, policy, reward_cfg,
-                                  start_step=args.start, n_steps=n_steps)
+                                  start_step=args.start, n_steps=args.steps)
         all_entries = ledgers.build_ledger(base_report.step_rows())
-        n_sample = min(config.get("ledger_examples", 1500), len(all_entries))
+        n_sample = min(_config_number(config, "ledger_examples", 1500, int),
+                       len(all_entries))
         ledger_entries = ledgers.quadrant_sample(all_entries,
                                                  max(4, n_sample),
                                                  seed=args.seed)
@@ -187,7 +196,7 @@ def cmd_evolve(args) -> int:
             ledger_entries=ledger_entries, program_mode=args.mode,
             out_dir=out_root / strategy if len(strategies) > 1 else out_root,
             start_step=args.start, n_steps=args.steps, min_fit=args.min_fit,
-            retry_base_delay=config.get("retry_base_delay", 0.5),
+            retry_base_delay=retry_base_delay,
             reference=base_report)
         best = run.best_index
         value = (run.iterations[best].criterion if best is not None else None)
@@ -195,12 +204,24 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
+def _read_report(path: str) -> dict:
+    """What ``compare`` reads of a ``report.json`` summary."""
+    with open(path) as fh:
+        report = json.load(fh)
+    try:
+        return {"window": (report["start_step"], report["n_steps"]),
+                "total_reward": report["total_reward"],
+                "cycles": report["metrics"]["cycle_count"],
+                "flicker": report["metrics"]["flicker_count"],
+                "soc_violations": report["soc_violations"]}
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: not a report summary "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
 def cmd_compare(args) -> int:
-    with open(args.report_a) as fh:
-        a = json.load(fh)
-    with open(args.report_b) as fh:
-        b = json.load(fh)
-    if (a["start_step"], a["n_steps"]) != (b["start_step"], b["n_steps"]):
+    a, b = _read_report(args.report_a), _read_report(args.report_b)
+    if a["window"] != b["window"]:
         raise ConfigError("reports cover different trace windows")
     ra, rb = a["total_reward"], b["total_reward"]
     if ra != 0 and (ra > 0) == (rb > 0):
@@ -211,12 +232,8 @@ def cmd_compare(args) -> int:
     print(f"{'total_reward':<18}{ra:>14.4f}{rb:>14.4f}")
     print(f"{'relative':<18}{'100.0%':>14}{rel:>14}")
     print(f"{'delta':<18}{0.0:>14.4f}{rb - ra:>14.4f}")
-    print(f"{'cycles':<18}{a['metrics']['cycle_count']:>14}"
-          f"{b['metrics']['cycle_count']:>14}")
-    print(f"{'flicker':<18}{a['metrics']['flicker_count']:>14}"
-          f"{b['metrics']['flicker_count']:>14}")
-    print(f"{'soc_violations':<18}{a['soc_violations']:>14}"
-          f"{b['soc_violations']:>14}")
+    for key in ("cycles", "flicker", "soc_violations"):
+        print(f"{key:<18}{a[key]:>14}{b[key]:>14}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from .rewards import FitReport, RewardConfig, fit_score
 from .runtime import (GuardrailPolicy, PolicyHandle, PolicyProgram,
                       policy_from_program)
 from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
-                         default_n_steps, run_episode)
+                         episode_window, run_episode)
 
 DEFAULT_ITERATIONS = 10
 DEFAULT_QUERY_CADENCE = 60 // STEP_MINUTES  # hourly
@@ -220,10 +220,9 @@ def _reference_examples(report: EpisodeReport) -> list[tuple]:
 def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   sessions: Sequence[ConnectionSession],
                   battery: BatteryConfig, operator: MutationOperator,
-                  reward_cfg: RewardConfig, seed: int = 0,
+                  reward_cfg: RewardConfig, out_dir, seed: int = 0,
                   ledger_entries: Sequence[LedgerEntry] | None = None,
-                  program_mode: str = "builtin_rules",
-                  out_dir=None, start_step: int = 0,
+                  program_mode: str = "builtin_rules", start_step: int = 0,
                   n_steps: int | None = None, min_fit: float | None = None,
                   retry_base_delay: float = 0.5,
                   reference: EpisodeReport | None = None) -> EvolutionRun:
@@ -237,13 +236,18 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     iterations so far are recorded (and ``run.json`` written), then the
     :class:`OperatorTransportError` is raised.
 
+    ``out_dir`` receives ``run.json`` and an ``iter_<k>`` directory per
+    iteration. The window defaults as in :func:`run_episode` and must hold
+    at least one step.
+
     ``reference`` is the baseline episode over the same window; the imitation
     and hybrid strategies score fit against its plugged-in steps.
     """
     if n_iterations < 1:
         raise ConfigError("n_iterations must be >= 1")
-    if n_steps is None:
-        n_steps = default_n_steps(trace, start_step)
+    n_steps = episode_window(trace, start_step, n_steps)
+    if n_steps < 1:
+        raise ConfigError("evolve needs a window of at least one step")
     fit_examples = []
     if strategy in ("imitation", "hybrid"):
         if reference is None:
@@ -254,9 +258,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     stats = trace_stats(trace, start_step, n_steps)  # the evaluated window
     # The examples are the same in every prompt of the run: render them once.
     examples_block = render_examples(ledger_entries or ())
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
 
     iterations: list[IterationRecord] = []
     prior: PolicyProgram | None = None
@@ -264,9 +266,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     transport_error: OperatorTransportError | None = None
 
     for k in range(n_iterations):
-        iter_dir = out_dir / f"iter_{k}" if out_dir is not None else None
-        if iter_dir is not None:
-            iter_dir.mkdir(parents=True, exist_ok=True)
+        iter_dir = out_dir / f"iter_{k}"
+        iter_dir.mkdir(parents=True, exist_ok=True)
 
         bundle = build_prompt(strategy, k + 1, examples_block, stats,
                               prior=prior, feedback=feedback, battery=battery)
@@ -274,9 +275,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                                  program=None, failure=None, report=None,
                                  fit=None, feedback=None, criterion=None)
         iterations.append(record)
-        if iter_dir is not None:
-            (iter_dir / "prompt.txt").write_text(
-                bundle.system_text + "\n\n" + bundle.user_text)
+        (iter_dir / "prompt.txt").write_text(
+            bundle.system_text + "\n\n" + bundle.user_text)
 
         try:
             reply = _complete_with_retry(operator, bundle, retry_base_delay)
@@ -285,8 +285,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             transport_error = exc
             break
         record.reply = reply
-        if iter_dir is not None:
-            (iter_dir / "reply.txt").write_text(reply)
+        (iter_dir / "reply.txt").write_text(reply)
 
         program = extract_program(reply, mode=program_mode,
                                   name=f"{strategy}_iter_{k}")
@@ -295,10 +294,9 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             feedback = _regenerate_feedback(k + 1)
             continue
         record.program = program
-        if iter_dir is not None:
-            (iter_dir / "policy.txt").write_text(program.source_text)
+        (iter_dir / "policy.txt").write_text(program.source_text)
         if program.mode == "external_process":
-            policy_path = ((iter_dir or Path(".")) / "policy.py")
+            policy_path = iter_dir / "policy.py"
             policy_path.write_text(program.source_text)
             program.command = [sys.executable, "-m", "evpolicy.pydriver",
                                str(policy_path)]
@@ -329,8 +327,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                                         iteration=k + 1)
         record.criterion = (fit.fit_score if strategy == "imitation" and fit
                             else report.total_reward)
-        if iter_dir is not None:
-            report.write_summary(iter_dir / "report.json")
+        report.write_summary(iter_dir / "report.json")
         prior = program
         feedback = record.feedback
 
@@ -361,10 +358,9 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         },
         seed=seed,
     )
-    if out_dir is not None:
-        with open(out_dir / "run.json", "w") as fh:
-            json.dump(run.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(out_dir / "run.json", "w") as fh:
+        json.dump(run.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     if transport_error is not None:
         raise transport_error
     return run
@@ -417,8 +413,6 @@ def run_runtime_agent(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                       n_steps: int | None = None,
                       retry_base_delay: float = 0.5) -> EpisodeReport:
     """Online agent episode; the returned report carries a decision log."""
-    if n_steps is None:
-        n_steps = default_n_steps(trace, start_step)
     inner = RuntimeLLMPolicy(operator, query_cadence_steps, battery,
                              retry_base_delay=retry_base_delay)
     policy = GuardrailPolicy(inner, battery)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, EvPolicyError
+from .market import lower_median
 
 QUADRANTS = (
     "low_price_high_solar",
@@ -21,11 +22,6 @@ SOLAR_SPLIT_KW = 0.1  # PV above this counts as high solar
 LEDGER_COLUMNS = ("step", "soc_pct", "charge_price", "discharge_price",
                   "pv_kw", "load_kw", "ttd_min", "action_kw", "reward",
                   "quadrant")
-
-
-@dataclass(frozen=True)
-class QuadrantSpec:
-    price_split: float
 
 
 @dataclass(frozen=True)
@@ -43,19 +39,12 @@ class LedgerEntry:
 
 
 def classify_quadrant(charge_price: float, pv_kw: float,
-                      spec: QuadrantSpec) -> str:
-    high_price = charge_price > spec.price_split
+                      price_split: float) -> str:
+    high_price = charge_price > price_split
     high_solar = pv_kw > SOLAR_SPLIT_KW
     if high_price:
         return "high_price_high_solar" if high_solar else "high_price_no_solar"
     return "low_price_high_solar" if high_solar else "low_price_no_solar"
-
-
-def default_quadrant_spec(prices: Sequence[float]) -> QuadrantSpec:
-    if not prices:
-        raise ConfigError("cannot derive a price split from no prices")
-    ordered = sorted(prices)
-    return QuadrantSpec(price_split=ordered[(len(ordered) - 1) // 2])
 
 
 def build_ledger(rows: Iterable[dict]) -> list[LedgerEntry]:
@@ -67,7 +56,7 @@ def build_ledger(rows: Iterable[dict]) -> list[LedgerEntry]:
     rows = list(rows)
     if not rows:
         raise ConfigError("cannot build a ledger from no steps")
-    spec = default_quadrant_spec([r["charge_price"] for r in rows])
+    price_split = lower_median([r["charge_price"] for r in rows])
     return [LedgerEntry(
         step=int(r["step"]),
         soc_pct=r["soc"] * 100.0,
@@ -78,7 +67,7 @@ def build_ledger(rows: Iterable[dict]) -> list[LedgerEntry]:
         ttd_min=r["ttd_min"],
         action_kw=r["applied_kw"],
         reward=r["step_reward"],
-        quadrant=classify_quadrant(r["charge_price"], r["pv_kw"], spec),
+        quadrant=classify_quadrant(r["charge_price"], r["pv_kw"], price_split),
     ) for r in rows]
 
 

@@ -72,29 +72,23 @@ class EnvTrace:
         return self.buy_price + self.buy_price[-1:] * FORECAST_STEPS
 
 
-def _check_prices(values: tuple[float, ...], expected: int) -> None:
-    if len(values) != expected:
-        raise TraceValidationError(
-            f"forecast has {len(values)} values, expected {expected}")
-    if not all(map(math.isfinite, values)):
-        raise TraceValidationError("forecast contains non-finite values")
-
-
 class PriceForecast:
     """Buy prices for the ``horizon_steps`` steps after an observation.
 
     A read-only window on a price column: ``values`` is a tuple sliced on each
     read and never stored, so building a forecast copies no prices. Direct
-    construction validates ``values``; :func:`forecast_at` windows a column
-    its trace validated once.
+    construction takes the values themselves, which must be finite, and the
+    horizon is their count; :func:`forecast_at` windows a column its trace
+    validated once.
     """
 
     __slots__ = ("horizon_steps", "_column", "_start")
 
-    def __init__(self, horizon_steps: int, values: Sequence[float]):
+    def __init__(self, values: Sequence[float]):
         values = tuple(values)
-        _check_prices(values, horizon_steps)
-        self.horizon_steps, self._column, self._start = horizon_steps, values, 0
+        if not all(map(math.isfinite, values)):
+            raise TraceValidationError("forecast contains non-finite values")
+        self.horizon_steps, self._column, self._start = len(values), values, 0
 
     @classmethod
     def window(cls, column: tuple[float, ...], start: int,
@@ -117,15 +111,13 @@ class PriceForecast:
     def __eq__(self, other):
         if not isinstance(other, PriceForecast):
             return NotImplemented
-        return (self.horizon_steps == other.horizon_steps
-                and self.values == other.values)
+        return self.values == other.values
 
     def __hash__(self):
-        return hash((self.horizon_steps, self.values))
+        return hash(self.values)
 
     def __repr__(self):
-        return (f"PriceForecast(horizon_steps={self.horizon_steps}, "
-                f"values={self.values!r})")
+        return f"PriceForecast({self.values!r})"
 
 
 def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
@@ -207,46 +199,25 @@ def forecast_at(trace: EnvTrace, step_index: int) -> PriceForecast:
                                 FORECAST_STEPS)
 
 
-def _lower_order_stat(sorted_vals: Sequence[float], q: float) -> float:
-    # Lower-middle convention: the statistic is always an observed value.
-    return sorted_vals[int(q * (len(sorted_vals) - 1))]
+def lower_median(values: Sequence[float]) -> float:
+    """The lower of the two middle values (the middle one for an odd count),
+    so the median is always an observed value."""
+    return sorted(values)[(len(values) - 1) // 2]
 
 
 @dataclass(frozen=True)
 class TraceStats:
-    n_steps: int
     buy_median: float
-    buy_q1: float
-    buy_q3: float
     sell_median: float
-    sell_q1: float
-    sell_q3: float
-    pv_peak_kw: float
-    load_peak_kw: float
-
-    @property
-    def buy_iqr(self) -> float:
-        return self.buy_q3 - self.buy_q1
 
 
 def trace_stats(trace: EnvTrace, start_step: int = 0,
                 n_steps: int | None = None) -> TraceStats:
-    """Exact order statistics of steps ``[start_step, start_step + n_steps)``,
-    by default the whole trace (lower-middle median convention)."""
+    """Lower medians of the buy and sell prices of steps
+    ``[start_step, start_step + n_steps)``, by default the whole trace."""
     window = slice(start_step, None if n_steps is None else start_step + n_steps)
-    buys = sorted(trace.buy_price[window])
-    sells = sorted(trace.sell_price[window])
-    return TraceStats(
-        n_steps=len(buys),
-        buy_median=_lower_order_stat(buys, 0.5),
-        buy_q1=_lower_order_stat(buys, 0.25),
-        buy_q3=_lower_order_stat(buys, 0.75),
-        sell_median=_lower_order_stat(sells, 0.5),
-        sell_q1=_lower_order_stat(sells, 0.25),
-        sell_q3=_lower_order_stat(sells, 0.75),
-        pv_peak_kw=max(trace.pv_kw[window]),
-        load_peak_kw=max(trace.load_kw[window]),
-    )
+    return TraceStats(buy_median=lower_median(trace.buy_price[window]),
+                      sell_median=lower_median(trace.sell_price[window]))
 
 
 def synthetic_trace(days: int = 7, seed: int = 0) -> EnvTrace:

@@ -128,8 +128,9 @@ def make_operator(spec: str, http_config: dict | None = None) -> MutationOperato
         return MockOperator.from_jsonl(path)
     if spec == "http":
         cfg = http_config or {}
-        if "url" not in cfg or "model" not in cfg:
-            raise ConfigError("http operator needs 'url' and 'model' settings")
+        if not isinstance(cfg, dict) or "url" not in cfg or "model" not in cfg:
+            raise ConfigError("http operator needs an object with 'url' and "
+                              f"'model' settings, got {cfg!r}")
         return HttpChatOperator(
             url=cfg["url"], model=cfg["model"],
             temperature=cfg.get("temperature", 0.2),

@@ -8,7 +8,6 @@ import selectors
 import shlex
 import subprocess
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,7 +86,9 @@ class ExternalProcessPolicy(PolicyHandle):
     and its stderr, so a chatty child never blocks on a full pipe; only the
     last ``STDERR_TAIL_BYTES`` of stderr are kept for diagnostics. End of
     file on stdout is a :class:`PolicyFault` at once, naming the child's
-    exit code. ``select`` on pipes makes this class POSIX-only.
+    exit code. The child's stdin is non-blocking: a request the child does
+    not read before the decision deadline is a :class:`PolicyFault` too.
+    ``select`` on pipes makes this class POSIX-only.
 
     A v2 child answers the handshake with ``{"protocol": "v2g-policy/2",
     "forecast": <bool>}`` as its first line; requests omit ``forecast`` once
@@ -105,6 +106,7 @@ class ExternalProcessPolicy(PolicyHandle):
                 stderr=subprocess.PIPE)
         except OSError as exc:
             raise PolicySpawnError(f"cannot spawn {argv!r}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self._selector = selectors.DefaultSelector()
         for pipe in (self._proc.stdout, self._proc.stderr):
             self._selector.register(pipe, selectors.EVENT_READ)
@@ -117,19 +119,44 @@ class ExternalProcessPolicy(PolicyHandle):
         self._send(PROTOCOL_HANDSHAKE)
 
     def _send(self, payload: dict) -> None:
+        """Write one request line within ``timeout_s``, most often in one
+        write; while the child's stdin is full, read its output meanwhile."""
+        deadline = time.monotonic() + self.timeout_s
+        data = json.dumps(payload).encode() + b"\n"
+        if (written := self._write(data)) == len(data):
+            return
+        stdin = self._proc.stdin
+        self._selector.register(stdin, selectors.EVENT_WRITE)
         try:
-            self._proc.stdin.write(json.dumps(payload).encode() + b"\n")
-            self._proc.stdin.flush()
+            while (data := data[written:]) and time.monotonic() < deadline:
+                self._read_ready(deadline)
+                written = self._write(data)
+        finally:
+            self._selector.unregister(stdin)
+        if data:
+            raise PolicyFault("policy process did not read its request within "
+                              f"{self.timeout_s:g} s",
+                              diagnostics=self._stderr_tail())
+
+    def _write(self, data: bytes) -> int:
+        """How much of ``data`` the child's stdin takes without blocking."""
+        try:
+            return os.write(self._proc.stdin.fileno(), data)
+        except BlockingIOError:
+            return 0
         except OSError:  # the child has exited; the end of file on its
-            pass         # stdout reports it, with the exit code
+            return len(data)  # stdout reports it, with the exit code
 
     def _read_ready(self, deadline: float) -> bool:
-        """Read what the child writes before ``deadline``; False if nothing.
+        """Read what the child writes before ``deadline``; False if no
+        selected pipe was ready.
 
         A pipe at end of file leaves the selector.
         """
         events = self._selector.select(max(0.0, deadline - time.monotonic()))
         for key, _ in events:
+            if key.fileobj is self._proc.stdin:
+                continue  # writable: the caller writes
             chunk = os.read(key.fd, READ_BYTES)
             if not chunk:
                 self._selector.unregister(key.fileobj)
@@ -188,8 +215,9 @@ class ExternalProcessPolicy(PolicyHandle):
         }
         if self._send_forecast:
             request["forecast"] = list(obs.forecast.values)
+        deadline = time.monotonic() + self.timeout_s
         self._send(request)
-        reply = self._read_reply(obs, time.monotonic() + self.timeout_s)
+        reply = self._read_reply(obs, deadline)
         if reply is None:
             self._owed_replies += 1
             return self._fault(obs, "timeout waiting for reply")
@@ -242,15 +270,14 @@ class ExternalProcessPolicy(PolicyHandle):
         return 0.0
 
     def close(self) -> None:
-        """Send ``end``, read both pipes to end of file, then reap the child.
+        """Send ``end`` if the child's stdin takes it, read both pipes to end
+        of file, then reap the child.
 
         A child still running at the deadline is killed.
         """
-        with suppress(OSError):  # the child has exited
-            if self._proc.poll() is None:
-                self._proc.stdin.write(b'{"end": true}\n')
-        with suppress(OSError):  # unflushed bytes for a child that has exited
-            self._proc.stdin.close()
+        if not self._proc.stdin.closed:  # close() may run twice
+            self._write(b'{"end": true}\n')
+        self._proc.stdin.close()
         deadline = time.monotonic() + CLOSE_WAIT_S
         self._drain(deadline)
         try:

@@ -107,36 +107,6 @@ class StepRecord(NamedTuple):
     step_reward: float
 
 
-class _RecordView(Sequence):
-    """Read-only sequence of an episode's :class:`StepRecord`s, each built
-    when it is read."""
-
-    __slots__ = ("_report",)
-
-    def __init__(self, report: EpisodeReport):
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report.applied_kw)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._report._record(k)
-                    for k in range(*i.indices(len(self)))]
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"record index {i} out of range")
-        return self._report._record(i % n)
-
-    def __iter__(self) -> Iterator[StepRecord]:
-        return map(self._report._record, range(len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, _RecordView)):
-            return list(self) == list(other)
-        return NotImplemented
-
-
 @dataclass
 class EpisodeReport:
     """An episode's totals and its step log, stored as one list per field.
@@ -144,9 +114,8 @@ class EpisodeReport:
     Entry ``i`` of each column belongs to trace step ``start_step + i``:
     ``step_sessions`` holds the session plugged in then (None when the EV is
     away), ``soc`` the SoC before the step and ``soc_after`` the SoC after
-    it. Prices, load and PV stay in ``trace``'s columns. ``records`` is a
-    read-only view that builds each :class:`StepRecord` on demand,
-    observation included.
+    it. Prices, load and PV stay in ``trace``'s columns. ``records`` builds
+    the :class:`StepRecord`s, observations included, each time it is read.
     """
 
     trace: EnvTrace
@@ -204,8 +173,8 @@ class EpisodeReport:
             fh.write("\n")
 
     @property
-    def records(self) -> Sequence[StepRecord]:
-        return _RecordView(self)
+    def records(self) -> list[StepRecord]:
+        return [self._record(i) for i in range(self.n_steps)]
 
     def observation(self, i: int) -> Observation:
         """What the policy saw at column entry ``i``, trace step
@@ -380,11 +349,25 @@ def default_n_steps(trace: EnvTrace, start_step: int) -> int:
     return min(DEFAULT_EPISODE_STEPS, len(trace) - start_step)
 
 
+def episode_window(trace: EnvTrace, start_step: int,
+                   n_steps: int | None) -> int:
+    """``n_steps``, or :func:`default_n_steps` when it is None, checked to
+    keep ``[start_step, start_step + n_steps)`` inside ``trace``."""
+    if n_steps is None:
+        n_steps = default_n_steps(trace, start_step)
+    if start_step < 0 or n_steps < 0 or start_step + n_steps > len(trace):
+        raise ConfigError(
+            f"window [{start_step}, {start_step + n_steps}) outside trace "
+            f"of length {len(trace)}")
+    return n_steps
+
+
 def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                 battery: BatteryConfig, policy, reward_cfg: RewardConfig,
                 start_step: int = 0,
-                n_steps: int = DEFAULT_EPISODE_STEPS) -> EpisodeReport:
-    """Deterministic rollout of ``policy`` over ``n_steps`` trace steps.
+                n_steps: int | None = None) -> EpisodeReport:
+    """Deterministic rollout of ``policy`` over ``n_steps`` trace steps, by
+    default :func:`default_n_steps`.
 
     Only plugged-in steps build an :class:`Observation` and reach
     ``policy.decide``; a step with the EV away applies 0 kW and keeps the
@@ -393,10 +376,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     departure falls inside the simulated window. Policy faults abort with a
     :class:`PolicyFault` carrying the failing step index.
     """
-    if start_step < 0 or n_steps < 0 or start_step + n_steps > len(trace):
-        raise ConfigError(
-            f"window [{start_step}, {start_step + n_steps}) outside trace "
-            f"of length {len(trace)}")
+    n_steps = episode_window(trace, start_step, n_steps)
     sessions = sorted(sessions, key=lambda s: s.arrival_step)
     validate_sessions(sessions, battery)
     step_sessions = _session_index(sessions, start_step, start_step + n_steps)

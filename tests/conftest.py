@@ -26,8 +26,7 @@ def make_obs(step_index=0, charge_price=0.15, discharge_price=None, soc=0.5,
     if discharge_price is None:
         discharge_price = charge_price
     if forecast is None:
-        forecast = PriceForecast(horizon_steps=4,
-                                 values=(charge_price,) * 4)
+        forecast = PriceForecast((charge_price,) * 4)
     return Observation(step_index=step_index, charge_price=charge_price,
                        discharge_price=discharge_price, soc=soc,
                        ttd_minutes=ttd_minutes, load_kw=load_kw, pv_kw=pv_kw,

@@ -1,5 +1,6 @@
 import csv
 import json
+import socket
 import sys
 from pathlib import Path
 
@@ -152,6 +153,60 @@ class TestConfigErrors:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def closed_port_url():
+    """An http URL on this host where nothing listens."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}/"
+
+
+WRONG_TYPES = {
+    "operator_not_an_object": (
+        {"operator": 5}, ["evolve", "--operator", "http"]),
+    "ledger_examples_not_an_integer": (
+        {"ledger_examples": "x"}, ["evolve", "--operator", "mock:{replies}"]),
+    "policy_timeout_not_a_number": (
+        {"policy_timeout_ms": "abc"},
+        ["simulate", "--policy",
+         "cmd:{python} -m evpolicy.pydriver {helpers}/price_candidate.py"]),
+    "retry_delay_not_a_number": (
+        {"retry_base_delay": "x", "operator": {"url": "{url}", "model": "m"}},
+        ["evolve", "--strategy", "reasoning", "--operator", "http"]),
+}
+
+
+class TestWrongTypes:
+    @pytest.mark.parametrize("config,command", WRONG_TYPES.values(),
+                             ids=WRONG_TYPES.keys())
+    def test_wrong_type_is_an_error_line(self, tmp_path, capsys, config,
+                                         command):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        fields = {"replies": replies, "python": sys.executable,
+                  "helpers": Path(__file__).parent / "helpers",
+                  "url": closed_port_url()}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config).replace("{url}", fields["url"]))
+        code = main([*(arg.format(**fields) for arg in command),
+                     "--synthetic", "days=1", "seed=3", "--config", str(path),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_compare_given_a_run_json_is_an_error_line(self, tmp_path,
+                                                       capsys):
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({"strategy": "reasoning", "seed": 0,
+                                   "config": {}, "best_index": None,
+                                   "iterations": []}))
+        code = main(["compare", str(run), summary(tmp_path, "b.json", 1.0)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {run}: not a report summary")
+        assert err.count("\n") == 1
+
+
 class TestLedgerCommand:
     def test_ledger_from_step_log(self, tmp_path, capsys):
         _, out = run_simulate(tmp_path)
@@ -283,6 +338,19 @@ class TestEvolveCommand:
         assert "SyntaxError" in bad["failure"]
         assert good["failure"] is None
         assert run["best_index"] == 1
+
+    @pytest.mark.parametrize("window", [["--steps", "0"], ["--start", "300"]],
+                             ids=["empty", "past-the-end"])
+    def test_bad_window_is_an_error_line(self, tmp_path, capsys, window):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "1",
+                     "--operator", f"mock:{replies}",
+                     "--out", str(tmp_path / "evo"), *window])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_replies_file_is_config_error(self, tmp_path):
         code = main(["evolve", "--synthetic", "days=1", "seed=3",

@@ -146,8 +146,8 @@ class TestRunEvolution:
                              self.battery, operator, self.reward_cfg,
                              seed=0, retry_base_delay=0.0, **kw)
 
-    def test_selects_peak_candidate(self):
-        run = self.evolve(MockOperator(REPLIES))
+    def test_selects_peak_candidate(self, tmp_path):
+        run = self.evolve(MockOperator(REPLIES), out_dir=tmp_path)
         rewards = [it.report.total_reward for it in run.iterations]
         assert rewards[0] < rewards[1] < rewards[2]
         assert rewards[3] < rewards[2] and rewards[4] < rewards[2]
@@ -165,27 +165,29 @@ class TestRunEvolution:
             dumps.append((out / "run.json").read_bytes())
         assert dumps[0] == dumps[1]
 
-    def test_extraction_failure_recorded_and_skipped(self):
+    def test_extraction_failure_recorded_and_skipped(self, tmp_path):
         replies = ["no code here, sorry"] + REPLIES[:2]
         run = run_evolution("reasoning", 3, self.trace, self.sessions,
                             self.battery, MockOperator(replies),
-                            self.reward_cfg, retry_base_delay=0.0)
+                            self.reward_cfg, retry_base_delay=0.0,
+                            out_dir=tmp_path)
         assert run.iterations[0].failure.startswith("extraction failure")
         assert run.best_index == 2
 
-    def test_parse_error_recorded_and_skipped(self):
+    def test_parse_error_recorded_and_skipped(self, tmp_path):
         replies = ["```\nif soc > bogus_field then 7\n```"] + REPLIES[:1]
         run = run_evolution("reasoning", 2, self.trace, self.sessions,
                             self.battery, MockOperator(replies),
-                            self.reward_cfg, retry_base_delay=0.0)
+                            self.reward_cfg, retry_base_delay=0.0,
+                            out_dir=tmp_path)
         assert "policy construction failed" in run.iterations[0].failure
         assert run.best_index == 1
 
-    def test_transport_retry_then_success(self):
+    def test_transport_retry_then_success(self, tmp_path):
         operator = _FlakyOperator(2, REPLIES[0])
         run = run_evolution("reasoning", 1, self.trace, self.sessions,
                             self.battery, operator, self.reward_cfg,
-                            retry_base_delay=0.0)
+                            retry_base_delay=0.0, out_dir=tmp_path)
         assert operator.request_count == 3
         assert run.iterations[0].failure is None
 
@@ -212,18 +214,19 @@ class TestRunEvolution:
         from evpolicy.ledgers import build_ledger, quadrant_sample
         return quadrant_sample(build_ledger(report.step_rows()), n, seed=0)
 
-    def test_min_fit_floor_filters_selection(self):
+    def test_min_fit_floor_filters_selection(self, tmp_path):
         report = self.baseline_report()
         run = run_evolution("hybrid", 2, self.trace, self.sessions,
                             self.battery, MockOperator(REPLIES[:2]),
-                            self.reward_cfg, retry_base_delay=0.0,
+                            self.reward_cfg, out_dir=tmp_path,
+                            retry_base_delay=0.0,
                             ledger_entries=self.baseline_ledger(report),
                             min_fit=2.0, reference=report)
         # an impossible fit floor leaves nothing selectable
         assert all(it.fit is not None for it in run.iterations)
         assert run.best_index is None
 
-    def test_imitation_selects_on_fit(self):
+    def test_imitation_selects_on_fit(self, tmp_path):
         baseline_like = ("if soc < 0.2 then max_charge_kw\n"
                          "if discharge_price >= 0.35 and soc > 0.2 then "
                          "-max_discharge_kw\n"
@@ -235,7 +238,8 @@ class TestRunEvolution:
         report = self.baseline_report()
         run = run_evolution("imitation", 2, self.trace, self.sessions,
                             self.battery, MockOperator(replies),
-                            self.reward_cfg, retry_base_delay=0.0,
+                            self.reward_cfg, out_dir=tmp_path,
+                            retry_base_delay=0.0,
                             ledger_entries=self.baseline_ledger(report),
                             reference=report)
         fits = [it.fit.fit_score for it in run.iterations]
@@ -243,24 +247,26 @@ class TestRunEvolution:
         assert run.best_index == 1
         assert run.iterations[1].criterion == fits[1]
 
-    def test_fit_strategies_need_a_reference(self):
+    def test_fit_strategies_need_a_reference(self, tmp_path):
         with pytest.raises(ConfigError, match="reference"):
             run_evolution("hybrid", 1, self.trace, self.sessions,
                           self.battery, MockOperator(REPLIES[:1]),
-                          self.reward_cfg, retry_base_delay=0.0,
+                          self.reward_cfg, out_dir=tmp_path,
+                          retry_base_delay=0.0,
                           ledger_entries=self.baseline_ledger(
                               self.baseline_report()))
 
-    def test_reference_window_must_match(self):
+    def test_reference_window_must_match(self, tmp_path):
         report = self.baseline_report()
         with pytest.raises(ConfigError, match="window"):
             run_evolution("imitation", 1, self.trace, self.sessions,
                           self.battery, MockOperator(REPLIES[:1]),
-                          self.reward_cfg, retry_base_delay=0.0,
+                          self.reward_cfg, out_dir=tmp_path,
+                          retry_base_delay=0.0,
                           ledger_entries=self.baseline_ledger(report),
                           n_steps=report.n_steps - 1, reference=report)
 
-    def test_hybrid_prompt_ignores_data_after_the_window(self):
+    def test_hybrid_prompt_ignores_data_after_the_window(self, tmp_path):
         # A second day with doubled prices lies outside the evaluated first
         # day, so the thresholds the prompt recommends must not move.
         t = self.trace
@@ -275,18 +281,19 @@ class TestRunEvolution:
                                     self.reward_cfg, 0, len(t))
             run = run_evolution("hybrid", 1, trace, self.sessions,
                                 self.battery, MockOperator(REPLIES[:1]),
-                                self.reward_cfg, retry_base_delay=0.0,
+                                self.reward_cfg, out_dir=tmp_path,
+                                retry_base_delay=0.0,
                                 ledger_entries=ledger, n_steps=len(t),
                                 reference=reference)
             prompts.append(run.iterations[0].prompt.user_text)
         assert "RECOMMENDED THRESHOLDS" in prompts[0]
         assert prompts[1] == prompts[0]
 
-    def test_rejects_zero_iterations(self):
+    def test_rejects_zero_iterations(self, tmp_path):
         with pytest.raises(ConfigError):
             run_evolution("reasoning", 0, self.trace, self.sessions,
                           self.battery, MockOperator(REPLIES),
-                          self.reward_cfg)
+                          self.reward_cfg, out_dir=tmp_path)
 
     def test_feedback_prompt_references_previous_reward(self, tmp_path):
         out = tmp_path / "run"

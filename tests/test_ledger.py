@@ -1,11 +1,11 @@
 import pytest
 
 from evpolicy.errors import ConfigError
-from evpolicy.ledgers import (QUADRANTS, LedgerEntry, QuadrantSpec,
-                              action_summary, build_ledger, classify_quadrant,
-                              default_quadrant_spec, export_ledger,
+from evpolicy.ledgers import (QUADRANTS, LedgerEntry, action_summary,
+                              build_ledger, classify_quadrant, export_ledger,
                               format_entry, load_ledger, quadrant_sample,
                               render_examples)
+from evpolicy.market import lower_median
 
 
 def entry(step, quadrant, action_kw=0.0, soc_pct=45.0, charge_price=0.18,
@@ -28,25 +28,22 @@ def synthetic_ledger(per_quadrant):
 
 
 class TestClassification:
-    SPEC = QuadrantSpec(price_split=0.20)
+    SPLIT = 0.20
 
     def test_four_corners(self):
-        assert classify_quadrant(0.30, 2.0, self.SPEC) == "high_price_high_solar"
-        assert classify_quadrant(0.30, 0.0, self.SPEC) == "high_price_no_solar"
-        assert classify_quadrant(0.10, 2.0, self.SPEC) == "low_price_high_solar"
-        assert classify_quadrant(0.10, 0.0, self.SPEC) == "low_price_no_solar"
+        assert classify_quadrant(0.30, 2.0, self.SPLIT) == "high_price_high_solar"
+        assert classify_quadrant(0.30, 0.0, self.SPLIT) == "high_price_no_solar"
+        assert classify_quadrant(0.10, 2.0, self.SPLIT) == "low_price_high_solar"
+        assert classify_quadrant(0.10, 0.0, self.SPLIT) == "low_price_no_solar"
 
     def test_boundary_is_low(self):
         # exactly at a split counts as the low side of that split
-        assert classify_quadrant(0.20, 0.1, self.SPEC) == "low_price_no_solar"
+        assert classify_quadrant(0.20, 0.1, self.SPLIT) == "low_price_no_solar"
 
-    def test_default_spec_uses_lower_middle_median(self):
-        spec = default_quadrant_spec([0.4, 0.1, 0.3, 0.2])
-        assert spec.price_split == 0.2
-
-    def test_default_spec_rejects_empty(self):
+    def test_price_split_is_lower_median(self):
+        assert lower_median([0.4, 0.1, 0.3, 0.2]) == 0.2
         with pytest.raises(ConfigError):
-            default_quadrant_spec([])
+            build_ledger([])
 
 
 class TestQuadrantSample:

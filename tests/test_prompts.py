@@ -11,9 +11,7 @@ from evpolicy.simulation import BatteryConfig
 from tests.conftest import make_obs
 from tests.test_ledger import entry
 
-STATS = TraceStats(n_steps=288, buy_median=0.12, buy_q1=0.09, buy_q3=0.2,
-                   sell_median=0.25, sell_q1=0.15, sell_q3=0.33,
-                   pv_peak_kw=5.0, load_peak_kw=2.5)
+STATS = TraceStats(buy_median=0.12, sell_median=0.25)
 
 
 def some_entries(n_charge=3, n_discharge=1, n_idle=2):
@@ -136,6 +134,6 @@ class TestStatePrompt:
 
     def test_forecast_aggregates(self):
         from evpolicy.market import PriceForecast
-        fc = PriceForecast(horizon_steps=4, values=(0.1, 0.2, 0.3, 0.4))
+        fc = PriceForecast((0.1, 0.2, 0.3, 0.4))
         bundle = build_state_prompt(make_obs(forecast=fc))
         assert "min 0.1000, mean 0.2500, max 0.4000" in bundle.user_text

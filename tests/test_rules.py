@@ -80,12 +80,12 @@ class TestEvaluation:
         script = parse_rule_script(
             "if fc_max(288) > 2 * charge_price then 7\n"
             "if soc > 0 then 1")
-        fc = PriceForecast(horizon_steps=288, values=(0.2,) * 288)
+        fc = PriceForecast((0.2,) * 288)
         obs = make_obs(charge_price=0.2, forecast=fc)
         assert evaluate_rules(script, obs) == 1.0
 
     def test_forecast_mean_and_min(self):
-        fc = PriceForecast(horizon_steps=4, values=(0.1, 0.2, 0.3, 0.4))
+        fc = PriceForecast((0.1, 0.2, 0.3, 0.4))
         obs = make_obs(forecast=fc)
         script = parse_rule_script("if fc_mean(4) >= 0.25 then fc_min(2)")
         assert evaluate_rules(script, obs) == pytest.approx(0.1)
@@ -208,7 +208,7 @@ class TestNestingLimits:
     @pytest.mark.parametrize("source", AT_LIMIT.values(), ids=AT_LIMIT.keys())
     def test_script_at_the_limit_runs_and_round_trips(self, source):
         script = parse_rule_script(source)
-        fc = PriceForecast(horizon_steps=4, values=(0.1, 0.4, 0.2, 0.3))
+        fc = PriceForecast((0.1, 0.4, 0.2, 0.3))
         for obs in (make_obs(soc=0.5, forecast=fc), make_obs(soc=0.0)):
             fast, slow = [], []
             assert (evaluate_rules(script, obs, fast)
@@ -304,7 +304,7 @@ class TestCompiledMatchesReference:
              obs_list=[make_obs()])
     # A mean summed in another order rounds differently: 0.1 * 10 != 1.
     @example(source="if soc >= 0 then fc_mean(10)", obs_list=[make_obs(
-        forecast=PriceForecast(horizon_steps=10, values=(0.1,) * 10))])
+        forecast=PriceForecast((0.1,) * 10))])
     def test_same_value_and_faults(self, source, obs_list):
         try:
             script = parse_rule_script(source)

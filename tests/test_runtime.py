@@ -2,8 +2,10 @@ import io
 import json
 import math
 import random
+import signal
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from evpolicy import pydriver
 from evpolicy.errors import PolicyFault, PolicySpawnError
-from evpolicy.market import synthetic_trace
+from evpolicy.market import forecast_at, synthetic_trace
 from evpolicy.rewards import RewardConfig
 from evpolicy.runtime import (ExternalProcessPolicy, GuardrailPolicy,
                               NativePolicy, PolicyProgram, RuleScriptPolicy,
@@ -63,6 +65,23 @@ def record_requests(handle):
 
     handle._send = recording
     return sent
+
+
+@contextmanager
+def hard_time_limit(seconds):
+    """Fail the test after ``seconds``, even from inside a blocking system
+    call. ``pytest.fail`` raises a BaseException, so no ``except OSError``
+    in the code under test swallows it."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # Replies "1" to a request that carries the forecast and "2" to one without.
@@ -408,6 +427,33 @@ class TestExternalProcess:
             handle._proc.kill()
         assert time.monotonic() - started < 3
         assert handle._proc.returncode == -9  # SIGKILL
+
+    def test_child_that_stops_reading_faults_at_the_deadline(self):
+        # The child prints a reply every millisecond but never reads its
+        # stdin, which requests carrying a 288-price forecast fill within a
+        # dozen steps; a blocking write there would never return.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import time\n"
+             "while True:\n"
+             "    print('0', flush=True)\n"
+             "    time.sleep(0.001)\n"], timeout_ms=1000)
+        obs = make_obs()._replace(
+            forecast=forecast_at(synthetic_trace(days=1), 0))
+        started = time.monotonic()
+        try:
+            with hard_time_limit(20):
+                with pytest.raises(PolicyFault,
+                                   match="did not read its request"):
+                    for i in range(1000):
+                        handle.decide(obs._replace(step_index=i))
+                faulted = time.monotonic() - started
+                handle.close()
+        finally:
+            handle._proc.kill()  # if close() did not return
+        assert faulted < 5
+        assert time.monotonic() - started < 10
+        assert handle._proc.returncode == -9  # killed by close()
 
     def test_unterminated_last_line_is_the_reply(self):
         handle = ExternalProcessPolicy(

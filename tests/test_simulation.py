@@ -15,8 +15,8 @@ from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
 from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
 from evpolicy.simulation import (UNPLUGGED_SOC, BatteryConfig,
                                  ConnectionSession, StepRecord, apply_action,
-                                 default_sessions, observation_at,
-                                 run_episode, session_at)
+                                 default_n_steps, default_sessions,
+                                 observation_at, run_episode, session_at)
 from tests.conftest import make_obs
 
 DATA = Path(__file__).parent / "data"
@@ -262,6 +262,19 @@ class TestRunEpisode:
             with pytest.raises(ConfigError):
                 run_episode(fixture_trace, fixture_sessions, battery, policy,
                             RewardConfig(), start, n_steps)
+
+    def test_default_window_is_default_n_steps(self, battery):
+        # A 1-day trace is shorter than the 1500-step default episode.
+        trace = synthetic_trace(days=1, seed=4)
+        sessions = default_sessions(trace)
+        default, explicit = (
+            run_episode(trace, sessions, battery,
+                        make_policy("baseline", battery), RewardConfig(),
+                        0, *n_steps)
+            for n_steps in ((), (default_n_steps(trace, 0),)))
+        assert default.n_steps == len(trace)
+        assert default.summary_dict() == explicit.summary_dict()
+        assert default.applied_kw == explicit.applied_kw
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
