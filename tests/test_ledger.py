@@ -40,8 +40,10 @@ class TestClassification:
         # exactly at a split counts as the low side of that split
         assert classify_quadrant(0.20, 0.1, self.SPLIT) == "low_price_no_solar"
 
-    def test_price_split_is_lower_median(self):
+    def test_default_spec_uses_lower_middle_median(self):
         assert lower_median([0.4, 0.1, 0.3, 0.2]) == 0.2
+
+    def test_default_spec_rejects_empty(self):
         with pytest.raises(ConfigError):
             build_ledger([])
 
