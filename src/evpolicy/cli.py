@@ -162,6 +162,7 @@ def cmd_evolve(args) -> int:
     strategies = _strategies(args.strategy)
     config, trace, battery, sessions, reward_cfg = _run_inputs(args)
     retry_base_delay = _config_number(config, "retry_base_delay", 0.5)
+    evolve_mod.evolve_window(trace, args.start, args.steps, args.iters)
 
     # One baseline episode feeds both the ledger examples and the fit
     # reference of the imitation and hybrid strategies.
@@ -178,6 +179,11 @@ def cmd_evolve(args) -> int:
                                                  max(4, n_sample),
                                                  seed=args.seed)
 
+    # Every input is checked before the first write to ``--out``, so a
+    # config error leaves no run directory behind.
+    operators = {s: make_operator(args.operator,
+                                  http_config=config.get("operator"))
+                 for s in strategies}
     out_root = Path(args.out)
     _write_run_config(out_root, {
         "command": "evolve", "strategies": strategies, "iters": args.iters,
@@ -186,9 +192,7 @@ def cmd_evolve(args) -> int:
         "battery": asdict(battery), "reward": asdict(reward_cfg),
     })
 
-    for strategy in strategies:
-        operator = make_operator(args.operator,
-                                 http_config=config.get("operator"))
+    for strategy, operator in operators.items():
         run = evolve_mod.run_evolution(
             strategy=strategy, n_iterations=args.iters, trace=trace,
             sessions=sessions, battery=battery, operator=operator,

@@ -217,6 +217,18 @@ def _reference_examples(report: EpisodeReport) -> list[tuple]:
             for i in plugged[::stride]]
 
 
+def evolve_window(trace: EnvTrace, start_step: int, n_steps: int | None,
+                  n_iterations: int) -> int:
+    """The window of an evolve run, as :func:`episode_window` gives it,
+    checked to hold at least one step; ``n_iterations`` must be >= 1."""
+    if n_iterations < 1:
+        raise ConfigError("n_iterations must be >= 1")
+    n_steps = episode_window(trace, start_step, n_steps)
+    if n_steps < 1:
+        raise ConfigError("evolve needs a window of at least one step")
+    return n_steps
+
+
 def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   sessions: Sequence[ConnectionSession],
                   battery: BatteryConfig, operator: MutationOperator,
@@ -243,11 +255,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     ``reference`` is the baseline episode over the same window; the imitation
     and hybrid strategies score fit against its plugged-in steps.
     """
-    if n_iterations < 1:
-        raise ConfigError("n_iterations must be >= 1")
-    n_steps = episode_window(trace, start_step, n_steps)
-    if n_steps < 1:
-        raise ConfigError("evolve needs a window of at least one step")
+    n_steps = evolve_window(trace, start_step, n_steps, n_iterations)
     fit_examples = []
     if strategy in ("imitation", "hybrid"):
         if reference is None:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,12 +27,14 @@ STEPS_PER_DAY = 24 * 60 // STEP_MINUTES
 FORECAST_STEPS = STEPS_PER_DAY  # 24 h ahead
 
 _COLUMN_FIELDS = ("load_kw", "pv_kw", "buy_price", "sell_price")
+_PLAIN_NUMBERS = {int, float}
 
 
 @dataclass(frozen=True)
 class EnvTrace:
     """Immutable, validated exogenous series: the wall-clock time of step 0
     and one tuple per value column. Step ``i`` is at ``start + i * STEP``.
+    Columns hold plain ints and floats; any other value is stored as a float.
 
     Safe to share across episodes.
     """
@@ -44,13 +47,23 @@ class EnvTrace:
 
     def __post_init__(self):
         for name in _COLUMN_FIELDS:
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            column = tuple(getattr(self, name))
+            if not set(map(type, column)) <= _PLAIN_NUMBERS:
+                # A numpy scalar, say: the step log writes values with repr.
+                column = tuple(v if type(v) in _PLAIN_NUMBERS else float(v)
+                               for v in column)
+            object.__setattr__(self, name, column)
         columns = [getattr(self, name) for name in _COLUMN_FIELDS]
         lengths = [len(column) for column in columns]
         if len(set(lengths)) != 1:
             raise TraceValidationError(f"columns differ in length: {lengths}")
         if len(self) < 2:
             raise TraceValidationError("trace needs at least 2 points")
+        # Column by column first; only a trace that fails is walked row by
+        # row, to name the first bad row.
+        if (min(self.load_kw) >= 0 and min(self.pv_kw) >= 0
+                and all(map(math.isfinite, chain(*columns)))):
+            return
         for i, (load, pv, buy, sell) in enumerate(zip(*columns)):
             if load < 0 or pv < 0:
                 raise TraceValidationError(
@@ -132,35 +145,41 @@ def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
     schema = dict(schema) if schema else {c: c for c in CANONICAL_COLUMNS}
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]  # blank lines are skipped
+    # A name the header repeats maps to its last column.
+    index = {name: i for i, name in enumerate(header)}
 
-    def col(logical: str) -> str | None:
+    def col(logical: str) -> int | None:
         name = schema.get(logical)
-        return name if name in header else None
+        return index.get(name) if isinstance(name, str) else None
 
     ts_col, load_col, pv_col = col("timestamp"), col("load_kw"), col("pv_kw")
     for logical, c in (("timestamp", ts_col), ("load_kw", load_col), ("pv_kw", pv_col)):
         if c is None:
             raise TraceSchemaError(f"{path}: no column mapped for '{logical}'")
-    buy_col = col("buy_price") or col("price")
-    sell_col = col("sell_price") or buy_col
-    if buy_col is None and sell_col is not None:
+    buy_col = col("buy_price")
+    if buy_col is None:
+        buy_col = col("price")
+    sell_col = col("sell_price")
+    if sell_col is None:
+        sell_col = buy_col
+    elif buy_col is None:
         buy_col = sell_col
     if buy_col is None:
         raise TraceSchemaError(f"{path}: no price column mapped")
 
-    stamps, columns = [], ([], [], [], [])
+    stamps, loads, pvs, buys, sells = [], [], [], [], []
     for i, row in enumerate(rows):
         try:
             stamps.append(datetime.fromisoformat(row[ts_col]))
-            values = (float(row[load_col]), float(row[pv_col]),
-                      float(row[buy_col]), float(row[sell_col]))
-        except (TypeError, ValueError) as exc:
+            loads.append(float(row[load_col]))
+            pvs.append(float(row[pv_col]))
+            buys.append(float(row[buy_col]))
+            sells.append(float(row[sell_col]))
+        except (IndexError, TypeError, ValueError) as exc:
             raise TraceValidationError(f"{path}: row {i + 1}: {exc}") from exc
-        for column, value in zip(columns, values):
-            column.append(value)
     for row, (before, ts) in enumerate(zip(stamps, stamps[1:]), 2):
         try:
             spacing = ts - before
@@ -171,7 +190,7 @@ def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
                 f"row {row}: expected {STEP_MINUTES}-minute spacing, "
                 f"got {spacing}")
     # No start for an empty file: EnvTrace rejects it as too short.
-    return EnvTrace(stamps[0] if stamps else None, *columns)
+    return EnvTrace(stamps[0] if stamps else None, loads, pvs, buys, sells)
 
 
 def save_trace(trace: EnvTrace, path) -> None:

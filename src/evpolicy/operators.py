@@ -6,6 +6,7 @@ import os
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Sequence
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, OperatorTransportError
 from .prompts import PromptBundle
@@ -131,8 +132,19 @@ def make_operator(spec: str, http_config: dict | None = None) -> MutationOperato
         if not isinstance(cfg, dict) or "url" not in cfg or "model" not in cfg:
             raise ConfigError("http operator needs an object with 'url' and "
                               f"'model' settings, got {cfg!r}")
-        return HttpChatOperator(
-            url=cfg["url"], model=cfg["model"],
-            temperature=cfg.get("temperature", 0.2),
-            timeout_s=cfg.get("timeout_s", 120.0))
+        url = cfg["url"]
+        if not (isinstance(url, str)
+                and urlsplit(url).scheme in ("http", "https")):
+            raise ConfigError(f"operator.url: expected an http(s) URL, "
+                              f"got {url!r}")
+        numbers = {"temperature": cfg.get("temperature", 0.2),
+                   "timeout_s": cfg.get("timeout_s", 120.0)}
+        for key, value in numbers.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"operator.{key}: expected a number, "
+                                  f"got {value!r}")
+        if not numbers["timeout_s"] > 0:
+            raise ConfigError(f"operator.timeout_s: expected a number > 0, "
+                              f"got {numbers['timeout_s']!r}")
+        return HttpChatOperator(url=url, model=cfg["model"], **numbers)
     raise ConfigError(f"unknown operator spec {spec!r}")

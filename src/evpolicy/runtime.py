@@ -301,7 +301,7 @@ class GuardrailPolicy(PolicyHandle):
         self.last_raw_kw = 0.0
 
     def decide(self, obs: Observation) -> float:
-        raw = self.inner.decide(obs)
+        raw = float(self.inner.decide(obs))
         self.last_raw_kw = raw
         value = raw if math.isfinite(raw) else 0.0
         value = min(max(value, -self.battery.max_discharge_kw),

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import timedelta
 from typing import NamedTuple
 
@@ -32,6 +32,13 @@ class BatteryConfig:
     max_discharge_kw: float = 7.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # Exactly an int or a float: these values reach the step log,
+            # which writes numbers with repr.
+            if type(value) not in (int, float):
+                raise ConfigError(f"{field.name} must be an int or a float, "
+                                  f"got {value!r}")
         if self.capacity_kwh <= 0:
             raise ConfigError("capacity_kwh must be > 0")
         if not 0 <= self.soc_min < self.soc_max <= 1:
@@ -58,6 +65,11 @@ def validate_sessions(sessions: Sequence[ConnectionSession],
                       battery: BatteryConfig) -> None:
     prev_end = None
     for s in sessions:
+        for soc in (s.arrival_soc, s.target_soc):
+            # Exactly an int or a float, as for BatteryConfig.
+            if type(soc) not in (int, float):
+                raise ConfigError(
+                    f"session SoC must be an int or a float, got {soc!r}")
         if not battery.soc_min <= s.arrival_soc <= battery.soc_max:
             raise ConfigError(f"arrival_soc {s.arrival_soc} outside SoC bounds")
         if not battery.soc_min < s.target_soc <= battery.soc_max:
@@ -220,11 +232,44 @@ class EpisodeReport:
             }
 
     def write_step_log(self, path) -> None:
-        """JSON-lines step log: one object per simulated step."""
-        encode = json.JSONEncoder(sort_keys=True).encode
+        """JSON-lines step log: one object per simulated step, streamed."""
         with open(path, "w") as fh:
-            for row in self.step_rows():
-                fh.write(encode(row) + "\n")
+            fh.writelines(map(_step_line, self.step_rows()))
+
+
+def _json_float(value: float) -> str:
+    """``value`` as ``json`` writes a float: NaN and the infinities by name."""
+    if math.isfinite(value):
+        return repr(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _step_line(r: dict) -> str:
+    """``json.JSONEncoder(sort_keys=True).encode(r) + "\\n"`` for a row of
+    :meth:`EpisodeReport.step_rows`, from one template.
+
+    Keys are in sorted order and numbers are written with ``repr``, as the
+    encoder writes plain ints and finite floats; the trace, the battery and
+    the sessions hold only those. Only ``requested_kw`` can be non-finite
+    (an unguarded policy's request), so only it goes through
+    :func:`_json_float`.
+    """
+    return (
+        f'{{"applied_kw": {r["applied_kw"]!r}, '
+        f'"charge_price": {r["charge_price"]!r}, '
+        f'"discharge_price": {r["discharge_price"]!r}, '
+        f'"grid_export_kwh": {r["grid_export_kwh"]!r}, '
+        f'"grid_import_kwh": {r["grid_import_kwh"]!r}, '
+        f'"load_kw": {r["load_kw"]!r}, '
+        f'"plugged_in": {"true" if r["plugged_in"] else "false"}, '
+        f'"pv_kw": {r["pv_kw"]!r}, '
+        f'"requested_kw": {_json_float(r["requested_kw"])}, '
+        f'"soc": {r["soc"]!r}, '
+        f'"soc_after": {r["soc_after"]!r}, '
+        f'"step": {r["step"]!r}, '
+        f'"step_cost": {r["step_cost"]!r}, '
+        f'"step_reward": {r["step_reward"]!r}, '
+        f'"ttd_min": {r["ttd_min"]!r}}}\n')
 
 
 def read_step_log(path) -> list[dict]:

@@ -114,6 +114,13 @@ CONFIG_MISTAKES = {
     "config_is_a_list": [],
     "sessions_not_a_list": {"sessions": 5},
     "trace_schema_not_an_object": {"trace_schema": 5},
+    "trace_schema_column_not_a_string": {"trace_schema": {"timestamp": [0]}},
+    "session_soc_a_string": {"sessions": [
+        {"arrival_step": 0, "departure_step": 9, "arrival_soc": "0.5"}]},
+    "session_soc_a_bool": {"sessions": [
+        {"arrival_step": 0, "departure_step": 9, "arrival_soc": True}]},
+    "battery_value_a_bool": {"battery": {"max_charge_kw": True}},
+    "battery_value_a_string": {"battery": {"capacity_kwh": "40"}},
 }
 
 
@@ -171,6 +178,9 @@ WRONG_TYPES = {
          "cmd:{python} -m evpolicy.pydriver {helpers}/price_candidate.py"]),
     "retry_delay_not_a_number": (
         {"retry_base_delay": "x", "operator": {"url": "{url}", "model": "m"}},
+        ["evolve", "--strategy", "reasoning", "--operator", "http"]),
+    "operator_timeout_not_a_number": (
+        {"operator": {"url": "{url}", "model": "m", "timeout_s": "x"}},
         ["evolve", "--strategy", "reasoning", "--operator", "http"]),
 }
 
@@ -351,6 +361,27 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra,config", [
+        (["--steps", "0", "--operator", "mock:{replies}"], {}),
+        (["--operator", "mock:/no/such/file.jsonl"], {}),
+        (["--operator", "http"], {"operator": 5}),
+    ], ids=["empty-window", "bad-operator-spec", "bad-operator-object"])
+    def test_config_error_fails_before_any_write(self, tmp_path, capsys,
+                                                 extra, config):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "1",
+                     "--config", str(path), "--out", str(out),
+                     *(arg.format(replies=replies) for arg in extra)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_replies_file_is_config_error(self, tmp_path):
         code = main(["evolve", "--synthetic", "days=1", "seed=3",

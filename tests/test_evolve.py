@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -320,6 +321,29 @@ class TestMockOperatorLoading:
     def test_http_requires_settings(self):
         with pytest.raises(ConfigError):
             make_operator("http", http_config={})
+
+    @pytest.mark.parametrize("setting,match", [
+        ({"timeout_s": "x"}, "timeout_s: expected a number"),
+        ({"timeout_s": True}, "timeout_s: expected a number"),
+        ({"timeout_s": 0}, "timeout_s: expected a number > 0"),
+        ({"timeout_s": math.nan}, "timeout_s: expected a number > 0"),
+        ({"temperature": "hot"}, "temperature: expected a number"),
+        ({"temperature": False}, "temperature: expected a number"),
+        ({"url": 5}, "url: expected an http"),
+        ({"url": "localhost:8000/v1"}, "url: expected an http"),
+    ])
+    def test_http_settings_are_checked(self, setting, match):
+        # Built, not sent: the check runs before any request.
+        config = {"url": "http://127.0.0.1:9/v1", "model": "m", **setting}
+        with pytest.raises(ConfigError, match=match):
+            make_operator("http", http_config=config)
+
+    def test_http_settings_reach_the_operator(self):
+        op = make_operator("http", http_config={
+            "url": "https://example.invalid/v1", "model": "m",
+            "temperature": 0, "timeout_s": 2.5})
+        assert (op.url, op.model, op.temperature, op.timeout_s) == (
+            "https://example.invalid/v1", "m", 0, 2.5)
 
 
 class TestRuntimeAgent:

@@ -111,6 +111,49 @@ class TestLoadTrace:
         with pytest.raises(TraceValidationError, match="row 3: could not"):
             load_trace(f)
 
+    @pytest.mark.parametrize("name,schema", [
+        ("price", {"timestamp": "timestamp", "load_kw": "load_kw",
+                   "pv_kw": "pv_kw", "price": "price"}),
+        ("buy_price", None)])
+    def test_price_column_at_index_0_fills_both(self, tmp_path, name, schema):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["0.10,2024-01-01T00:00:00,0.5,0.0",
+                      "0.12,2024-01-01T00:05:00,0.6,0.0"],
+                  header=f"{name},timestamp,load_kw,pv_kw")
+        trace = load_trace(f, schema=schema)
+        assert trace.buy_price == trace.sell_price == (0.10, 0.12)
+        assert trace.load_kw == (0.5, 0.6)
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["2024-01-01T00:00:00,0.5,0.0,0.10,0.10", "",
+                      "2024-01-01T00:05:00,0.6,0.0,0.12,0.12"])
+        assert load_trace(f).buy_price == (0.10, 0.12)
+
+    def test_short_row_names_its_row(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["2024-01-01T00:00:00,0.5,0.0,0.10,0.10",
+                      "2024-01-01T00:05:00,0.6,0.0",
+                      "2024-01-01T00:10:00,0.7,0.0,0.12,0.12"])
+        with pytest.raises(TraceValidationError, match=": row 2: "):
+            load_trace(f)
+
+    def test_repeated_header_name_reads_its_last_column(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["2024-01-01T00:00:00,0.5,0.0,0.10,0.09,0.20",
+                      "2024-01-01T00:05:00,0.6,0.0,0.12,0.11,0.22"],
+                  header="timestamp,load_kw,pv_kw,buy_price,sell_price,"
+                         "buy_price")
+        trace = load_trace(f)
+        assert trace.buy_price == (0.20, 0.22)
+        assert trace.sell_price == (0.09, 0.11)
+
+    def test_header_only_file_is_too_short(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("timestamp,load_kw,pv_kw,buy_price,sell_price\n")
+        with pytest.raises(TraceValidationError, match="at least 2 points"):
+            load_trace(f)
+
 
 class TestColumns:
     def test_unequal_column_lengths_rejected(self):
@@ -118,6 +161,34 @@ class TestColumns:
         with pytest.raises(TraceValidationError, match="differ in length"):
             EnvTrace(trace.start, trace.load_kw, trace.pv_kw[:2],
                      trace.buy_price, trace.sell_price)
+
+    @pytest.mark.parametrize("column,values,message", [
+        ("load_kw", [0.5, math.nan, -1.0], "row 2: non-finite value"),
+        ("load_kw", [math.nan, 0.5, 0.5], "row 1: non-finite value"),
+        ("load_kw", [0.5, 0.5, -1.0], "row 3: load_kw and pv_kw must be"),
+        ("pv_kw", [0.0, 0.0, -0.5], "row 3: load_kw and pv_kw must be"),
+        ("pv_kw", [0.0, -math.inf, 0.0], "row 2: load_kw and pv_kw must be"),
+        ("buy_price", [0.1, 0.2, math.inf], "row 3: non-finite value"),
+        ("sell_price", [-0.1, math.nan, 0.1], "row 2: non-finite value"),
+    ])
+    def test_first_bad_row_is_named(self, column, values, message):
+        fields = {"load_kw": [0.5] * 3, "pv_kw": [0.0] * 3,
+                  "buy_price": [0.1] * 3, "sell_price": [0.1] * 3,
+                  column: values}
+        with pytest.raises(TraceValidationError, match=f"^{message}"):
+            EnvTrace(datetime(2024, 1, 1), **fields)
+
+    def test_columns_hold_plain_ints_and_floats(self):
+        class Price(float):  # numpy's scalars subclass float the same way
+            def __repr__(self):
+                return f"Price({float(self)!r})"
+
+        trace = EnvTrace(datetime(2024, 1, 1), [1, 2], [0.0, 0.5],
+                         [Price(0.1), 0.2], [True, 0.1])
+        assert [list(map(type, c)) for c in (
+            trace.load_kw, trace.pv_kw, trace.buy_price, trace.sell_price)] \
+            == [[int, int], [float, float], [float, float], [float, float]]
+        assert (trace.buy_price, trace.sell_price) == ((0.1, 0.2), (1.0, 0.1))
 
     def test_list_columns_stored_as_tuples(self):
         trace = make_trace([0.1, 0.2, 0.3])

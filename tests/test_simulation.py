@@ -65,6 +65,13 @@ def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
     return records, total
 
 
+class OddFloat(float):
+    """A float whose repr is not a JSON number, as numpy's scalars have."""
+
+    def __repr__(self):
+        return f"OddFloat({float(self)!r})"
+
+
 def reference_row(r):
     """The step-log row of one record."""
     o = r.observation
@@ -367,6 +374,56 @@ class TestRunEpisode:
         if records:
             assert report.records[-1] == records[-1]
             assert report.records[1::2] == records[1::2]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_step_log_lines_match_the_encoder(self, tmp_path_factory, data):
+        battery = BatteryConfig(max_charge_kw=data.draw(st.sampled_from([7.0,
+                                                                         7])))
+        trace = synthetic_trace(days=1, seed=data.draw(st.integers(0, 1000)))
+        columns = (trace.load_kw, trace.pv_kw, trace.buy_price,
+                   trace.sell_price)
+        values = data.draw(st.sampled_from(["float", "int", "float subclass"]))
+        if values == "int":  # integer prices
+            prices = [round(10 * p) for p in trace.buy_price]
+            trace = EnvTrace(trace.start, trace.load_kw, trace.pv_kw, prices,
+                             [p // 2 for p in prices])
+        elif values == "float subclass":
+            trace = EnvTrace(trace.start, *([OddFloat(v) for v in column]
+                                            for column in columns))
+        soc = st.one_of(st.floats(battery.soc_min, battery.soc_max),
+                        st.just(1))
+        sessions, step = [], data.draw(st.integers(0, 100))
+        for gap, length in data.draw(st.lists(
+                st.tuples(st.integers(0, 60), st.integers(1, 120)),
+                max_size=4)):
+            arrival = step + gap
+            if arrival >= len(trace):
+                break
+            sessions.append(ConnectionSession(
+                arrival, min(arrival + length, len(trace)), data.draw(soc)))
+            step = arrival + length
+        start = data.draw(st.integers(0, len(trace) - 1))
+        n_steps = data.draw(st.integers(0, len(trace) - start))
+        # Unguarded, the non-finite powers reach the requested_kw column.
+        palette = data.draw(st.lists(st.one_of(
+            st.floats(-30, 30), st.sampled_from(
+                [0.0, 7.0, -7.0, 1e6, -1e6, math.inf, -math.inf, math.nan])),
+            min_size=1, max_size=8))
+        policy = NativePolicy(lambda obs: palette[obs.step_index % len(palette)])
+        if data.draw(st.booleans()):
+            # The guardrail sees the inner decision as it is returned.
+            policy.decide = lambda obs: OddFloat(
+                palette[obs.step_index % len(palette)])
+            policy = GuardrailPolicy(policy, battery)
+        report = run_episode(trace, sessions, battery, policy, RewardConfig(),
+                             start, n_steps)
+        path = tmp_path_factory.mktemp("log") / "steps.jsonl"
+        report.write_step_log(path)
+        encode = json.JSONEncoder(sort_keys=True).encode
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert lines == [encode(row) + "\n" for row in report.step_rows()]
 
     def test_episode_retains_under_250_bytes_per_step(self, battery):
         """Columns, not per-step objects: unplugged steps build nothing."""
