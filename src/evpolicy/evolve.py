@@ -116,14 +116,24 @@ def extract_program(model_reply: str, mode: str = "builtin_rules",
 
 
 def make_feedback(report: EpisodeReport, fit: FitReport | None,
-                  battery: BatteryConfig, iteration: int = 1) -> FeedbackSummary:
+                  battery: BatteryConfig, iteration: int = 1,
+                  fault_log: Sequence[str] = ()) -> FeedbackSummary:
     """Summarize an episode into prompt-ready critique with step citations.
 
     Cites at most ``TOP_MISMATCHES`` fit mismatches, largest gap first.
+    ``fault_log`` holds the policy's faults (``step <i>: <message>``), over
+    the episode and fit scoring; the first is cited.
     """
     n = report.n_steps
     start = report.start_step
     issues: list[Issue] = []
+
+    if fault_log:
+        issues.append(Issue(
+            text=(f"The policy faulted on {len(fault_log)} decision(s), "
+                  f"each taken as idle (0 kW); the first at {fault_log[0]}. "
+                  "Fix the fault."),
+            step_indices=()))
 
     if n:
         sell = report.trace.sell_price[start:start + n]
@@ -243,10 +253,12 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     Selection: highest fit score for the imitation strategy, highest total
     reward otherwise (optionally floored by ``min_fit``); ties go to the
     earliest iteration. Failed iterations (no code block, parse error, policy
-    fault) are recorded and skipped by selection. An iteration whose operator
-    request still fails after ``TRANSPORT_RETRIES`` tries ends the run: the
-    iterations so far are recorded (and ``run.json`` written), then the
-    :class:`OperatorTransportError` is raised.
+    fault) are recorded and skipped by selection. A policy that logged any
+    fault in its episode or fit scoring fails too, though it ran to the end:
+    it keeps its report, and its feedback cites the faults. An iteration
+    whose operator request still fails after ``TRANSPORT_RETRIES`` tries ends
+    the run: the iterations so far are recorded (and ``run.json`` written),
+    then the :class:`OperatorTransportError` is raised.
 
     ``out_dir`` receives ``run.json`` and an ``iter_<k>`` directory per
     iteration. The window defaults as in :func:`run_episode` and must hold
@@ -331,8 +343,12 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
 
         record.report = report
         record.fit = fit
+        faults = policy.fault_log
+        if faults:
+            record.failure = (f"policy faults: {len(faults)} logged, "
+                              f"first {faults[0]}")
         record.feedback = make_feedback(report, fit, battery,
-                                        iteration=k + 1)
+                                        iteration=k + 1, fault_log=faults)
         record.criterion = (fit.fit_score if strategy == "imitation" and fit
                             else report.total_reward)
         report.write_summary(iter_dir / "report.json")
@@ -342,7 +358,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     best_index = None
     best_value = None
     for it in iterations:
-        if it.criterion is None:
+        if it.failure is not None:
             continue
         if min_fit is not None and it.fit is not None and it.fit.fit_score < min_fit:
             continue

@@ -59,16 +59,17 @@ class HttpChatOperator(MutationOperator):
     """Client for any chat-completion style endpoint.
 
     Sends system/user messages, returns the first choice's content. The API
-    key comes from the environment so it never lands in run artifacts.
+    key comes from the ``API_KEY_ENV`` environment variable, so it never
+    lands in run artifacts.
     """
 
     def __init__(self, url: str, model: str, temperature: float = 0.2,
-                 timeout_s: float = 120.0, api_key_env: str = API_KEY_ENV):
+                 timeout_s: float = 120.0):
         self.url = url
         self.model = model
         self.temperature = temperature
         self.timeout_s = timeout_s
-        self.api_key = os.environ.get(api_key_env, "")
+        self.api_key = os.environ.get(API_KEY_ENV, "")
         self.request_count = 0
         self.token_count = 0
 

@@ -5,8 +5,10 @@ Usage: ``python -m evpolicy.pydriver <policy_file.py>``
 Loads a file that defines ``decide_power(charge_price, discharge_price, soc,
 ttd, load_kw, pv_kw, max_charge_kw, max_discharge_kw)`` (an optional trailing
 ``forecast`` parameter is passed when accepted) and serves it over the
-line protocol: handshake line, then one JSON request per line, one decimal
-reply per line, until ``{"end": true}``.
+line protocol: handshake line, then one JSON request per line, one reply
+per line, until ``{"end": true}``. A reply is a decimal, or ``err <message>``
+on one line when ``decide_power`` raises or returns something ``float()``
+rejects; the parent counts an ``err`` reply as a policy fault.
 
 The parent's handshake is ``{"protocol": "v2g-policy/2"}``. The driver
 answers it with one line, ``{"protocol": "v2g-policy/2", "forecast": true}``
@@ -35,6 +37,7 @@ import sys
 from contextlib import redirect_stdout
 
 PROTOCOL = "v2g-policy/2"
+ERR_MESSAGE_CHARS = 200  # of an exception's message in an ``err`` reply
 
 
 def serve(fn, stdin=None, stdout=None) -> None:
@@ -62,11 +65,11 @@ def serve(fn, stdin=None, stdout=None) -> None:
             if wants_forecast:
                 args.append(msg["forecast"])
             try:
-                value = float(fn(*args))
-            except Exception as exc:  # noqa: BLE001 - report, let parent decide
-                print(f"decide_power raised: {exc}", file=sys.stderr)
-                value = 0.0
-            stdout.write(f"{value}\n")
+                reply = f"{float(fn(*args))}"
+            except Exception as exc:  # noqa: BLE001 - the parent decides
+                message = " ".join(f"{type(exc).__name__}: {exc}".split())
+                reply = f"err {message[:ERR_MESSAGE_CHARS]}"
+            stdout.write(f"{reply}\n")
             stdout.flush()
 
 

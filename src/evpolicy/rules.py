@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -27,16 +28,25 @@ NUMERIC_FUNCS = ("min", "max")
 
 _KEYWORDS = ("if", "then", "and", "or", "not")
 _CMP_OPS = ("<=", ">=", "==", "!=", "<", ">")
+_BOOL_OPS = frozenset(("and", "or", "not") + _CMP_OPS)  # yield a bool
+
+# Binary operator -> (type both operands must have, the complaint otherwise).
+_OPERANDS = {
+    **dict.fromkeys(("or", "and"), ("bool", "needs boolean operands")),
+    **dict.fromkeys(_CMP_OPS, ("num", "compares numbers")),
+    **dict.fromkeys("+-*/", ("num", "needs numeric operands")),
+}
 
 # A script is untrusted, so the parser bounds how deep it nests. Then parsing,
 # both evaluators, the printer and dataclass ==/hash/repr stay below the
 # interpreter's default recursion limit of 1000 frames: on Python 3.11 the
-# deepest accepted script takes about 600 frames to parse (nine per '('), 140
-# to repr and 70 to evaluate. MAX_RULE_DEPTH bounds the nodes on any path from a condition
-# or action to a leaf. MAX_RULE_NESTING bounds the open '(', calls, unary '-'
-# and 'not' at any point of the source; it is twice the depth because the
-# printer writes a '-' or 'not' node as two such levels, so every script the
-# parser accepts prints to source that it accepts again.
+# deepest accepted script takes about 560 frames to parse (eight per '(', nine
+# per call), 140 to repr and 70 to evaluate. MAX_RULE_DEPTH bounds the nodes
+# on any path from a condition or action to a leaf. MAX_RULE_NESTING bounds
+# the open '(', calls, unary '-' and 'not' at any point of the source; it is
+# twice the depth because the printer writes a '-' or 'not' node as two such
+# levels, so every script the parser accepts prints to source that it accepts
+# again.
 MAX_RULE_DEPTH = 32
 MAX_RULE_NESTING = 2 * MAX_RULE_DEPTH
 
@@ -56,39 +66,16 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
+class Unary:
+    op: str  # - not
     operand: object
 
 
 @dataclass(frozen=True)
-class Bin:
-    op: str  # + - * /
+class Binary:
+    op: str  # + - * / < <= > >= == != and or
     left: object
     right: object
-
-
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Not:
-    operand: object
 
 
 @dataclass(frozen=True)
@@ -128,59 +115,41 @@ class _Token:
     col: int
 
 
+# One alternative per token kind, tried in order. \d and \w are Unicode
+# classes: \d is a decimal digit, which float() reads; \w is a character
+# that passes str.isalnum(), or '_'.
+_TOKEN_RE = re.compile(r"""
+    (?P<skip>[ \t\r]+|\#[^\n]*)       # blanks, or a comment to end of line
+  | (?P<newline>\n)
+  | (?P<op><=|>=|==|!=|[<>+\-*/])
+  | (?P<punct>[(),;])
+  | (?P<num>\d[\d.]*|\.\d[\d.]*)
+  | (?P<ident>\w+)                     # its first character is checked below
+  | (?P<bad>.)
+""", re.VERBOSE)
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        two = source[i:i + 2]
-        if two in ("<=", ">=", "==", "!="):
-            tokens.append(_Token("op", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "<>+-*/(),;":
-            kind = "punct" if ch in "(),;" else "op"
-            tokens.append(_Token(kind, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            text = source[i:j]
-            if text.count(".") > 1:
-                raise RuleParseError(f"malformed number {text!r}", line, start_col, text)
-            tokens.append(_Token("num", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise RuleParseError(f"unexpected character {ch!r}", line, start_col, ch)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0  # line_start: offset of the line's first char
+    for match in _TOKEN_RE.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "bad" or (kind == "ident" and not (
+                text[0].isalpha() or text[0] == "_")):
+            raise RuleParseError(f"unexpected character {text[0]!r}",
+                                 line, col, text[0])
+        elif kind == "num" and text.count(".") > 1:
+            raise RuleParseError(f"malformed number {text!r}", line, col, text)
+        elif kind != "skip":
+            tokens.append(_Token(kind, text, line, col))
+    # End of input sits where a comment on the last line starts: any '#'
+    # outside a comment is an unexpected character.
+    end = source.find("#", line_start)
+    tokens.append(_Token("eof", "", line,
+                         (len(source) if end < 0 else end) - line_start + 1))
     return tokens
 
 
@@ -265,88 +234,67 @@ class _Parser:
         if got != expected:
             raise self._fail(f"{where} must be {expected}, found {got}")
 
-    def parse_expr(self):
-        return self.parse_or()
+    # One method per precedence level, loosest first. Each level calls the
+    # next from its own frame, so a '(' costs one frame per level.
 
-    def parse_or(self):
+    def parse_expr(self):
         node = self.parse_and()
         while self.cur.text == "or":
-            tok = self.advance()
-            right = self.parse_and()
-            self._check_bool_pair(node, right, "or")
-            node = self._node(Or(node, right), tok, node, right)
+            node = self._binary(self.advance(), node, self.parse_and())
         return node
 
     def parse_and(self):
         node = self.parse_not()
         while self.cur.text == "and":
-            tok = self.advance()
-            right = self.parse_not()
-            self._check_bool_pair(node, right, "and")
-            node = self._node(And(node, right), tok, node, right)
+            node = self._binary(self.advance(), node, self.parse_not())
         return node
-
-    def _check_bool_pair(self, left, right, op: str) -> None:
-        for side in (left, right):
-            if type_of(side) != "bool":
-                raise self._fail(f"'{op}' needs boolean operands")
 
     def parse_not(self):
         if self.cur.text == "not":
-            tok = self.advance()
-            self._enter(tok)
-            operand = self.parse_not()
-            self._nesting -= 1
-            if type_of(operand) != "bool":
-                raise self._fail("'not' needs a boolean operand")
-            return self._node(Not(operand), tok, operand)
+            return self._prefix(self.parse_not, "bool",
+                                "'not' needs a boolean operand")
         return self.parse_comparison()
 
     def parse_comparison(self):
         node = self.parse_sum()
         if self.cur.text in _CMP_OPS:
-            tok = self.advance()
-            op = tok.text
-            right = self.parse_sum()
-            for side in (node, right):
-                if type_of(side) != "num":
-                    raise self._fail(f"'{op}' compares numbers")
-            return self._node(Cmp(op, node, right), tok, node, right)
+            node = self._binary(self.advance(), node, self.parse_sum())
         return node
 
     def parse_sum(self):
         node = self.parse_term()
         while self.cur.text in ("+", "-"):
-            tok = self.advance()
-            right = self.parse_term()
-            self._check_num_pair(node, right, tok.text)
-            node = self._node(Bin(tok.text, node, right), tok, node, right)
+            node = self._binary(self.advance(), node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.cur.text in ("*", "/"):
-            tok = self.advance()
-            right = self.parse_unary()
-            self._check_num_pair(node, right, tok.text)
-            node = self._node(Bin(tok.text, node, right), tok, node, right)
+            node = self._binary(self.advance(), node, self.parse_unary())
         return node
-
-    def _check_num_pair(self, left, right, op: str) -> None:
-        for side in (left, right):
-            if type_of(side) != "num":
-                raise self._fail(f"'{op}' needs numeric operands")
 
     def parse_unary(self):
         if self.cur.text == "-":
-            tok = self.advance()
-            self._enter(tok)
-            operand = self.parse_unary()
-            self._nesting -= 1
-            if type_of(operand) != "num":
-                raise self._fail("unary '-' needs a numeric operand")
-            return self._node(Neg(operand), tok, operand)
+            return self._prefix(self.parse_unary, "num",
+                                "unary '-' needs a numeric operand")
         return self.parse_atom()
+
+    def _binary(self, tok: _Token, left, right) -> Binary:
+        """``left tok right``, its operand types checked."""
+        expected, complaint = _OPERANDS[tok.text]
+        if type_of(left) != expected or type_of(right) != expected:
+            raise self._fail(f"'{tok.text}' {complaint}")
+        return self._node(Binary(tok.text, left, right), tok, left, right)
+
+    def _prefix(self, parse_operand, expected: str, complaint: str) -> Unary:
+        """The current '-' or 'not' applied to what ``parse_operand`` reads."""
+        tok = self.advance()
+        self._enter(tok)
+        operand = parse_operand()
+        self._nesting -= 1
+        if type_of(operand) != expected:
+            raise self._fail(complaint)
+        return self._node(Unary(tok.text, operand), tok, operand)
 
     def parse_atom(self):
         tok = self.cur
@@ -397,10 +345,10 @@ class _Parser:
 
 
 def type_of(node) -> str:
-    if isinstance(node, (Num, Var, Neg, Bin, Call)):
+    if isinstance(node, (Unary, Binary)):
+        return "bool" if node.op in _BOOL_OPS else "num"
+    if isinstance(node, (Num, Var, Call)):
         return "num"
-    if isinstance(node, (Cmp, And, Or, Not)):
-        return "bool"
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -427,18 +375,11 @@ def _fmt(node) -> str:
         return _number(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        return f"(-{_fmt(node.operand)})"
-    if isinstance(node, Bin):
+    if isinstance(node, Unary):
+        prefix = "not " if node.op == "not" else "-"
+        return f"({prefix}{_fmt(node.operand)})"
+    if isinstance(node, Binary):
         return f"({_fmt(node.left)} {node.op} {_fmt(node.right)})"
-    if isinstance(node, Cmp):
-        return f"({_fmt(node.left)} {node.op} {_fmt(node.right)})"
-    if isinstance(node, And):
-        return f"({_fmt(node.left)} and {_fmt(node.right)})"
-    if isinstance(node, Or):
-        return f"({_fmt(node.left)} or {_fmt(node.right)})"
-    if isinstance(node, Not):
-        return f"(not {_fmt(node.operand)})"
     if isinstance(node, Call):
         return f"{node.name}({', '.join(_fmt(a) for a in node.args)})"
     raise TypeError(f"not an AST node: {node!r}")
@@ -484,27 +425,24 @@ def _compile(node):
     if isinstance(node, Var):
         return operator.attrgetter(
             "ttd_minutes" if node.name == "ttd" else node.name)
-    if isinstance(node, Neg):
+    if isinstance(node, Unary):
         operand = _compile(node.operand)
-        return lambda obs: -operand(obs)
-    if isinstance(node, (Bin, Cmp)):
-        op, left = _BINARY[node.op], _compile(node.left)
+        if node.op == "-":
+            return lambda obs: -operand(obs)
+        return lambda obs: not operand(obs)
+    if isinstance(node, Binary):
+        left = _compile(node.left)
         if isinstance(node.right, Num) and (node.op != "/"
                                             or node.right.value != 0):
-            constant = node.right.value
+            op, constant = _BINARY[node.op], node.right.value
             return lambda obs: op(left(obs), constant)
-        if node.op == "/":
-            op = _divide
         right = _compile(node.right)
-        return lambda obs: op(left(obs), right(obs))
-    if isinstance(node, (And, Or)):
-        left, right = _compile(node.left), _compile(node.right)
-        if isinstance(node, And):
+        if node.op == "and":
             return lambda obs: left(obs) and right(obs)
-        return lambda obs: left(obs) or right(obs)
-    if isinstance(node, Not):
-        operand = _compile(node.operand)
-        return lambda obs: not operand(obs)
+        if node.op == "or":
+            return lambda obs: left(obs) or right(obs)
+        op = _divide if node.op == "/" else _BINARY[node.op]
+        return lambda obs: op(left(obs), right(obs))
     if isinstance(node, Call):
         if node.name in NUMERIC_FUNCS:
             pick = min if node.name == "min" else max
@@ -541,30 +479,29 @@ def _eval(node, obs):
         if node.name == "ttd":
             return obs.ttd_minutes
         return getattr(obs, node.name)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, obs)
-    if isinstance(node, Bin):
-        left, right = _eval(node.left, obs), _eval(node.right, obs)
-        if node.op == "+":
+    if isinstance(node, Unary):
+        value = _eval(node.operand, obs)
+        return -value if node.op == "-" else not value
+    if isinstance(node, Binary):
+        op, left = node.op, _eval(node.left, obs)
+        if op == "and":
+            return left and _eval(node.right, obs)
+        if op == "or":
+            return left or _eval(node.right, obs)
+        right = _eval(node.right, obs)
+        if op == "+":
             return left + right
-        if node.op == "-":
+        if op == "-":
             return left - right
-        if node.op == "*":
+        if op == "*":
             return left * right
-        if right == 0:
-            raise _EvalFault("division by zero")
-        return left / right
-    if isinstance(node, Cmp):
-        left, right = _eval(node.left, obs), _eval(node.right, obs)
+        if op == "/":
+            if right == 0:
+                raise _EvalFault("division by zero")
+            return left / right
         return {"<": left < right, "<=": left <= right, ">": left > right,
                 ">=": left >= right, "==": left == right,
-                "!=": left != right}[node.op]
-    if isinstance(node, And):
-        return _eval(node.left, obs) and _eval(node.right, obs)
-    if isinstance(node, Or):
-        return _eval(node.left, obs) or _eval(node.right, obs)
-    if isinstance(node, Not):
-        return not _eval(node.operand, obs)
+                "!=": left != right}[op]
     if isinstance(node, Call):
         args = [_eval(a, obs) for a in node.args]
         if node.name == "min":

@@ -77,8 +77,9 @@ class RuleScriptPolicy(PolicyHandle):
 class ExternalProcessPolicy(PolicyHandle):
     """Child process speaking the line protocol, one JSON request per step.
 
-    Per-decision timeout; a timeout or malformed reply substitutes idle and is
-    logged. Three consecutive faults abort via :class:`PolicyFault`. A reply
+    Per-decision timeout; a timeout, a malformed reply or an ``err`` reply
+    (the candidate raised, see :mod:`evpolicy.pydriver`) substitutes idle and
+    is logged. Three consecutive faults abort via :class:`PolicyFault`. A reply
     that arrives after its request timed out is discarded, never taken as a
     later step's reply.
 
@@ -226,6 +227,8 @@ class ExternalProcessPolicy(PolicyHandle):
             if not math.isfinite(value):
                 raise ValueError(f"non-finite reply {reply!r}")
         except ValueError as exc:
+            if reply.startswith("err "):
+                return self._fault(obs, f"candidate raised: {reply[4:]}")
             return self._fault(obs, f"malformed reply: {exc}")
         self._consecutive_faults = 0
         return value

@@ -57,6 +57,9 @@ class ConnectionSession:
     target_soc: float = 0.80
 
     def __post_init__(self):
+        for step in (self.arrival_step, self.departure_step):
+            if type(step) is not int:  # a bool or a float is a mistake
+                raise ConfigError(f"session step must be an int, got {step!r}")
         if self.departure_step <= self.arrival_step:
             raise ConfigError("departure_step must exceed arrival_step")
 

@@ -14,6 +14,8 @@ REPLIES_JSONL = "\n".join(json.dumps({"reply": f"```\n{src}\n```"}) for src in [
     "if discharge_price >= 0.35 and soc > 0.25 then -max_discharge_kw\n"
     "if charge_price <= 0.12 and soc < 0.8 then max_charge_kw",
 ]) + "\n"
+PYTHON_SIGNATURE = ("def decide_power(charge_price, discharge_price, soc, ttd, "
+                    "load_kw, pv_kw, max_charge_kw, max_discharge_kw):\n")
 
 
 def run_simulate(tmp_path, *extra):
@@ -121,6 +123,10 @@ CONFIG_MISTAKES = {
         {"arrival_step": 0, "departure_step": 9, "arrival_soc": True}]},
     "battery_value_a_bool": {"battery": {"max_charge_kw": True}},
     "battery_value_a_string": {"battery": {"capacity_kwh": "40"}},
+    "session_step_a_float": {"sessions": [
+        {"arrival_step": 0.5, "departure_step": 100, "arrival_soc": 0.5}]},
+    "session_step_a_bool": {"sessions": [
+        {"arrival_step": False, "departure_step": 100, "arrival_soc": 0.5}]},
 }
 
 
@@ -151,6 +157,16 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith(f"error: {trace}: row 2: ")
         assert "Traceback" not in err
+
+    def test_non_integer_session_step_on_a_synthetic_trace(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(CONFIG_MISTAKES["session_step_a_float"]))
+        code = main(["simulate", "--synthetic", "days=1", "--policy", "idle",
+                     "--config", str(path), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: session step must be an int, got 0.5\n"
 
     def test_non_integer_synthetic_days(self, tmp_path, capsys):
         code = main(["simulate", "--synthetic", "days=abc", "--policy", "idle",
@@ -283,7 +299,11 @@ class TestEvolveCommand:
                      "--operator", f"mock:{replies}", "--out", str(out)])
         assert code == 0
         run = json.loads((out / "run.json").read_text())
-        assert [it["failure"] for it in run["iterations"]] == [None, None]
+        # Every plugged-in decision of the first reply faults, so it fails.
+        first, second = (it["failure"] for it in run["iterations"])
+        assert first.startswith("policy faults: ")
+        assert "non-finite forecast horizon" in first
+        assert second is None
         assert run["best_index"] == 1
 
     def test_too_deep_reply_fails_one_iteration(self, tmp_path):
@@ -348,6 +368,46 @@ class TestEvolveCommand:
         assert "SyntaxError" in bad["failure"]
         assert good["failure"] is None
         assert run["best_index"] == 1
+
+    # A working candidate, then one that faults on every decision. Scored
+    # as idle, the faulting one would fit the baseline better on this trace.
+    @pytest.mark.parametrize("mode,sources,first_fault", [
+        ("builtin_rules", ["if soc < 0.9 then max_charge_kw",
+                           "if soc >= 0 then 1 / (soc - soc)"],
+         "division by zero"),
+        ("external_process",
+         [PYTHON_SIGNATURE + "    return max_charge_kw if soc < 0.9 else 0.0",
+          PYTHON_SIGNATURE + "    raise RuntimeError('boom')"],
+         "candidate raised: RuntimeError: boom"),
+    ], ids=["rules", "python"])
+    def test_a_candidate_that_faults_is_never_selected(self, tmp_path, mode,
+                                                        sources, first_fault):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text("".join(json.dumps({"reply": f"```\n{src}\n```"})
+                                   + "\n" for src in sources))
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=7", "seed=1",
+                     "--strategy", "imitation", "--iters", "3",
+                     "--mode", mode, "--operator", f"mock:{replies}",
+                     "--out", str(out)])
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        good, bad, _ = run["iterations"]
+        assert good["failure"] is None
+        assert first_fault in bad["failure"]
+        assert run["best_index"] == 0
+        if mode == "builtin_rules":  # ran to the end, every decision faulted
+            assert bad["failure"].startswith("policy faults: ")
+            assert bad["total_reward"] is not None
+            assert (out / "iter_1" / "report.json").exists()
+            assert bad["issues"][0]["text"].startswith(
+                "The policy faulted on ")
+            assert first_fault in bad["issues"][0]["text"]
+            # The repeated last reply sees the faults in its prompt.
+            prompt = (out / "iter_2" / "prompt.txt").read_text()
+            assert bad["issues"][0]["text"] in prompt
+        else:  # three consecutive faults stop the episode
+            assert bad["failure"].startswith("policy fault at step ")
 
     @pytest.mark.parametrize("window", [["--steps", "0"], ["--start", "300"]],
                              ids=["empty", "past-the-end"])

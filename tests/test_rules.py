@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,17 @@ class TestParser:
             parse_rule_script("if soc > 0.5 then 1\nif soc > bar then 2")
         assert err.value.line == 2
         assert err.value.token == "bar"
+
+    @pytest.mark.parametrize("source, column", [
+        ("if soc > \u00b2 then 1", 10),  # a superscript two
+        ("if soc > 1\u00b2 then 1", 11),
+        ("if soc > .\u00b2 then 1", 10),
+    ], ids=["alone", "after_a_digit", "after_a_point"])
+    def test_non_decimal_digit_is_a_parse_error(self, source, column):
+        # '\u00b2'.isdigit() holds, but float() cannot read it.
+        with pytest.raises(RuleParseError) as err:
+            parse_rule_script(source)
+        assert (err.value.line, err.value.column) == (1, column)
 
     def test_comments_and_multiline(self):
         script = parse_rule_script(
@@ -172,6 +184,15 @@ def chain(n_terms: int) -> str:
     return "if soc > 0 then " + " + ".join(["0.001"] * n_terms)
 
 
+def calls_and_parentheses() -> str:
+    """Every nesting level a '(' or a call, with as many calls as the depth
+    allows: the accepted script that takes the most frames to parse."""
+    calls = MAX_RULE_DEPTH - 1  # with the leaf, a path of MAX_RULE_DEPTH
+    parens = MAX_RULE_NESTING - 2 * calls  # each call sits in a '('
+    return ("if soc > 0 then " + "(fc_max(" * calls + "(" * parens + "ttd"
+            + ")" * parens + "))" * calls)
+
+
 TOO_DEEP = {
     "long_chain": chain(1500),
     "deep_parentheses": "if soc > 0 then " + "(" * 200 + "1" + ")" * 200,
@@ -187,7 +208,20 @@ AT_LIMIT = {
              + "soc" + ", 3))" * ((MAX_RULE_DEPTH - 1) // 2),
     "parentheses": "if soc > 0 then " + "(" * MAX_RULE_NESTING + "ttd"
                    + ")" * MAX_RULE_NESTING,
+    "calls_and_parentheses": calls_and_parentheses(),
 }
+
+# Frames above the caller that every accepted script must fit in, against
+# the interpreter's default recursion limit of 1000.
+FRAME_BUDGET = 600
+
+
+def stack_depth() -> int:
+    """The number of frames on the caller's stack, its own included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestNestingLimits:
@@ -218,6 +252,21 @@ class TestNestingLimits:
         assert parse_rule_script(printed) == script
         assert hash(parse_rule_script(printed)) == hash(script)
         assert repr(parse_rule_script(printed)) == repr(script)
+
+    @pytest.mark.parametrize("source", AT_LIMIT.values(), ids=AT_LIMIT.keys())
+    def test_script_at_the_limit_fits_the_frame_budget(self, source):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + FRAME_BUDGET)
+        try:
+            script = parse_rule_script(source)
+            obs = make_obs(soc=0.5, forecast=PriceForecast((0.1, 0.4, 0.2)))
+            fast, slow = [], []
+            assert (evaluate_rules(script, obs, fast)
+                    == evaluate_rules_reference(script, obs, slow))
+            assert fast == slow
+            assert parse_rule_script(script_to_source(script)) == script
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 # -- compiled path against the tree walker ----------------------------------

@@ -185,6 +185,25 @@ class TestExternalProcess:
         finally:
             handle.close()
 
+    def test_candidate_that_raises_is_a_fault(self):
+        handle = ExternalProcessPolicy(driver_cmd("raising_candidate.py"),
+                                       timeout_ms=5000)
+        try:
+            decisions = [handle.decide(make_obs(step_index=i, soc=soc))
+                         for i, soc in enumerate([0.2, 0.8, 0.5, 0.2, 0.8])]
+            assert decisions == [0.0, 0.0, 1.0, 0.0, 0.0]
+            assert handle.fault_log == [
+                "step 0: candidate raised: RuntimeError: boom, on two lines",
+                "step 1: candidate raised: ValueError: could not convert "
+                "string to float: 'a lot'",
+                "step 3: candidate raised: RuntimeError: boom, on two lines",
+                "step 4: candidate raised: ValueError: could not convert "
+                "string to float: 'a lot'"]
+            with pytest.raises(PolicyFault, match="3 consecutive"):
+                handle.decide(make_obs(step_index=5, soc=0.2))
+        finally:
+            handle.close()
+
     def test_candidate_prints_do_not_shift_replies(self, battery):
         assert_replies_unshifted("print_candidate.py")
 
@@ -232,14 +251,16 @@ class TestExternalProcess:
 
 
     def test_stderr_flood_does_not_stall_episode(self, battery, tmp_path):
-        # A candidate that raises with a 2 KB message every step fills the
-        # 64 KB stderr pipe within a few dozen steps unless it is drained.
-        candidate = tmp_path / "raiser.py"
+        # A candidate that writes 2 KB to stderr every step fills the 64 KB
+        # stderr pipe within a few dozen steps unless it is drained.
+        candidate = tmp_path / "flooder.py"
         candidate.write_text(
+            "import sys\n"
             "def decide_power(charge_price, discharge_price, soc, ttd,\n"
             "                 load_kw, pv_kw, max_charge_kw,\n"
             "                 max_discharge_kw):\n"
-            "    raise RuntimeError('x' * 2048)\n")
+            "    sys.stderr.write('x' * 2048 + '\\n')\n"
+            "    return 0.0\n")
         trace = synthetic_trace(days=6, seed=2)
         sessions = [ConnectionSession(0, len(trace), 0.5)]
         handle = ExternalProcessPolicy(
@@ -495,6 +516,26 @@ class TestPydriver:
             {"protocol": "v2g-policy/1"},
             self.request(forecast=[0.1, 0.4]), {"end": True}])
         assert lines == ["3.5"]
+
+    def test_replies_err_when_the_candidate_raises(self):
+        lines = self.serve("raising_candidate.py", [
+            self.request(soc=0.2), self.request(soc=0.8),
+            self.request(soc=0.5), {"end": True}])
+        assert lines == [
+            "err RuntimeError: boom, on two lines",
+            "err ValueError: could not convert string to float: 'a lot'",
+            "1.0"]
+
+    def test_err_reply_keeps_a_bounded_message(self):
+        def decide_power(*args):
+            raise RuntimeError("x" * 2048)
+
+        out = io.StringIO()
+        pydriver.serve(decide_power, stdin=[json.dumps(self.request()) + "\n"],
+                       stdout=out)
+        message = "RuntimeError: " + "x" * 2048
+        assert out.getvalue() == (
+            f"err {message[:pydriver.ERR_MESSAGE_CHARS]}\n")
 
     def test_serves_requests_without_forecast_after_answering(self):
         lines = self.serve("price_candidate.py", [
