@@ -68,6 +68,10 @@ def _from_config(cls, fields, section: str):
 def _resolve_trace(args, config: dict) -> EnvTrace:
     if getattr(args, "synthetic", None):
         kv = _parse_kv(args.synthetic)
+        unknown = sorted(set(kv) - {"days", "seed"})
+        if unknown:
+            raise ConfigError(f"--synthetic: unknown key {unknown[0]!r} "
+                              "(expected days, seed)")
         try:
             days, seed = int(kv.get("days", 7)), int(kv.get("seed", args.seed))
         except ValueError as exc:
@@ -318,9 +322,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OperatorTransportError as exc:
         print(f"operator transport failure: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
         if getattr(exc, "diagnostics", ""):  # e.g. a candidate's traceback
             print(exc.diagnostics, file=sys.stderr)
         return EXIT_POLICY_FAULT
-    except EvPolicyError as exc:
+    except (EvPolicyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

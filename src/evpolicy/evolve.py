@@ -28,6 +28,7 @@ FLICKER_ISSUE_DIVISOR = 50
 PEAK_PRICE_THRESHOLD = 0.35  # a sell price at least this high is a spike
 TOP_MISMATCHES = 10
 MAX_FIT_EXAMPLES = 200
+_NO_CODE_FAILURE = "extraction failure: no code block found"
 _FENCED_RE = re.compile(r"```[a-zA-Z0-9_+-]*\n(.*?)```", re.DOTALL)
 _DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
@@ -40,7 +41,6 @@ class Issue:
 
 @dataclass
 class FeedbackSummary:
-    iteration: int
     total_reward: float
     avg_reward_per_step: float
     fit_score: float | None
@@ -54,13 +54,13 @@ class FeedbackSummary:
 class IterationRecord:
     index: int
     prompt: PromptBundle
-    reply: str | None
-    program: PolicyProgram | None
-    failure: str | None
-    report: EpisodeReport | None
-    fit: FitReport | None
-    feedback: FeedbackSummary | None
-    criterion: float | None
+    reply: str | None = None
+    program: PolicyProgram | None = None
+    failure: str | None = None
+    report: EpisodeReport | None = None
+    fit: FitReport | None = None
+    feedback: FeedbackSummary | None = None
+    criterion: float | None = None
 
 
 @dataclass
@@ -116,7 +116,7 @@ def extract_program(model_reply: str, mode: str = "builtin_rules",
 
 
 def make_feedback(report: EpisodeReport, fit: FitReport | None,
-                  battery: BatteryConfig, iteration: int = 1,
+                  battery: BatteryConfig,
                   fault_log: Sequence[str] = ()) -> FeedbackSummary:
     """Summarize an episode into prompt-ready critique with step citations.
 
@@ -184,7 +184,6 @@ def make_feedback(report: EpisodeReport, fit: FitReport | None,
                             key=lambda m: -abs(m[2] - m[1]))[:TOP_MISMATCHES]
 
     return FeedbackSummary(
-        iteration=iteration,
         total_reward=report.total_reward,
         avg_reward_per_step=(report.total_profit / n if n else 0.0),
         fit_score=fit.fit_score if fit else None,
@@ -195,13 +194,17 @@ def make_feedback(report: EpisodeReport, fit: FitReport | None,
     )
 
 
-def _regenerate_feedback(iteration: int) -> FeedbackSummary:
+def _failure_feedback(failure: str) -> FeedbackSummary:
+    """Feedback on an iteration that ended without a scored episode: its
+    ``failure``, as ``run.json`` records it, quoted in full."""
+    if failure == _NO_CODE_FAILURE:
+        text = ("Your previous reply contained no usable code block. "
+                "Regenerate and put the policy in a fenced code block.")
+    else:
+        text = f"The previous function failed; fix this failure:\n{failure}"
     return FeedbackSummary(
-        iteration=iteration, total_reward=0.0, avg_reward_per_step=0.0,
-        fit_score=None, soc_violation_count=0, clamp_count=0,
-        issues=[Issue("Your previous reply contained no usable code block. "
-                      "Regenerate and put the policy in a fenced code block.",
-                      ())],
+        total_reward=0.0, avg_reward_per_step=0.0, fit_score=None,
+        soc_violation_count=0, clamp_count=0, issues=[Issue(text, ())],
         top_mismatches=[])
 
 
@@ -253,12 +256,14 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     Selection: highest fit score for the imitation strategy, highest total
     reward otherwise (optionally floored by ``min_fit``); ties go to the
     earliest iteration. Failed iterations (no code block, parse error, policy
-    fault) are recorded and skipped by selection. A policy that logged any
-    fault in its episode or fit scoring fails too, though it ran to the end:
-    it keeps its report, and its feedback cites the faults. An iteration
-    whose operator request still fails after ``TRANSPORT_RETRIES`` tries ends
-    the run: the iterations so far are recorded (and ``run.json`` written),
-    then the :class:`OperatorTransportError` is raised.
+    fault) are recorded and skipped by selection; the next prompt shows the
+    failing program, if one was extracted, and quotes the failure as
+    ``run.json`` records it. A policy that logged any fault in its episode
+    or fit scoring fails too, though it ran to the end: it keeps its report,
+    and its feedback cites the faults. An iteration whose operator request
+    still fails after ``TRANSPORT_RETRIES`` tries ends the run: the
+    iterations so far are recorded (and ``run.json`` written), then the
+    :class:`OperatorTransportError` is raised.
 
     ``out_dir`` receives ``run.json`` and an ``iter_<k>`` directory per
     iteration. The window defaults as in :func:`run_episode` and must hold
@@ -288,12 +293,13 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     for k in range(n_iterations):
         iter_dir = out_dir / f"iter_{k}"
         iter_dir.mkdir(parents=True, exist_ok=True)
+        if iterations:  # the last iteration's feedback, however it ended
+            last = iterations[-1]
+            feedback = last.feedback or _failure_feedback(last.failure)
 
         bundle = build_prompt(strategy, k + 1, examples_block, stats,
                               prior=prior, feedback=feedback, battery=battery)
-        record = IterationRecord(index=k, prompt=bundle, reply=None,
-                                 program=None, failure=None, report=None,
-                                 fit=None, feedback=None, criterion=None)
+        record = IterationRecord(index=k, prompt=bundle)
         iterations.append(record)
         (iter_dir / "prompt.txt").write_text(
             bundle.system_text + "\n\n" + bundle.user_text)
@@ -310,10 +316,9 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         program = extract_program(reply, mode=program_mode,
                                   name=f"{strategy}_iter_{k}")
         if program is None:
-            record.failure = "extraction failure: no code block found"
-            feedback = _regenerate_feedback(k + 1)
+            record.failure = _NO_CODE_FAILURE
             continue
-        record.program = program
+        prior = record.program = program
         (iter_dir / "policy.txt").write_text(program.source_text)
         if program.mode == "external_process":
             policy_path = iter_dir / "policy.py"
@@ -326,7 +331,6 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                                          timeout_ms=CANDIDATE_TIMEOUT_MS)
         except Exception as exc:  # parse error, spawn failure
             record.failure = f"policy construction failed: {exc}"
-            feedback = _regenerate_feedback(k + 1)
             continue
 
         try:
@@ -336,7 +340,6 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         except PolicyFault as fault:
             record.failure = (f"policy fault at step {fault.step_index}: "
                               f"{fault} | {fault.diagnostics}")
-            feedback = _regenerate_feedback(k + 1)
             continue
         finally:
             policy.close()
@@ -347,28 +350,19 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         if faults:
             record.failure = (f"policy faults: {len(faults)} logged, "
                               f"first {faults[0]}")
-        record.feedback = make_feedback(report, fit, battery,
-                                        iteration=k + 1, fault_log=faults)
+        record.feedback = make_feedback(report, fit, battery, fault_log=faults)
         record.criterion = (fit.fit_score if strategy == "imitation" and fit
                             else report.total_reward)
         report.write_summary(iter_dir / "report.json")
-        prior = program
-        feedback = record.feedback
 
-    best_index = None
-    best_value = None
-    for it in iterations:
-        if it.failure is not None:
-            continue
-        if min_fit is not None and it.fit is not None and it.fit.fit_score < min_fit:
-            continue
-        if best_value is None or it.criterion > best_value:
-            best_index, best_value = it.index, it.criterion
-
+    eligible = [it for it in iterations if it.failure is None
+                and not (min_fit is not None and it.fit is not None
+                         and it.fit.fit_score < min_fit)]
+    best = max(eligible, key=lambda it: it.criterion, default=None)
     run = EvolutionRun(
         strategy=strategy,
         iterations=iterations,
-        best_index=best_index,
+        best_index=best.index if best is not None else None,
         config={
             "strategy": strategy,
             "n_iterations": n_iterations,

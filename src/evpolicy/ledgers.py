@@ -90,28 +90,22 @@ def quadrant_sample(entries: Sequence[LedgerEntry], n_total: int,
     base, remainder = divmod(n_total, 4)
     targets = {q: base + (1 if i < remainder else 0)
                for i, q in enumerate(QUADRANTS)}
-    # Water-fill: short quadrants give everything, spare capacity absorbs the
-    # shortfall proportionally (largest-remainder rounding).
-    while True:
-        shortfall = sum(max(0, targets[q] - len(pools[q])) for q in QUADRANTS)
-        for q in QUADRANTS:
-            targets[q] = min(targets[q], len(pools[q]))
-        if shortfall == 0:
-            break
+    # Short quadrants give everything; the others absorb the shortfall in
+    # proportion to their spare capacity (largest-remainder rounding). One
+    # pass fills every target: n_total <= len(entries), so the spare capacity
+    # covers the shortfall, and no quadrant's share exceeds its own spare.
+    shortfall = sum(max(0, targets[q] - len(pools[q])) for q in QUADRANTS)
+    if shortfall:
+        targets = {q: min(targets[q], len(pools[q])) for q in QUADRANTS}
         spare = {q: len(pools[q]) - targets[q] for q in QUADRANTS}
         total_spare = sum(spare.values())
-        if total_spare == 0:
-            break
-        grant = min(shortfall, total_spare)
-        shares = {q: grant * spare[q] / total_spare for q in QUADRANTS}
+        shares = {q: shortfall * spare[q] / total_spare for q in QUADRANTS}
         floored = {q: int(shares[q]) for q in QUADRANTS}
-        leftover = grant - sum(floored.values())
         by_frac = sorted(QUADRANTS, key=lambda q: (-(shares[q] - floored[q]),
                                                    QUADRANTS.index(q)))
-        for q in by_frac[:leftover]:
+        for q in by_frac[:shortfall - sum(floored.values())]:
             floored[q] += 1
-        for q in QUADRANTS:
-            targets[q] += floored[q]
+        targets = {q: targets[q] + floored[q] for q in QUADRANTS}
 
     rng = random.Random(seed)
     out: list[LedgerEntry] = []

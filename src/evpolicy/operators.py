@@ -42,11 +42,17 @@ class MockOperator(MutationOperator):
     def from_jsonl(cls, path) -> "MockOperator":
         replies = []
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 obj = json.loads(line)
-                replies.append(obj["reply"] if isinstance(obj, dict) else str(obj))
+                reply = obj.get("reply") if isinstance(obj, dict) else obj
+                if not isinstance(reply, str):
+                    raise ConfigError(
+                        f"{path}: line {number}: expected a JSON string or "
+                        f"an object with a string 'reply', got "
+                        f"{line.strip()[:80]}")
+                replies.append(reply)
         return cls(replies)
 
     def complete(self, bundle: PromptBundle) -> str:

@@ -53,8 +53,9 @@ def _stats_block(stats: TraceStats) -> str:
             f"DISCHARGE when: discharge_price >= {stats.sell_median:.3f} (runtime median)")
 
 
-def render_feedback(feedback) -> str:
-    lines = [f"EVALUATION RESULTS (Iteration {feedback.iteration}):",
+def render_feedback(feedback, iteration: int) -> str:
+    """The evaluation block on iteration ``iteration`` (1-based)."""
+    lines = [f"EVALUATION RESULTS (Iteration {iteration}):",
              f"Total reward: {feedback.total_reward:.2f}",
              f"Average reward per step: {feedback.avg_reward_per_step:.4f}"]
     if feedback.fit_score is not None:
@@ -88,9 +89,9 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
 
     ``examples_block`` is the ledger examples as
     :func:`~evpolicy.ledgers.render_examples` renders them, once per run;
-    only the imitation and hybrid strategies use it. ``prior`` is the
-    previous iteration's policy program and ``feedback`` its evaluation
-    summary; both are required from iteration 2 onward.
+    only the imitation and hybrid strategies use it. ``prior`` is the last
+    policy program extracted and ``feedback`` the previous iteration's
+    evaluation summary, numbered ``iteration - 1``.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -126,7 +127,7 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
     if prior is not None and prior.source_text:
         parts.append("PREVIOUS FUNCTION:\n```\n" + prior.source_text + "\n```")
     if feedback is not None:
-        parts.append(render_feedback(feedback))
+        parts.append(render_feedback(feedback, iteration - 1))
         parts.append("TASK: Rewrite the function to fix the identified issues.")
 
     return PromptBundle(

@@ -49,8 +49,6 @@ def departure_penalty(session, soc_at_departure: float,
 
 @dataclass
 class FitReport:
-    n_examples: int
-    n_matched: int
     fit_score: float
     mismatches: list  # (Observation, reference_kw, policy_kw)
 
@@ -71,8 +69,7 @@ def fit_score(policy, examples: Sequence[tuple]) -> FitReport:
             matched += 1
         else:
             mismatches.append((obs, reference_kw, policy_kw))
-    return FitReport(n_examples=len(examples), n_matched=matched,
-                     fit_score=matched / len(examples), mismatches=mismatches)
+    return FitReport(fit_score=matched / len(examples), mismatches=mismatches)
 
 
 @dataclass(frozen=True)

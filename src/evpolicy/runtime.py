@@ -97,9 +97,9 @@ class ExternalProcessPolicy(PolicyHandle):
     child, which never answers, receives it on every request.
     """
 
-    def __init__(self, command: Sequence[str] | str, timeout_ms: int = 1000):
+    def __init__(self, command: Sequence[str], timeout_ms: int = 1000):
         super().__init__("external")
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        argv = list(command)
         self.timeout_s = timeout_ms / 1000.0
         try:
             self._proc = subprocess.Popen(
@@ -326,7 +326,9 @@ def make_policy(spec: str, battery: BatteryConfig,
     """Build a handle from a CLI-style policy spec.
 
     Accepts a policy name (``baseline``, ``idle``), a ``*.rules`` file path,
-    or ``cmd:<command line>`` for an external process.
+    or ``cmd:<command line>`` for an external process; the command line is
+    split as a POSIX shell would, and an empty or unbalanced one is a
+    ConfigError.
     """
     options = options or {}
     if spec == "baseline":
@@ -339,8 +341,14 @@ def make_policy(spec: str, battery: BatteryConfig,
     elif spec == "idle":
         handle = NativePolicy(lambda obs: 0.0, name="idle")
     elif spec.startswith("cmd:"):
+        try:
+            argv = shlex.split(spec[4:])
+        except ValueError as exc:  # an unbalanced quotation or escape
+            raise ConfigError(f"{spec!r}: {exc}") from exc
+        if not argv:
+            raise ConfigError(f"{spec!r}: expected a command after cmd:")
         handle = ExternalProcessPolicy(
-            spec[4:], timeout_ms=options.get("timeout_ms", 1000))
+            argv, timeout_ms=options.get("timeout_ms", 1000))
     elif spec.endswith(".rules"):
         with open(spec) as fh:
             handle = RuleScriptPolicy(fh.read(), name=spec)

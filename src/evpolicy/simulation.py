@@ -275,10 +275,31 @@ def _step_line(r: dict) -> str:
         f'"ttd_min": {r["ttd_min"]!r}}}\n')
 
 
+_READ_FIELDS = ("step", "charge_price", "discharge_price", "soc", "soc_after",
+                "ttd_min", "load_kw", "pv_kw", "applied_kw", "step_reward")
+
+
 def read_step_log(path) -> list[dict]:
-    """Rows of a step log, in the shape of :meth:`EpisodeReport.step_rows`."""
+    """Rows of a step log, in the shape of :meth:`EpisodeReport.step_rows`.
+
+    A line that is not an object with a number in each field the ledger and
+    plot-data read is a ConfigError naming the file and the line.
+    """
+    rows = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if not (isinstance(row, dict)
+                    and all(type(row.get(key)) in (int, float)
+                            for key in _READ_FIELDS)):
+                raise ConfigError(
+                    f"{path}: line {number}: not a step-log row (expected an "
+                    "object with a number in each of "
+                    f"{', '.join(_READ_FIELDS)})")
+            rows.append(row)
+    return rows
 
 
 def session_at(sessions: Sequence[ConnectionSession],

@@ -176,6 +176,58 @@ class TestConfigErrors:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+# Outside input that once ended in a Python traceback: each is one
+# ``error:`` line naming what was wrong, and exit 1.
+OUTSIDE_INPUT_MISTAKES = {
+    "cmd_empty": (["simulate", "--policy", "cmd:"], "cmd:"),
+    "cmd_unclosed_quote": (["simulate", "--policy", 'cmd:python "x'],
+                           "No closing quotation"),
+    "synthetic_unknown_key": (["simulate", "--synthetic", "dys=2", "seed=0",
+                               "--policy", "baseline"], "'dys'"),
+    "reply_missing": (["evolve", "--operator", "mock:{tmp}/text.jsonl"],
+                      "text.jsonl: line 1: "),
+    "reply_not_a_string": (["evolve", "--operator", "mock:{tmp}/five.jsonl"],
+                           "five.jsonl: line 1: "),
+    "ledger_from_an_object_row": (
+        ["ledger", "--from", "{tmp}/text.jsonl", "--out", "{tmp}/l.csv"],
+        "text.jsonl: line 1: not a step-log row"),
+    "ledger_from_a_list_row": (
+        ["ledger", "--from", "{tmp}/list.jsonl", "--out", "{tmp}/l.csv"],
+        "list.jsonl: line 2: not a step-log row"),
+    "plot_data_from_an_object_row": (
+        ["plot-data", "--steps", "{tmp}/text.jsonl", "--out", "{tmp}/p.csv"],
+        "text.jsonl: line 1: not a step-log row"),
+    "config_a_directory": (["simulate", "--policy", "idle",
+                            "--config", "{tmp}"], "Is a directory"),
+    "trace_a_directory": (["simulate", "--policy", "idle", "--trace", "{tmp}"],
+                          "Is a directory"),
+    "out_an_existing_file": (["simulate", "--policy", "idle",
+                              "--out", "{tmp}/five.jsonl"], "File exists"),
+}
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("argv,expected", OUTSIDE_INPUT_MISTAKES.values(),
+                             ids=OUTSIDE_INPUT_MISTAKES.keys())
+    def test_outside_input_mistake_is_an_error_line(self, tmp_path, capsys,
+                                                    argv, expected):
+        (tmp_path / "text.jsonl").write_text('{"text": "x"}\n')
+        (tmp_path / "five.jsonl").write_text('{"reply": 5}\n')
+        (tmp_path / "list.jsonl").write_text("\n[1]\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if (argv[0] in ("simulate", "evolve")
+                and not {"--synthetic", "--trace"} & set(argv)):
+            argv += ["--synthetic", "days=1", "seed=3"]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "run")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert expected in err
+        assert not (tmp_path / "run").exists()
+
+
 def closed_port_url():
     """An http URL on this host where nothing listens."""
     with socket.socket() as sock:
@@ -323,6 +375,60 @@ class TestEvolveCommand:
         assert failures[0] is None and failures[2] is None
         assert failures[1].startswith("policy construction failed: line 1, ")
         assert "deeper than" in failures[1]
+
+    def test_next_prompt_shows_the_script_that_failed_to_build(self,
+                                                               tmp_path):
+        too_deep = "if soc > 0 then " + " + ".join(["0.001"] * 1500)
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text("".join(
+            json.dumps({"reply": reply}) + "\n"
+            for reply in ["```\nif soc < 0.25 then max_charge_kw\n```",
+                          f"```\n{too_deep}\n```", "no code here, sorry"]))
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "4",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        _, deep, no_code, _ = run["iterations"]
+        assert "deeper than" in deep["failure"] and deep["issues"] == []
+        prompt = (out / "iter_2" / "prompt.txt").read_text()
+        assert f"PREVIOUS FUNCTION:\n```\n{too_deep}\n```" in prompt
+        assert deep["failure"] in prompt
+        # A reply with no code keeps its sentence, and the program before it.
+        assert no_code["failure"] == "extraction failure: no code block found"
+        prompt = (out / "iter_3" / "prompt.txt").read_text()
+        assert f"PREVIOUS FUNCTION:\n```\n{too_deep}\n```" in prompt
+        assert ("- Your previous reply contained no usable code block. "
+                "Regenerate and put the policy in a fenced code block.\n"
+                in prompt)
+
+    def test_next_prompt_shows_the_python_candidate_that_failed(self,
+                                                                tmp_path):
+        sources = [PYTHON_SIGNATURE + "    " + body for body in [
+            "return max_charge_kw if soc < 0.9 else 0.0",
+            "raise RuntimeError('boom')", "return (0.0"]]
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text("".join(json.dumps({"reply": f"```\n{src}\n```"})
+                                   + "\n" for src in sources))
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "4",
+                     "--mode", "external_process",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        for k, src, quoted in [(2, sources[1],
+                                "candidate raised: RuntimeError: boom"),
+                               (3, sources[2], "SyntaxError")]:
+            failure = run["iterations"][k - 1]["failure"]
+            assert failure.startswith("policy fault at step ")
+            assert quoted in failure
+            assert run["iterations"][k - 1]["issues"] == []
+            prompt = (out / f"iter_{k}" / "prompt.txt").read_text()
+            assert f"PREVIOUS FUNCTION:\n```\n{src}\n```" in prompt
+            assert failure in prompt
+        assert run["best_index"] == 0
 
     @pytest.mark.parametrize("strategy", ["", ",", " , ", "hybrid,hybird",
                                           "hybrid,hybrid"])

@@ -87,14 +87,14 @@ class TestStrategies:
 class TestFeedbackRound:
     def make_feedback(self):
         return FeedbackSummary(
-            iteration=2, total_reward=4.5178, avg_reward_per_step=0.0157,
+            total_reward=4.5178, avg_reward_per_step=0.0157,
             fit_score=0.912, soc_violation_count=3, clamp_count=0,
             issues=[Issue("Missed arbitrage window at step 210.", (210, 211))],
             top_mismatches=[(make_obs(step_index=8, soc=0.62,
                                       charge_price=0.41), -7.0, 0.0)])
 
     def test_render_feedback_fields(self):
-        text = render_feedback(self.make_feedback())
+        text = render_feedback(self.make_feedback(), 2)
         assert "EVALUATION RESULTS (Iteration 2):" in text
         assert "Total reward: 4.52" in text
         assert "Fit score: 0.912" in text
@@ -106,7 +106,7 @@ class TestFeedbackRound:
         fb = self.make_feedback()
         fb.issues = []
         fb.top_mismatches = []
-        assert "- None." in render_feedback(fb)
+        assert "- None." in render_feedback(fb, 2)
 
     def test_second_iteration_carries_prior_and_repair_task(self):
         prior = PolicyProgram(name="p", mode="builtin_rules",
@@ -119,6 +119,7 @@ class TestFeedbackRound:
                 in bundle.user_text)
         assert bundle.user_text.index("PREVIOUS FUNCTION:") < \
                bundle.user_text.index("EVALUATION RESULTS")
+        assert "EVALUATION RESULTS (Iteration 1):" in bundle.user_text
 
 
 class TestStatePrompt:
