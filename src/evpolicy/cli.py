@@ -40,7 +40,11 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: "
+                              f"{exc.msg}") from None
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
     return config

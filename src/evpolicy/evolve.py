@@ -333,12 +333,14 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             record.failure = f"policy construction failed: {exc}"
             continue
 
+        phase = ""
         try:
             report = run_episode(trace, sessions, battery, policy, reward_cfg,
                                  start_step=start_step, n_steps=n_steps)
+            phase = " during fit scoring"
             fit = fit_score(policy, fit_examples) if fit_examples else None
         except PolicyFault as fault:
-            record.failure = (f"policy fault at step {fault.step_index}: "
+            record.failure = (f"policy fault at step {fault.step_index}{phase}: "
                               f"{fault} | {fault.diagnostics}")
             continue
         finally:

@@ -45,7 +45,11 @@ class MockOperator(MutationOperator):
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"{path}: line {number}, column "
+                                      f"{exc.colno}: {exc.msg}") from None
                 reply = obj.get("reply") if isinstance(obj, dict) else obj
                 if not isinstance(reply, str):
                     raise ConfigError(

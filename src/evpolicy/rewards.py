@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, PolicyFault
 
 FIT_TOLERANCE_KW = 0.5
 
@@ -57,14 +57,19 @@ def fit_score(policy, examples: Sequence[tuple]) -> FitReport:
     """Fraction of examples where the policy is within 0.5 kW of the reference.
 
     ``examples`` is a sequence of (Observation, reference_kw) pairs. Mismatches
-    keep the full observation so feedback prompts can cite them.
+    keep the full observation so feedback prompts can cite them. A
+    :class:`PolicyFault` carries the step index of the example's observation.
     """
     if not examples:
         raise ValueError("fit_score needs at least one example")
     mismatches = []
     matched = 0
     for obs, reference_kw in examples:
-        policy_kw = policy.decide(obs)
+        try:
+            policy_kw = policy.decide(obs)
+        except PolicyFault as fault:
+            fault.step_index = obs.step_index
+            raise
         if abs(policy_kw - reference_kw) <= FIT_TOLERANCE_KW:
             matched += 1
         else:

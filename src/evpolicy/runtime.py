@@ -13,11 +13,17 @@ from typing import Callable, Sequence
 
 from .baseline import BaselineConfig, baseline_decide
 from .errors import ConfigError, PolicyFault, PolicySpawnError
+from .operators import API_KEY_ENV
 from .pydriver import PROTOCOL
 from .rules import evaluate_rules, parse_rule_script
 from .simulation import BatteryConfig, Observation
 
 PROTOCOL_HANDSHAKE = {"protocol": PROTOCOL}
+REQUEST_KEYS = ("charge_price", "discharge_price", "soc", "ttd", "load_kw",
+                "pv_kw", "max_charge_kw", "max_discharge_kw")
+# A request line without the forecast. ``str`` of an int or a float is the
+# ``repr`` that ``json`` writes, except for the non-finite floats.
+_REQUEST = "{" + ", ".join(f'"{key}": %s' for key in REQUEST_KEYS) + "}\n"
 MAX_CONSECUTIVE_FAULTS = 3
 STDERR_TAIL_BYTES = 2000
 READ_BYTES = 65536  # one pipe's default capacity on Linux
@@ -74,6 +80,24 @@ class RuleScriptPolicy(PolicyHandle):
         return evaluate_rules(self.script, obs, fault_log=self.fault_log)
 
 
+def encode_request(obs: Observation, forecast: bool) -> bytes:
+    """``json.dumps`` of the request for ``obs``, with a newline, as bytes.
+
+    Without the forecast the line comes from one template, and only a
+    request holding a NaN or an infinity goes through ``json`` per number.
+    """
+    values = (obs.charge_price, obs.discharge_price, obs.soc, obs.ttd_minutes,
+              obs.load_kw, obs.pv_kw, obs.max_charge_kw, obs.max_discharge_kw)
+    if forecast:
+        request = dict(zip(REQUEST_KEYS, values),
+                       forecast=list(obs.forecast.values))
+        return (json.dumps(request) + "\n").encode()
+    line = _REQUEST % values
+    if "nan" in line or "inf" in line:  # no key holds either
+        line = _REQUEST % tuple(map(json.dumps, values))
+    return line.encode()
+
+
 class ExternalProcessPolicy(PolicyHandle):
     """Child process speaking the line protocol, one JSON request per step.
 
@@ -95,16 +119,22 @@ class ExternalProcessPolicy(PolicyHandle):
     "forecast": <bool>}`` as its first line; requests omit ``forecast`` once
     it has said ``false``. Requests carry ``forecast`` until then, so a v1
     child, which never answers, receives it on every request.
+
+    The child gets the parent's environment without ``EVPOLICY_API_KEY``
+    (:data:`evpolicy.operators.API_KEY_ENV`): candidate code never sees the
+    operator's key.
     """
 
     def __init__(self, command: Sequence[str], timeout_ms: int = 1000):
         super().__init__("external")
         argv = list(command)
         self.timeout_s = timeout_ms / 1000.0
+        env = {key: value for key, value in os.environ.items()
+               if key != API_KEY_ENV}
         try:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE)
+                stderr=subprocess.PIPE, env=env)
         except OSError as exc:
             raise PolicySpawnError(f"cannot spawn {argv!r}: {exc}") from exc
         os.set_blocking(self._proc.stdin.fileno(), False)
@@ -112,18 +142,18 @@ class ExternalProcessPolicy(PolicyHandle):
         for pipe in (self._proc.stdout, self._proc.stderr):
             self._selector.register(pipe, selectors.EVENT_READ)
         self._stdout = b""  # read from stdout, not yet split into lines
+        self._stdout_eof = False
         self._stderr = b""  # tail of the child's stderr
         self._consecutive_faults = 0
         self._awaiting_answer = True  # no line from the child read yet
         self._send_forecast = True
         self._owed_replies = 0  # replies still due to timed-out requests
-        self._send(PROTOCOL_HANDSHAKE)
+        self._send(json.dumps(PROTOCOL_HANDSHAKE).encode() + b"\n",
+                   time.monotonic() + self.timeout_s)
 
-    def _send(self, payload: dict) -> None:
-        """Write one request line within ``timeout_s``, most often in one
+    def _send(self, data: bytes, deadline: float) -> None:
+        """Write one request line before ``deadline``, most often in one
         write; while the child's stdin is full, read its output meanwhile."""
-        deadline = time.monotonic() + self.timeout_s
-        data = json.dumps(payload).encode() + b"\n"
         if (written := self._write(data)) == len(data):
             return
         stdin = self._proc.stdin
@@ -161,6 +191,8 @@ class ExternalProcessPolicy(PolicyHandle):
             chunk = os.read(key.fd, READ_BYTES)
             if not chunk:
                 self._selector.unregister(key.fileobj)
+                if key.fileobj is self._proc.stdout:
+                    self._stdout_eof = True
             elif key.fileobj is self._proc.stdout:
                 self._stdout += chunk
             else:
@@ -187,7 +219,7 @@ class ExternalProcessPolicy(PolicyHandle):
         At end of file an unterminated last line is still returned.
         """
         while (end := self._stdout.find(b"\n")) < 0:
-            if self._proc.stdout not in self._selector.get_map():
+            if self._stdout_eof:
                 if self._stdout:  # an unterminated last line
                     self._stdout += b"\n"
                     continue
@@ -204,20 +236,8 @@ class ExternalProcessPolicy(PolicyHandle):
         return line.decode(errors="replace").strip()
 
     def decide(self, obs: Observation) -> float:
-        request = {
-            "charge_price": obs.charge_price,
-            "discharge_price": obs.discharge_price,
-            "soc": obs.soc,
-            "ttd": obs.ttd_minutes,
-            "load_kw": obs.load_kw,
-            "pv_kw": obs.pv_kw,
-            "max_charge_kw": obs.max_charge_kw,
-            "max_discharge_kw": obs.max_discharge_kw,
-        }
-        if self._send_forecast:
-            request["forecast"] = list(obs.forecast.values)
         deadline = time.monotonic() + self.timeout_s
-        self._send(request)
+        self._send(encode_request(obs, self._send_forecast), deadline)
         reply = self._read_reply(obs, deadline)
         if reply is None:
             self._owed_replies += 1

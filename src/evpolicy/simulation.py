@@ -282,15 +282,20 @@ _READ_FIELDS = ("step", "charge_price", "discharge_price", "soc", "soc_after",
 def read_step_log(path) -> list[dict]:
     """Rows of a step log, in the shape of :meth:`EpisodeReport.step_rows`.
 
-    A line that is not an object with a number in each field the ledger and
-    plot-data read is a ConfigError naming the file and the line.
+    A line that is not JSON, or not an object with a number in each field
+    the ledger and plot-data read, is a ConfigError naming the file and the
+    line.
     """
     rows = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: line {number}, column "
+                                  f"{exc.colno}: {exc.msg}") from None
             if not (isinstance(row, dict)
                     and all(type(row.get(key)) in (int, float)
                             for key in _READ_FIELDS)):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import socket
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from evpolicy.cli import main
 from evpolicy.market import save_trace, synthetic_trace
+from evpolicy.operators import API_KEY_ENV
 
 REPLIES_JSONL = "\n".join(json.dumps({"reply": f"```\n{src}\n```"}) for src in [
     "if soc < 0.25 then max_charge_kw",
@@ -203,6 +205,17 @@ OUTSIDE_INPUT_MISTAKES = {
                           "Is a directory"),
     "out_an_existing_file": (["simulate", "--policy", "idle",
                               "--out", "{tmp}/five.jsonl"], "File exists"),
+    # A line that is not JSON: the file and its line, not only the column.
+    "config_not_json": (["simulate", "--policy", "idle",
+                         "--config", "{tmp}/garbled.jsonl"],
+                        "garbled.jsonl: line 2, column 1: Expecting value"),
+    "replies_line_not_json": (["evolve", "--operator",
+                               "mock:{tmp}/garbled.jsonl"],
+                              "garbled.jsonl: line 2, column 1: "
+                              "Expecting value"),
+    "step_log_line_not_json": (
+        ["ledger", "--from", "{tmp}/garbled.jsonl", "--out", "{tmp}/l.csv"],
+        "garbled.jsonl: line 2, column 1: Expecting value"),
 }
 
 
@@ -214,6 +227,7 @@ class TestOutsideInput:
         (tmp_path / "text.jsonl").write_text('{"text": "x"}\n')
         (tmp_path / "five.jsonl").write_text('{"reply": 5}\n')
         (tmp_path / "list.jsonl").write_text("\n[1]\n")
+        (tmp_path / "garbled.jsonl").write_text("\nnot json\n")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if (argv[0] in ("simulate", "evolve")
                 and not {"--synthetic", "--trace"} & set(argv)):
@@ -429,6 +443,43 @@ class TestEvolveCommand:
             assert f"PREVIOUS FUNCTION:\n```\n{src}\n```" in prompt
             assert failure in prompt
         assert run["best_index"] == 0
+
+    def test_candidates_do_not_see_the_operator_key(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "sk-secret-123")
+        source = ("import os\n" + PYTHON_SIGNATURE + "    raise RuntimeError("
+                  "'key=' + str(os.environ.get('EVPOLICY_API_KEY')))")
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(json.dumps({"reply": f"```\n{source}\n```"}) + "\n")
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=2", "seed=1",
+                     "--strategy", "reasoning", "--iters", "1",
+                     "--mode", "external_process",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        text = (out / "run.json").read_text()
+        assert "sk-secret-123" not in text
+        [only] = json.loads(text)["iterations"]
+        assert "candidate raised: RuntimeError: key=None" in only["failure"]
+
+    def test_a_fault_during_fit_scoring_names_its_step(self, tmp_path):
+        source = PYTHON_SIGNATURE + (
+            "    return 1.0 if soc < 0.5 else float('x' if soc > 0.6 else 0)")
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(json.dumps({"reply": f"```\n{source}\n```"}) + "\n")
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=2", "seed=1",
+                     "--strategy", "imitation", "--iters", "1",
+                     "--mode", "external_process",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        [only] = json.loads((out / "run.json").read_text())["iterations"]
+        match = re.match(r"policy fault at step (\d+) during fit scoring: "
+                         r"3 consecutive policy faults", only["failure"])
+        assert match is not None, only["failure"]
+        # The step is the last faulting decision's, as its log names it.
+        assert (f"step {match.group(1)}: candidate raised: ValueError"
+                in only["failure"])
 
     @pytest.mark.parametrize("strategy", ["", ",", " , ", "hybrid,hybird",
                                           "hybrid,hybrid"])

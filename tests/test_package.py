@@ -38,6 +38,18 @@ def test_pydriver_imports_no_other_evpolicy_module():
         "evpolicy", "evpolicy.pydriver"]
 
 
+def test_pydriver_starts_without_inspect():
+    # -I -S: no site-packages, .pth files or PYTHON* variables, so nothing
+    # but the driver itself can import inspect; -B: no bytecode written
+    # into the source tree.
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c",
+         f"import sys\nsys.path.insert(0, {str(SRC)!r})\n"
+         "import evpolicy.pydriver\nprint('inspect' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "False\n"
+
+
 def test_cli_imports_no_http_client():
     loaded = modules_after("import evpolicy.cli")
     assert "evpolicy.cli" in loaded

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import io
 import json
 import math
@@ -9,16 +11,16 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evpolicy import pydriver
 from evpolicy.errors import PolicyFault, PolicySpawnError
-from evpolicy.market import forecast_at, synthetic_trace
+from evpolicy.market import PriceForecast, forecast_at, synthetic_trace
 from evpolicy.rewards import RewardConfig
 from evpolicy.runtime import (ExternalProcessPolicy, GuardrailPolicy,
                               NativePolicy, PolicyProgram, RuleScriptPolicy,
-                              STDERR_TAIL_BYTES, make_policy)
+                              STDERR_TAIL_BYTES, encode_request, make_policy)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  run_episode)
 from tests.conftest import make_obs
@@ -59,9 +61,9 @@ def record_requests(handle):
     sent = []
     send = handle._send
 
-    def recording(payload):
-        sent.append(payload)
-        send(payload)
+    def recording(data, deadline):
+        sent.append(json.loads(data))
+        send(data, deadline)
 
     handle._send = recording
     return sent
@@ -542,6 +544,118 @@ class TestPydriver:
             {"protocol": "v2g-policy/2"}, self.request(),
             self.request(soc=0.2), {"end": True}])
         assert lines[1:] == ["3.5", "7.0"]
+
+    def test_skips_blank_lines(self):
+        out = io.StringIO()
+        pydriver.serve(load_candidate("price_candidate.py"),
+                       stdin=["\n", "  \n", json.dumps(self.request()) + "\n",
+                              '  {"end": true}  \n', "\n"],
+                       stdout=out)
+        assert out.getvalue() == "3.5\n"
+
+    @pytest.mark.parametrize("line,error", [
+        ('{"end": true} 1', "extra data"),  # as json.loads would have it
+        ('{"charge_price": 0.1}', "not a request, handshake or end"),
+    ])
+    def test_stops_at_a_line_that_is_not_one_message(self, line, error):
+        with pytest.raises(ValueError, match=error):
+            pydriver.serve(load_candidate("price_candidate.py"),
+                           stdin=[line + "\n"], stdout=io.StringIO())
+
+
+def fc_positional(charge_price, discharge_price, soc, ttd, load_kw, pv_kw,
+                  max_charge_kw, max_discharge_kw, forecast):
+    return 0.0
+
+
+def fc_keyword_only(charge_price, *args, forecast):
+    return 0.0
+
+
+def fc_defaulted(charge_price, soc=0.5, /, forecast=None, *args, flag=1,
+                 **kwargs):
+    return 0.0
+
+
+def star_only(*args, **kwargs):
+    return 0.0
+
+
+@functools.wraps(fc_positional)
+def fc_wrapped(*args, **kwargs):
+    return fc_positional(*args, **kwargs)
+
+
+def with_signature(*args):
+    return 0.0
+
+
+with_signature.__signature__ = inspect.signature(fc_keyword_only)
+
+
+class CallableCandidate:
+    def __call__(self, charge_price, forecast):
+        return 0.0
+
+    def method(self, soc, forecast=None):
+        return 0.0
+
+
+PARAMETER_CASES = {
+    "positional": (fc_positional, True),
+    "keyword-only": (fc_keyword_only, True),
+    "defaulted": (fc_defaulted, True),
+    "star-args": (star_only, False),
+    "lambda": (lambda charge_price, soc: 0.0, False),
+    "partial": (functools.partial(fc_positional, 0.1, 0.1), True),
+    "wraps": (fc_wrapped, True),
+    "signature-attribute": (with_signature, True),
+    "callable-instance": (CallableCandidate(), True),
+    "bound-method": (CallableCandidate().method, True),
+    "builtin": (abs, False),
+}
+
+
+@pytest.mark.parametrize("fn,wants", PARAMETER_CASES.values(),
+                         ids=PARAMETER_CASES.keys())
+def test_parameter_names_agree_with_inspect(fn, wants):
+    names = pydriver.parameter_names(fn)
+    assert names == tuple(inspect.signature(fn).parameters)
+    assert ("forecast" in names) is wants
+
+
+REQUEST_NUMBER = st.one_of(st.floats(), st.integers(-10**30, 10**30))
+
+
+class TestEncodeRequest:
+    """The request bytes are what ``json.dumps`` wrote for the request dict."""
+
+    @staticmethod
+    def old_request(obs):
+        return {"charge_price": obs.charge_price,
+                "discharge_price": obs.discharge_price, "soc": obs.soc,
+                "ttd": obs.ttd_minutes, "load_kw": obs.load_kw,
+                "pv_kw": obs.pv_kw, "max_charge_kw": obs.max_charge_kw,
+                "max_discharge_kw": obs.max_discharge_kw}
+
+    @given(values=st.tuples(*[st.floats()] * 6),
+           limits=st.tuples(REQUEST_NUMBER, REQUEST_NUMBER))
+    @example(values=(math.nan, -math.inf, -0.0, 5e-324, math.inf, 1e-310),
+             limits=(7, 11))
+    @example(values=(0.1, 0.1, 0.5, 120, 0.5, 0.0), limits=(7.0, -math.inf))
+    def test_template_matches_json_dumps(self, values, limits):
+        obs = make_obs(None, *values, *limits, forecast=PriceForecast((0.1,)))
+        assert encode_request(obs, False) == (
+            json.dumps(self.old_request(obs)) + "\n").encode()
+
+    @given(values=st.tuples(*[st.floats()] * 6),
+           forecast=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=1, max_size=5))
+    def test_forecast_request_matches_json_dumps(self, values, forecast):
+        obs = make_obs(None, *values, forecast=PriceForecast(tuple(forecast)))
+        request = {**self.old_request(obs), "forecast": forecast}
+        assert encode_request(obs, True) == (
+            json.dumps(request) + "\n").encode()
 
 
 class TestReferenceAgreement:
