@@ -8,8 +8,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import evolve as evolve_mod
-from . import ledgers
 from .errors import (ConfigError, EvPolicyError, OperatorTransportError,
                      PolicyFault, PolicySpawnError)
 from .market import EnvTrace, load_trace, synthetic_trace
@@ -19,7 +17,10 @@ from .rewards import RewardConfig
 from .runtime import make_policy
 from .simulation import (BatteryConfig, ConnectionSession, default_sessions,
                          read_step_log, run_episode)
+# The evolve and ledger modules are imported inside the commands that use
+# them, so ``simulate`` starts without loading them.
 
+DEFAULT_ITERATIONS = 10  # evolve --iters
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_POLICY_FAULT = 2
@@ -158,6 +159,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ledger(args) -> int:
+    from . import ledgers
     entries = ledgers.build_ledger(read_step_log(args.from_log))
     sample = ledgers.quadrant_sample(entries, args.n, seed=args.seed)
     fmt = "jsonl" if args.out.endswith(".jsonl") else "csv"
@@ -167,6 +169,8 @@ def cmd_ledger(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from . import evolve as evolve_mod
+    from . import ledgers
     strategies = _strategies(args.strategy)
     config, trace, battery, sessions, reward_cfg = _run_inputs(args)
     retry_base_delay = _config_number(config, "retry_base_delay", 0.5)
@@ -299,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_args(p)
     p.add_argument("--strategy", default="hybrid",
                    help="reasoning|imitation|hybrid (comma list allowed)")
-    p.add_argument("--iters", type=int, default=evolve_mod.DEFAULT_ITERATIONS)
+    p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument("--operator", required=True,
                    help="mock:replies.jsonl or http (configure in --config)")
     p.add_argument("--mode", default="builtin_rules",

@@ -20,7 +20,6 @@ from .runtime import (GuardrailPolicy, PolicyHandle, PolicyProgram,
 from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
                          episode_window, run_episode)
 
-DEFAULT_ITERATIONS = 10
 DEFAULT_QUERY_CADENCE = 60 // STEP_MINUTES  # hourly
 TRANSPORT_RETRIES = 3
 CANDIDATE_TIMEOUT_MS = 2000

@@ -15,7 +15,6 @@ from .baseline import BaselineConfig, baseline_decide
 from .errors import ConfigError, PolicyFault, PolicySpawnError
 from .operators import API_KEY_ENV
 from .pydriver import PROTOCOL
-from .rules import evaluate_rules, parse_rule_script
 from .simulation import BatteryConfig, Observation
 
 PROTOCOL_HANDSHAKE = {"protocol": PROTOCOL}
@@ -73,11 +72,14 @@ class NativePolicy(PolicyHandle):
 
 class RuleScriptPolicy(PolicyHandle):
     def __init__(self, source_text: str, name: str = "rules"):
+        # Imported here: only rule policies need the interpreter.
+        from . import rules
         super().__init__(name)
-        self.script = parse_rule_script(source_text)
+        self.script = rules.parse_rule_script(source_text)
+        self._evaluate = rules.evaluate_rules
 
     def decide(self, obs: Observation) -> float:
-        return evaluate_rules(self.script, obs, fault_log=self.fault_log)
+        return self._evaluate(self.script, obs, fault_log=self.fault_log)
 
 
 def encode_request(obs: Observation, forecast: bool) -> bytes:

@@ -56,6 +56,13 @@ def test_cli_imports_no_http_client():
     assert loaded.isdisjoint({"requests", "urllib.request", "http.client"})
 
 
+def test_cli_leaves_the_evolve_modules_to_the_commands_that_use_them():
+    # simulate, compare and plot-data need none of these.
+    loaded = modules_after("import evpolicy.cli")
+    assert loaded.isdisjoint({"evpolicy.evolve", "evpolicy.ledgers",
+                              "evpolicy.rules"})
+
+
 def test_public_names_are_their_submodules_objects():
     assert evpolicy.__all__ == sorted(PUBLIC_NAMES)
     for name in evpolicy.__all__:
