@@ -162,8 +162,7 @@ def cmd_ledger(args) -> int:
     from . import ledgers
     entries = ledgers.build_ledger(read_step_log(args.from_log))
     sample = ledgers.quadrant_sample(entries, args.n, seed=args.seed)
-    fmt = "jsonl" if args.out.endswith(".jsonl") else "csv"
-    ledgers.export_ledger(sample, args.out, format=fmt)
+    ledgers.export_ledger(sample, args.out)
     print(f"wrote {len(sample)} entries to {args.out}")
     return EXIT_OK
 

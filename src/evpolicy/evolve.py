@@ -26,7 +26,8 @@ CANDIDATE_TIMEOUT_MS = 2000
 FLICKER_ISSUE_DIVISOR = 50
 PEAK_PRICE_THRESHOLD = 0.35  # a sell price at least this high is a spike
 TOP_MISMATCHES = 10
-MAX_FIT_EXAMPLES = 200
+# _reference_examples keeps between min(P, 200) and 399 of P plugged-in steps.
+MIN_FIT_EXAMPLES = 200
 _NO_CODE_FAILURE = "extraction failure: no code block found"
 _FENCED_RE = re.compile(r"```[a-zA-Z0-9_+-]*\n(.*?)```", re.DOTALL)
 _DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
@@ -40,8 +41,8 @@ class Issue:
 
 @dataclass
 class FeedbackSummary:
-    total_reward: float
-    avg_reward_per_step: float
+    total_reward: float | None  # None: no episode ran
+    avg_reward_per_step: float | None
     fit_score: float | None
     soc_violation_count: int
     clamp_count: int
@@ -202,7 +203,7 @@ def _failure_feedback(failure: str) -> FeedbackSummary:
     else:
         text = f"The previous function failed; fix this failure:\n{failure}"
     return FeedbackSummary(
-        total_reward=0.0, avg_reward_per_step=0.0, fit_score=None,
+        total_reward=None, avg_reward_per_step=None, fit_score=None,
         soc_violation_count=0, clamp_count=0, issues=[Issue(text, ())],
         top_mismatches=[])
 
@@ -224,7 +225,7 @@ def _reference_examples(report: EpisodeReport) -> list[tuple]:
     """Plugged-in (observation, baseline action) pairs for fit scoring."""
     plugged = [i for i, session in enumerate(report.step_sessions)
                if session is not None]
-    stride = max(1, len(plugged) // MAX_FIT_EXAMPLES)
+    stride = max(1, len(plugged) // MIN_FIT_EXAMPLES)
     return [(report.observation(i), report.applied_kw[i])
             for i in plugged[::stride]]
 

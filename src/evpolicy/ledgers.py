@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, asdict
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, EvPolicyError
+from .errors import ConfigError
 from .market import lower_median
 
 QUADRANTS = (
@@ -152,44 +152,21 @@ def render_examples(entries: Sequence[LedgerEntry]) -> str:
             + "\n".join(format_entry(e) for e in entries))
 
 
-def export_ledger(entries: Sequence[LedgerEntry], path,
-                  format: str = "csv") -> None:
-    try:
-        if format == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(LEDGER_COLUMNS)
-                for e in entries:
-                    d = asdict(e)
-                    writer.writerow([d["step"]] +
-                                    [repr(d[c]) for c in LEDGER_COLUMNS[1:-1]] +
-                                    [d["quadrant"]])
-        elif format == "jsonl":
-            with open(path, "w") as fh:
-                for e in entries:
-                    fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
-        else:
-            raise ValueError(f"unknown ledger format {format!r}")
-    except OSError as exc:
-        raise EvPolicyError(f"cannot write ledger to {path}: {exc}") from exc
+def export_ledger(entries: Sequence[LedgerEntry], path) -> None:
+    """Write ``entries`` as JSON lines to a ``.jsonl`` path, else as CSV.
 
-
-def load_ledger(path, format: str | None = None) -> list[LedgerEntry]:
-    format = format or ("jsonl" if str(path).endswith(".jsonl") else "csv")
-    entries = []
-    try:
-        if format == "csv":
-            with open(path, newline="") as fh:
-                for row in csv.DictReader(fh):
-                    entries.append(LedgerEntry(
-                        step=int(row["step"]),
-                        quadrant=row["quadrant"],
-                        **{c: float(row[c]) for c in LEDGER_COLUMNS[1:-1]}))
-        else:
-            with open(path) as fh:
-                for line in fh:
-                    if line.strip():
-                        entries.append(LedgerEntry(**json.loads(line)))
-    except OSError as exc:
-        raise EvPolicyError(f"cannot read ledger from {path}: {exc}") from exc
-    return entries
+    The CSV writes each float's ``repr``, so every value reads back exactly.
+    """
+    if str(path).endswith(".jsonl"):
+        with open(path, "w") as fh:
+            for e in entries:
+                fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LEDGER_COLUMNS)
+        for e in entries:
+            d = asdict(e)
+            writer.writerow([d["step"]] +
+                            [repr(d[c]) for c in LEDGER_COLUMNS[1:-1]] +
+                            [d["quadrant"]])

@@ -5,15 +5,18 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .market import TraceStats
+from .pydriver import DECISION_INPUTS
 from .simulation import BatteryConfig, Observation
 
 STRATEGIES = ("reasoning", "imitation", "hybrid")
 
-SIGNATURE_BLOCK = '''def decide_power(charge_price, discharge_price, soc, ttd,
-                 load_kw, pv_kw, max_charge_kw, max_discharge_kw):
-    """Return signed kW: +charge, -discharge, 0=idle."""
-    # Your code here
-    return power_kw'''
+_NAMES = [name for name, _ in DECISION_INPUTS]
+SIGNATURE_BLOCK = (
+    f"def decide_power({', '.join(_NAMES[:4])},\n"
+    f"{' ' * len('def decide_power(')}{', '.join(_NAMES[4:])}):\n"
+    '    """Return signed kW: +charge, -discharge, 0=idle."""\n'
+    "    # Your code here\n"
+    "    return power_kw")
 
 RULES_FORMAT_NOTE = (
     "Alternatively, you may answer with threshold rules, one per line:\n"
@@ -55,9 +58,11 @@ def _stats_block(stats: TraceStats) -> str:
 
 def render_feedback(feedback, iteration: int) -> str:
     """The evaluation block on iteration ``iteration`` (1-based)."""
-    lines = [f"EVALUATION RESULTS (Iteration {iteration}):",
-             f"Total reward: {feedback.total_reward:.2f}",
-             f"Average reward per step: {feedback.avg_reward_per_step:.4f}"]
+    lines = [f"EVALUATION RESULTS (Iteration {iteration}):"]
+    if feedback.total_reward is not None:  # an episode ran
+        lines.append(f"Total reward: {feedback.total_reward:.2f}")
+        lines.append(
+            f"Average reward per step: {feedback.avg_reward_per_step:.4f}")
     if feedback.fit_score is not None:
         lines.append(f"Fit score: {feedback.fit_score:.3f}")
     if feedback.soc_violation_count:

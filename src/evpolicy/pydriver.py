@@ -5,7 +5,11 @@ Usage: ``python -m evpolicy.pydriver <policy_file.py>``
 Loads a file that defines ``decide_power(charge_price, discharge_price, soc,
 ttd, load_kw, pv_kw, max_charge_kw, max_discharge_kw)`` (an optional trailing
 ``forecast`` parameter is passed when accepted) and serves it over the
-line protocol: handshake line, then one JSON request per line, one reply
+line protocol. These eight decision inputs are defined once, in
+:data:`DECISION_INPUTS`: the prompt's signature, the request keys, the
+candidate's argument order and the rule language's variables are all built
+from it. ``ttd`` is :attr:`Observation.ttd_minutes`, in minutes. The
+protocol is a handshake line, then one JSON request per line, one reply
 per line, until ``{"end": true}``. A reply is a decimal, or ``err <message>``
 on one line when ``decide_power`` raises or returns something ``float()``
 rejects; the parent counts an ``err`` reply as a policy fault.
@@ -29,9 +33,10 @@ candidate's file runs: whatever the candidate writes to stdout, through
 inherits fd 1, goes to stderr, and its stdin reads see end of file.
 
 The driver starts once per episode and answers one request per decision, so
-it imports only ``json``, ``os``, ``sys`` and ``contextlib`` at start-up
-(never :mod:`inspect`, see :func:`parameter_names`), and ``main`` reads
-requests and writes replies as bytes, one write and one flush per reply.
+it imports only ``json``, ``operator``, ``os``, ``sys`` and ``contextlib``
+at start-up (never :mod:`inspect`, see :func:`parameter_names`), and
+``main`` reads requests and writes replies as bytes, one write and one flush
+per reply.
 """
 from __future__ import annotations
 
@@ -39,8 +44,15 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
+from operator import itemgetter
 
 PROTOCOL = "v2g-policy/2"
+# (request key, Observation field) of each argument of decide_power, in order.
+DECISION_INPUTS = (
+    ("charge_price", "charge_price"), ("discharge_price", "discharge_price"),
+    ("soc", "soc"), ("ttd", "ttd_minutes"), ("load_kw", "load_kw"),
+    ("pv_kw", "pv_kw"), ("max_charge_kw", "max_charge_kw"),
+    ("max_discharge_kw", "max_discharge_kw"))
 ERR_MESSAGE_CHARS = 200  # of an exception's message in an ``err`` reply
 
 _FUNCTION = type(lambda: None)
@@ -89,6 +101,10 @@ def _serve(fn, lines, reply) -> None:
     """Answer each request line in ``lines`` by passing one reply line to
     ``reply``, until ``end``."""
     wants_forecast = "forecast" in parameter_names(fn)
+    keys = [key for key, _ in DECISION_INPUTS]
+    if wants_forecast:
+        keys.append("forecast")
+    arguments = itemgetter(*keys)  # a request's arguments, in order
     answer = json.dumps({"protocol": PROTOCOL,
                          "forecast": wants_forecast}) + "\n"
     # raw_decode skips the whitespace handling of json.loads, about a third
@@ -104,11 +120,7 @@ def _serve(fn, lines, reply) -> None:
             if end < len(line):
                 raise ValueError(f"extra data after a message: {line[:80]!r}")
             if "soc" in msg:  # a decision request, the hot path
-                args = [msg["charge_price"], msg["discharge_price"], msg["soc"],
-                        msg["ttd"], msg["load_kw"], msg["pv_kw"],
-                        msg["max_charge_kw"], msg["max_discharge_kw"]]
-                if wants_forecast:
-                    args.append(msg["forecast"])
+                args = arguments(msg)
                 try:
                     text = f"{float(fn(*args))}\n"
                 except Exception as exc:  # noqa: BLE001 - the parent decides

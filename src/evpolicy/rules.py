@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .errors import RuleParseError
+from .pydriver import DECISION_INPUTS
 
-OBSERVATION_FIELDS = (
-    "charge_price", "discharge_price", "soc", "ttd",
-    "load_kw", "pv_kw", "max_charge_kw", "max_discharge_kw",
-)
+_FIELD = dict(DECISION_INPUTS)  # variable name -> Observation attribute
+OBSERVATION_FIELDS = tuple(_FIELD)
 FORECAST_FUNCS = ("fc_max", "fc_min", "fc_mean")
 NUMERIC_FUNCS = ("min", "max")
 
@@ -423,8 +422,7 @@ def _compile(node):
         value = node.value
         return lambda obs: value
     if isinstance(node, Var):
-        return operator.attrgetter(
-            "ttd_minutes" if node.name == "ttd" else node.name)
+        return operator.attrgetter(_FIELD[node.name])
     if isinstance(node, Unary):
         operand = _compile(node.operand)
         if node.op == "-":
@@ -476,9 +474,7 @@ def _eval(node, obs):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        if node.name == "ttd":
-            return obs.ttd_minutes
-        return getattr(obs, node.name)
+        return getattr(obs, _FIELD[node.name])
     if isinstance(node, Unary):
         value = _eval(node.operand, obs)
         return -value if node.op == "-" else not value

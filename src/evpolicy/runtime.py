@@ -9,17 +9,18 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .baseline import BaselineConfig, baseline_decide
 from .errors import ConfigError, PolicyFault, PolicySpawnError
 from .operators import API_KEY_ENV
-from .pydriver import PROTOCOL
+from .pydriver import DECISION_INPUTS, PROTOCOL
 from .simulation import BatteryConfig, Observation
 
 PROTOCOL_HANDSHAKE = {"protocol": PROTOCOL}
-REQUEST_KEYS = ("charge_price", "discharge_price", "soc", "ttd", "load_kw",
-                "pv_kw", "max_charge_kw", "max_discharge_kw")
+REQUEST_KEYS = tuple(key for key, _ in DECISION_INPUTS)
+_request_values = attrgetter(*(field for _, field in DECISION_INPUTS))
 # A request line without the forecast. ``str`` of an int or a float is the
 # ``repr`` that ``json`` writes, except for the non-finite floats.
 _REQUEST = "{" + ", ".join(f'"{key}": %s' for key in REQUEST_KEYS) + "}\n"
@@ -88,8 +89,7 @@ def encode_request(obs: Observation, forecast: bool) -> bytes:
     Without the forecast the line comes from one template, and only a
     request holding a NaN or an infinity goes through ``json`` per number.
     """
-    values = (obs.charge_price, obs.discharge_price, obs.soc, obs.ttd_minutes,
-              obs.load_kw, obs.pv_kw, obs.max_charge_kw, obs.max_discharge_kw)
+    values = _request_values(obs)
     if forecast:
         request = dict(zip(REQUEST_KEYS, values),
                        forecast=list(obs.forecast.values))

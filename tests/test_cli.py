@@ -316,6 +316,18 @@ class TestLedgerCommand:
                      "--out", str(tmp_path / "l.csv")])
         assert code == 1
 
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        _, out = run_simulate(tmp_path)
+        capsys.readouterr()
+        ledger_path = tmp_path / "missing" / "l.jsonl"
+        code = main(["ledger", "--from", str(out / "steps.jsonl"),
+                     "--out", str(ledger_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and str(ledger_path) in err
+        assert "Traceback" not in err
+
 
 class TestEvolveCommand:
     def test_mock_run_prints_best(self, tmp_path, capsys):
@@ -416,6 +428,26 @@ class TestEvolveCommand:
         assert ("- Your previous reply contained no usable code block. "
                 "Regenerate and put the policy in a fenced code block.\n"
                 in prompt)
+
+    def test_prompt_after_a_no_code_reply_shows_no_reward(self, tmp_path):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(json.dumps({"reply": "no code here, sorry"}) + "\n"
+                           + REPLIES_JSONL)
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--strategy", "reasoning", "--iters", "3",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        # No episode ran on iteration 0, so its evaluation has no reward.
+        prompt = (out / "iter_1" / "prompt.txt").read_text()
+        assert ("EVALUATION RESULTS (Iteration 1):\n\nISSUES IDENTIFIED:"
+                in prompt)
+        assert "Total reward:" not in prompt
+        assert "Average reward per step:" not in prompt
+        # The episode of iteration 1 ran, so its evaluation has both lines.
+        prompt = (out / "iter_2" / "prompt.txt").read_text()
+        assert "EVALUATION RESULTS (Iteration 2):\nTotal reward: " in prompt
+        assert "\nAverage reward per step: " in prompt
 
     def test_next_prompt_shows_the_python_candidate_that_failed(self,
                                                                 tmp_path):

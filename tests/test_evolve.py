@@ -1,12 +1,14 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from evpolicy.errors import ConfigError, OperatorTransportError
-from evpolicy.evolve import (DEFAULT_QUERY_CADENCE, EvolutionRun,
-                             RuntimeLLMPolicy, extract_program, make_feedback,
-                             run_evolution, run_runtime_agent)
+from evpolicy.evolve import (DEFAULT_QUERY_CADENCE, MIN_FIT_EXAMPLES,
+                             EvolutionRun, RuntimeLLMPolicy,
+                             _reference_examples, extract_program,
+                             make_feedback, run_evolution, run_runtime_agent)
 from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator, MutationOperator, make_operator
 from evpolicy.rewards import RewardConfig, fit_score
@@ -385,3 +387,18 @@ class TestRuntimeAgent:
         assert agent.total_reward == pytest.approx(idle.total_reward, abs=1e-12)
         assert agent.decision_log
         assert all(e["parsed_kw"] == 0.0 for e in agent.decision_log)
+
+
+class TestReferenceExamples:
+    @pytest.mark.parametrize("n_plugged", [1, 150, 199, 200, 201, 399, 400,
+                                           401, 599, 600, 780, 1000, 10_000])
+    def test_count_stays_between_the_minimum_and_twice_it(self, n_plugged):
+        # Every other step is plugged in, so the strides skip idle steps.
+        sessions = [None, object()] * n_plugged
+        report = SimpleNamespace(step_sessions=sessions,
+                                 applied_kw=[0.0] * len(sessions),
+                                 observation=lambda i: i)
+        examples = _reference_examples(report)
+        assert (min(n_plugged, MIN_FIT_EXAMPLES) <= len(examples)
+                <= 2 * MIN_FIT_EXAMPLES - 1)
+        assert all(sessions[i] is not None for i, _ in examples)

@@ -1,9 +1,12 @@
+import csv
+import json
+
 import pytest
 
 from evpolicy.errors import ConfigError
-from evpolicy.ledgers import (QUADRANTS, LedgerEntry, action_summary,
-                              build_ledger, classify_quadrant, export_ledger,
-                              format_entry, load_ledger, quadrant_sample,
+from evpolicy.ledgers import (LEDGER_COLUMNS, QUADRANTS, LedgerEntry,
+                              action_summary, build_ledger, classify_quadrant,
+                              export_ledger, format_entry, quadrant_sample,
                               render_examples)
 from evpolicy.market import lower_median
 
@@ -163,8 +166,16 @@ class TestRoundTrip:
                          soc_pct=20.0 + i * 0.777, charge_price=0.1 + i / 97)
                    for i in range(40)]
         path = tmp_path / suffix
-        export_ledger(entries, path, format=fmt)
-        assert load_ledger(path) == entries
+        export_ledger(entries, path)  # the suffix picks the format
+        with open(path, newline="") as fh:
+            if fmt == "csv":
+                loaded = [LedgerEntry(
+                    step=int(row["step"]), quadrant=row["quadrant"],
+                    **{c: float(row[c]) for c in LEDGER_COLUMNS[1:-1]})
+                    for row in csv.DictReader(fh)]
+            else:
+                loaded = [LedgerEntry(**json.loads(line)) for line in fh]
+        assert loaded == entries
 
 
 class TestBuildLedger:
