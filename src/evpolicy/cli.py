@@ -12,7 +12,7 @@ from .errors import (ConfigError, EvPolicyError, OperatorTransportError,
                      PolicyFault, PolicySpawnError)
 from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
-from .prompts import STRATEGIES
+from .prompts import EXAMPLE_STRATEGIES, STRATEGIES
 from .rewards import RewardConfig
 from .runtime import make_policy
 from .simulation import (BatteryConfig, ConnectionSession, default_sessions,
@@ -178,7 +178,7 @@ def cmd_evolve(args) -> int:
     # One baseline episode feeds both the ledger examples and the fit
     # reference of the imitation and hybrid strategies.
     base_report = ledger_entries = None
-    if any(s in ("imitation", "hybrid") for s in strategies):
+    if any(s in EXAMPLE_STRATEGIES for s in strategies):
         policy = make_policy("baseline", battery, options={
             "baseline": config.get("baseline", {})})
         base_report = run_episode(trace, sessions, battery, policy, reward_cfg,

@@ -5,7 +5,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -13,7 +13,8 @@ from .errors import ConfigError, OperatorTransportError, PolicyFault
 from .ledgers import LedgerEntry, render_examples
 from .market import FORECAST_STEPS, STEP_MINUTES, EnvTrace, trace_stats
 from .operators import MutationOperator
-from .prompts import PromptBundle, build_prompt, build_state_prompt
+from .prompts import (EXAMPLE_STRATEGIES, NO_CODE_FAILURE, PromptBundle,
+                      build_prompt, build_state_prompt)
 from .rewards import FitReport, RewardConfig, fit_score
 from .runtime import (GuardrailPolicy, PolicyHandle, PolicyProgram,
                       policy_from_program)
@@ -25,10 +26,8 @@ TRANSPORT_RETRIES = 3
 CANDIDATE_TIMEOUT_MS = 2000
 FLICKER_ISSUE_DIVISOR = 50
 PEAK_PRICE_THRESHOLD = 0.35  # a sell price at least this high is a spike
-TOP_MISMATCHES = 10
 # _reference_examples keeps between min(P, 200) and 399 of P plugged-in steps.
 MIN_FIT_EXAMPLES = 200
-_NO_CODE_FAILURE = "extraction failure: no code block found"
 _FENCED_RE = re.compile(r"```[a-zA-Z0-9_+-]*\n(.*?)```", re.DOTALL)
 _DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
@@ -40,17 +39,6 @@ class Issue:
 
 
 @dataclass
-class FeedbackSummary:
-    total_reward: float | None  # None: no episode ran
-    avg_reward_per_step: float | None
-    fit_score: float | None
-    soc_violation_count: int
-    clamp_count: int
-    issues: list[Issue]
-    top_mismatches: list  # (Observation, reference_kw, policy_kw)
-
-
-@dataclass
 class IterationRecord:
     index: int
     prompt: PromptBundle
@@ -59,7 +47,7 @@ class IterationRecord:
     failure: str | None = None
     report: EpisodeReport | None = None
     fit: FitReport | None = None
-    feedback: FeedbackSummary | None = None
+    issues: list[Issue] = field(default_factory=list)
     criterion: float | None = None
 
 
@@ -83,9 +71,8 @@ class EvolutionRun:
                 "total_reward": (it.report.total_reward if it.report else None),
                 "fit_score": (it.fit.fit_score if it.fit else None),
                 "criterion": it.criterion,
-                "issues": ([{"text": i.text, "steps": list(i.step_indices)}
-                            for i in it.feedback.issues]
-                           if it.feedback else []),
+                "issues": [{"text": i.text, "steps": list(i.step_indices)}
+                           for i in it.issues],
             } for it in self.iterations],
         }
 
@@ -115,12 +102,10 @@ def extract_program(model_reply: str, mode: str = "builtin_rules",
     return PolicyProgram(name=name, source_text=source, mode=mode)
 
 
-def make_feedback(report: EpisodeReport, fit: FitReport | None,
-                  battery: BatteryConfig,
-                  fault_log: Sequence[str] = ()) -> FeedbackSummary:
-    """Summarize an episode into prompt-ready critique with step citations.
+def make_feedback(report: EpisodeReport, battery: BatteryConfig,
+                  fault_log: Sequence[str] = ()) -> list[Issue]:
+    """The issues of an episode, as prompt-ready critique with step citations.
 
-    Cites at most ``TOP_MISMATCHES`` fit mismatches, largest gap first.
     ``fault_log`` holds the policy's faults (``step <i>: <message>``), over
     the episode and fit scoring; the first is cited.
     """
@@ -177,35 +162,7 @@ def make_feedback(report: EpisodeReport, fit: FitReport | None,
                       f"charge/discharge reversals (first at step "
                       f"{flicker_step}). Add hysteresis."),
                 step_indices=(flicker_step,)))
-
-    mismatches = []
-    if fit is not None:
-        mismatches = sorted(fit.mismatches,
-                            key=lambda m: -abs(m[2] - m[1]))[:TOP_MISMATCHES]
-
-    return FeedbackSummary(
-        total_reward=report.total_reward,
-        avg_reward_per_step=(report.total_profit / n if n else 0.0),
-        fit_score=fit.fit_score if fit else None,
-        soc_violation_count=report.soc_violations,
-        clamp_count=report.clamp_events,
-        issues=issues,
-        top_mismatches=mismatches,
-    )
-
-
-def _failure_feedback(failure: str) -> FeedbackSummary:
-    """Feedback on an iteration that ended without a scored episode: its
-    ``failure``, as ``run.json`` records it, quoted in full."""
-    if failure == _NO_CODE_FAILURE:
-        text = ("Your previous reply contained no usable code block. "
-                "Regenerate and put the policy in a fenced code block.")
-    else:
-        text = f"The previous function failed; fix this failure:\n{failure}"
-    return FeedbackSummary(
-        total_reward=None, avg_reward_per_step=None, fit_score=None,
-        soc_violation_count=0, clamp_count=0, issues=[Issue(text, ())],
-        top_mismatches=[])
+    return issues
 
 
 def _complete_with_retry(operator: MutationOperator, bundle: PromptBundle,
@@ -260,7 +217,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     failing program, if one was extracted, and quotes the failure as
     ``run.json`` records it. A policy that logged any fault in its episode
     or fit scoring fails too, though it ran to the end: it keeps its report,
-    and its feedback cites the faults. An iteration whose operator request
+    and its issues cite the faults. An iteration whose operator request
     still fails after ``TRANSPORT_RETRIES`` tries ends the run: the
     iterations so far are recorded (and ``run.json`` written), then the
     :class:`OperatorTransportError` is raised.
@@ -274,7 +231,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     """
     n_steps = evolve_window(trace, start_step, n_steps, n_iterations)
     fit_examples = []
-    if strategy in ("imitation", "hybrid"):
+    if strategy in EXAMPLE_STRATEGIES:
         if reference is None:
             raise ConfigError(f"{strategy} strategy needs a reference episode")
         if (reference.start_step, reference.n_steps) != (start_step, n_steps):
@@ -287,18 +244,16 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
 
     iterations: list[IterationRecord] = []
     prior: PolicyProgram | None = None
-    feedback: FeedbackSummary | None = None
     transport_error: OperatorTransportError | None = None
 
     for k in range(n_iterations):
         iter_dir = out_dir / f"iter_{k}"
         iter_dir.mkdir(parents=True, exist_ok=True)
-        if iterations:  # the last iteration's feedback, however it ended
-            last = iterations[-1]
-            feedback = last.feedback or _failure_feedback(last.failure)
-
+        # The prompt reports on the last iteration, however it ended.
         bundle = build_prompt(strategy, k + 1, examples_block, stats,
-                              prior=prior, feedback=feedback, battery=battery)
+                              prior=prior,
+                              feedback=iterations[-1] if iterations else None,
+                              battery=battery)
         record = IterationRecord(index=k, prompt=bundle)
         iterations.append(record)
         (iter_dir / "prompt.txt").write_text(
@@ -316,7 +271,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         program = extract_program(reply, mode=program_mode,
                                   name=f"{strategy}_iter_{k}")
         if program is None:
-            record.failure = _NO_CODE_FAILURE
+            record.failure = NO_CODE_FAILURE
             continue
         prior = record.program = program
         (iter_dir / "policy.txt").write_text(program.source_text)
@@ -352,7 +307,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         if faults:
             record.failure = (f"policy faults: {len(faults)} logged, "
                               f"first {faults[0]}")
-        record.feedback = make_feedback(report, fit, battery, fault_log=faults)
+        record.issues = make_feedback(report, battery, fault_log=faults)
         record.criterion = (fit.fit_score if strategy == "imitation" and fit
                             else report.total_reward)
         report.write_summary(iter_dir / "report.json")

@@ -9,6 +9,9 @@ from .pydriver import DECISION_INPUTS
 from .simulation import BatteryConfig, Observation
 
 STRATEGIES = ("reasoning", "imitation", "hybrid")
+EXAMPLE_STRATEGIES = ("imitation", "hybrid")  # use the ledger examples
+TOP_MISMATCHES = 10
+NO_CODE_FAILURE = "extraction failure: no code block found"
 
 _NAMES = [name for name, _ in DECISION_INPUTS]
 SIGNATURE_BLOCK = (
@@ -56,29 +59,42 @@ def _stats_block(stats: TraceStats) -> str:
             f"DISCHARGE when: discharge_price >= {stats.sell_median:.3f} (runtime median)")
 
 
-def render_feedback(feedback, iteration: int) -> str:
-    """The evaluation block on iteration ``iteration`` (1-based)."""
+def render_feedback(record, iteration: int) -> str:
+    """The evaluation block on iteration ``iteration`` (1-based) about
+    ``record``, an :class:`~evpolicy.evolve.IterationRecord`.
+
+    An iteration that ran no episode shows only its ``failure``, as
+    ``run.json`` records it; one that did shows its figures, its issues and
+    at most ``TOP_MISMATCHES`` fit mismatches, largest gap first.
+    """
     lines = [f"EVALUATION RESULTS (Iteration {iteration}):"]
-    if feedback.total_reward is not None:  # an episode ran
-        lines.append(f"Total reward: {feedback.total_reward:.2f}")
-        lines.append(
-            f"Average reward per step: {feedback.avg_reward_per_step:.4f}")
-    if feedback.fit_score is not None:
-        lines.append(f"Fit score: {feedback.fit_score:.3f}")
-    if feedback.soc_violation_count:
-        lines.append(f"Guardrail violations: {feedback.soc_violation_count}")
-    if feedback.clamp_count:
-        lines.append(f"Physical clamp events: {feedback.clamp_count}")
+    report, fit = record.report, record.fit
+    if record.failure == NO_CODE_FAILURE:
+        issues = ["Your previous reply contained no usable code block. "
+                  "Regenerate and put the policy in a fenced code block."]
+    elif report is None:
+        issues = ["The previous function failed; fix this failure:\n"
+                  + record.failure]
+    else:
+        issues = [issue.text for issue in record.issues]
+        lines.append(f"Total reward: {report.total_reward:.2f}")
+        lines.append("Average reward per step: "
+                     f"{report.total_profit / report.n_steps:.4f}")
+        if fit is not None:
+            lines.append(f"Fit score: {fit.fit_score:.3f}")
+        if report.soc_violations:
+            lines.append(f"Guardrail violations: {report.soc_violations}")
+        if report.clamp_events:
+            lines.append(f"Physical clamp events: {report.clamp_events}")
     lines.append("")
     lines.append("ISSUES IDENTIFIED:")
-    if feedback.issues:
-        lines.extend(f"- {issue.text}" for issue in feedback.issues)
-    else:
-        lines.append("- None.")
-    if feedback.top_mismatches:
+    lines.extend([f"- {text}" for text in issues] or ["- None."])
+    mismatches = sorted(fit.mismatches if fit else (),
+                        key=lambda m: -abs(m[2] - m[1]))[:TOP_MISMATCHES]
+    if mismatches:
         lines.append("")
         lines.append("TOP MISMATCHES vs. the baseline examples:")
-        for obs, ref_kw, got_kw in feedback.top_mismatches:
+        for obs, ref_kw, got_kw in mismatches:
             lines.append(
                 f"- step {obs.step_index}: SoC {obs.soc * 100:.0f}%, "
                 f"price {obs.charge_price:.2f}, expected {ref_kw:+.1f} kW, "
@@ -96,12 +112,12 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
     :func:`~evpolicy.ledgers.render_examples` renders them, once per run;
     only the imitation and hybrid strategies use it. ``prior`` is the last
     policy program extracted and ``feedback`` the previous iteration's
-    evaluation summary, numbered ``iteration - 1``.
+    record, reported as iteration ``iteration - 1``.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     battery = battery or BatteryConfig()
-    needs_examples = strategy in ("imitation", "hybrid")
+    needs_examples = strategy in EXAMPLE_STRATEGIES
     if needs_examples and not examples_block:
         raise ConfigError(f"{strategy} strategy needs ledger examples")
     if strategy == "hybrid" and stats is None:

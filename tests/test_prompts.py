@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import pytest
 
 from evpolicy.errors import ConfigError
-from evpolicy.evolve import FeedbackSummary, Issue
+from evpolicy.evolve import IterationRecord, Issue
 from evpolicy.ledgers import render_examples
 from evpolicy.market import TraceStats
-from evpolicy.prompts import (SIGNATURE_BLOCK, PromptBundle, build_prompt,
-                              build_state_prompt, render_feedback)
+from evpolicy.prompts import (NO_CODE_FAILURE, SIGNATURE_BLOCK, TOP_MISMATCHES,
+                              PromptBundle, build_prompt, build_state_prompt,
+                              render_feedback)
+from evpolicy.rewards import FitReport
 from evpolicy.runtime import PolicyProgram
 from evpolicy.simulation import BatteryConfig
 from tests.conftest import make_obs
@@ -85,34 +89,69 @@ class TestStrategies:
 
 
 class TestFeedbackRound:
-    def make_feedback(self):
-        return FeedbackSummary(
-            total_reward=4.5178, avg_reward_per_step=0.0157,
-            fit_score=0.912, soc_violation_count=3, clamp_count=0,
-            issues=[Issue("Missed arbitrage window at step 210.", (210, 211))],
-            top_mismatches=[(make_obs(step_index=8, soc=0.62,
-                                      charge_price=0.41), -7.0, 0.0)])
+    def make_record(self, mismatches=None):
+        """An iteration that ran a 288-step episode and was fit-scored."""
+        if mismatches is None:
+            mismatches = [(make_obs(step_index=8, soc=0.62,
+                                    charge_price=0.41), -7.0, 0.0)]
+        report = SimpleNamespace(total_reward=4.5178, total_profit=4.5216,
+                                 n_steps=288, soc_violations=3,
+                                 clamp_events=0)
+        return IterationRecord(
+            index=0, prompt=PromptBundle("", ""), report=report,
+            fit=FitReport(fit_score=0.912, mismatches=mismatches),
+            issues=[Issue("Missed arbitrage window at step 210.", (210, 211))])
 
     def test_render_feedback_fields(self):
-        text = render_feedback(self.make_feedback(), 2)
+        text = render_feedback(self.make_record(), 2)
         assert "EVALUATION RESULTS (Iteration 2):" in text
         assert "Total reward: 4.52" in text
+        assert "Average reward per step: 0.0157" in text
         assert "Fit score: 0.912" in text
         assert "Guardrail violations: 3" in text
+        assert "Physical clamp events" not in text
         assert "- Missed arbitrage window at step 210." in text
         assert "expected -7.0 kW, got +0.0 kW" in text
 
     def test_no_issues_renders_none(self):
-        fb = self.make_feedback()
-        fb.issues = []
-        fb.top_mismatches = []
-        assert "- None." in render_feedback(fb, 2)
+        record = self.make_record(mismatches=[])
+        record.issues = []
+        text = render_feedback(record, 2)
+        assert "- None." in text
+        assert "TOP MISMATCHES" not in text
+
+    def test_fit_mismatches_sorted_by_gap(self):
+        gaps = [0.5 * (i % 7) + 1.0 for i in range(25)]
+        record = self.make_record(mismatches=[
+            (make_obs(step_index=i), 0.0, gap) for i, gap in enumerate(gaps)])
+        text = render_feedback(record, 2)
+        lines = text.split("TOP MISMATCHES vs. the baseline examples:\n")[1]
+        got = [float(line.split("got ")[1].split(" kW")[0])
+               for line in lines.splitlines()]
+        assert len(got) == TOP_MISMATCHES == 10
+        assert got == sorted(gaps, reverse=True)[:10]
+
+    def test_no_code_block_renders_the_canned_sentence(self):
+        record = IterationRecord(index=0, prompt=PromptBundle("", ""),
+                                 failure=NO_CODE_FAILURE)
+        assert render_feedback(record, 1) == (
+            "EVALUATION RESULTS (Iteration 1):\n\nISSUES IDENTIFIED:\n"
+            "- Your previous reply contained no usable code block. "
+            "Regenerate and put the policy in a fenced code block.")
+
+    def test_failure_without_an_episode_is_quoted(self):
+        failure = "policy construction failed: line 1, col 10: bad"
+        record = IterationRecord(index=0, prompt=PromptBundle("", ""),
+                                 failure=failure)
+        assert render_feedback(record, 1) == (
+            "EVALUATION RESULTS (Iteration 1):\n\nISSUES IDENTIFIED:\n"
+            "- The previous function failed; fix this failure:\n" + failure)
 
     def test_second_iteration_carries_prior_and_repair_task(self):
         prior = PolicyProgram(name="p", mode="builtin_rules",
                               source_text="if soc < 0.3 then 7")
         bundle = build_prompt("reasoning", 2, "", None, prior=prior,
-                              feedback=self.make_feedback())
+                              feedback=self.make_record())
         assert "PREVIOUS FUNCTION:" in bundle.user_text
         assert "if soc < 0.3 then 7" in bundle.user_text
         assert ("TASK: Rewrite the function to fix the identified issues."
