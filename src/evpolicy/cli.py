@@ -37,15 +37,25 @@ def _parse_kv(tokens: list[str]) -> dict:
     return out
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_json(path: str):
+    """The JSON value in the file ``path``. A decode error, or ``NaN``,
+    ``Infinity`` or ``-Infinity`` (which ``json`` accepts by default), is a
+    ConfigError naming the file."""
+    def reject(constant):
+        raise ConfigError(f"{path}: {constant} is not allowed; "
+                          "numbers must be finite")
     with open(path) as fh:
         try:
-            config = json.load(fh)
+            return json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from None
+
+
+def _load_config(path: str | None) -> dict:
+    if not path:
+        return {}
+    config = _read_json(path)
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
     return config
@@ -221,8 +231,7 @@ def cmd_evolve(args) -> int:
 
 def _read_report(path: str) -> dict:
     """What ``compare`` reads of a ``report.json`` summary."""
-    with open(path) as fh:
-        report = json.load(fh)
+    report = _read_json(path)
     try:
         return {"window": (report["start_step"], report["n_steps"]),
                 "total_reward": report["total_reward"],
@@ -295,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="steps.jsonl from a simulate run")
     p.add_argument("--n", type=int, default=1500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="ledger.csv or ledger.jsonl")
+    p.add_argument("--out", required=True,
+                   help="ledger file: a .csv path for CSV, a .jsonl path "
+                        "for JSON lines; any other suffix is an error")
     p.set_defaults(func=cmd_ledger)
 
     p = sub.add_parser("evolve", help="run the prompt-evaluate-repair loop")
@@ -337,7 +348,7 @@ def main(argv=None) -> int:
         if getattr(exc, "diagnostics", ""):  # e.g. a candidate's traceback
             print(exc.diagnostics, file=sys.stderr)
         return EXIT_POLICY_FAULT
-    except (EvPolicyError, OSError, json.JSONDecodeError) as exc:
+    except (EvPolicyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -153,10 +153,14 @@ def render_examples(entries: Sequence[LedgerEntry]) -> str:
 
 
 def export_ledger(entries: Sequence[LedgerEntry], path) -> None:
-    """Write ``entries`` as JSON lines to a ``.jsonl`` path, else as CSV.
+    """Write ``entries`` as CSV to a ``.csv`` path or as JSON lines to a
+    ``.jsonl`` path; any other suffix is a ConfigError, raised before the
+    file is opened.
 
     The CSV writes each float's ``repr``, so every value reads back exactly.
     """
+    if not str(path).endswith((".csv", ".jsonl")):
+        raise ConfigError(f"{path}: a ledger file must end in .csv or .jsonl")
     if str(path).endswith(".jsonl"):
         with open(path, "w") as fh:
             for e in entries:

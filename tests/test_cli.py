@@ -170,6 +170,26 @@ class TestConfigErrors:
         assert code == 1
         assert err == "error: session step must be an int, got 0.5\n"
 
+    # Python's json reads NaN, Infinity and -Infinity, none of which is a
+    # usable setting: NaN once reached report.json, and a NaN timeout spun.
+    @pytest.mark.parametrize("text,constant", [
+        ('{"battery": {"capacity_kwh": NaN}}', "NaN"),
+        ('{"reward": {"deficit_penalty_coeff": NaN}}', "NaN"),
+        ('{"policy_timeout_ms": Infinity}', "Infinity"),
+    ], ids=["capacity_nan", "deficit_penalty_nan", "timeout_infinity"])
+    def test_non_finite_config_number_is_an_error_line(self, tmp_path, capsys,
+                                                       text, constant):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = main(["simulate", "--synthetic", "days=1", "seed=3",
+                     "--policy", "baseline", "--config", str(path),
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {path}: {constant} is not allowed; "
+                       "numbers must be finite\n")
+        assert not (tmp_path / "run").exists()
+
     def test_non_integer_synthetic_days(self, tmp_path, capsys):
         code = main(["simulate", "--synthetic", "days=abc", "--policy", "idle",
                      "--out", str(tmp_path / "x")])
@@ -327,6 +347,18 @@ class TestLedgerCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and str(ledger_path) in err
         assert "Traceback" not in err
+
+    def test_out_with_another_suffix_is_one_error_line(self, tmp_path, capsys):
+        _, out = run_simulate(tmp_path)
+        capsys.readouterr()
+        ledger_path = tmp_path / "l.json"
+        code = main(["ledger", "--from", str(out / "steps.jsonl"),
+                     "--out", str(ledger_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {ledger_path}: a ledger file must end in "
+                       ".csv or .jsonl\n")
+        assert not ledger_path.exists()
 
 
 class TestEvolveCommand:
@@ -669,6 +701,14 @@ class TestCompare:
         b_payload["n_steps"] = 100
         (tmp_path / "b.json").write_text(json.dumps(b_payload))
         assert main(["compare", a, str(tmp_path / "b.json")]) == 1
+
+    def test_a_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("\nnot json\n")
+        code = main(["compare", str(bad), summary(tmp_path, "b.json", 1.0)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {bad}: line 2, column 1: Expecting value\n"
 
 
 class TestPlotData:
