@@ -6,9 +6,8 @@ from evpolicy.errors import ConfigError
 from evpolicy.evolve import IterationRecord, Issue
 from evpolicy.ledgers import render_examples
 from evpolicy.market import TraceStats
-from evpolicy.prompts import (NO_CODE_FAILURE, SIGNATURE_BLOCK, TOP_MISMATCHES,
-                              PromptBundle, build_prompt, build_state_prompt,
-                              render_feedback)
+from evpolicy.prompts import (SIGNATURE_BLOCK, TOP_MISMATCHES, PromptBundle,
+                              build_prompt, build_state_prompt, render_feedback)
 from evpolicy.rewards import FitReport
 from evpolicy.runtime import PolicyProgram
 from evpolicy.simulation import BatteryConfig
@@ -130,22 +129,6 @@ class TestFeedbackRound:
                for line in lines.splitlines()]
         assert len(got) == TOP_MISMATCHES == 10
         assert got == sorted(gaps, reverse=True)[:10]
-
-    def test_no_code_block_renders_the_canned_sentence(self):
-        record = IterationRecord(index=0, prompt=PromptBundle("", ""),
-                                 failure=NO_CODE_FAILURE)
-        assert render_feedback(record, 1) == (
-            "EVALUATION RESULTS (Iteration 1):\n\nISSUES IDENTIFIED:\n"
-            "- Your previous reply contained no usable code block. "
-            "Regenerate and put the policy in a fenced code block.")
-
-    def test_failure_without_an_episode_is_quoted(self):
-        failure = "policy construction failed: line 1, col 10: bad"
-        record = IterationRecord(index=0, prompt=PromptBundle("", ""),
-                                 failure=failure)
-        assert render_feedback(record, 1) == (
-            "EVALUATION RESULTS (Iteration 1):\n\nISSUES IDENTIFIED:\n"
-            "- The previous function failed; fix this failure:\n" + failure)
 
     def test_second_iteration_carries_prior_and_repair_task(self):
         prior = PolicyProgram(name="p", mode="builtin_rules",
