@@ -9,8 +9,8 @@ from datetime import timedelta
 from typing import NamedTuple
 
 from .errors import ConfigError, PolicyFault
-from .market import (STEP, STEP_HOURS, STEP_MINUTES, STEPS_PER_DAY, EnvTrace,
-                     PriceForecast, forecast_at)
+from .market import (FORECAST_STEPS, STEP, STEP_HOURS, STEP_MINUTES,
+                     STEPS_PER_DAY, EnvTrace, PriceForecast, forecast_at)
 from .rewards import RewardConfig, behavioral_metrics, departure_penalty, step_profit
 
 DEFAULT_EPISODE_STEPS = 1500
@@ -449,28 +449,43 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     :class:`EpisodeReport`). Departure penalties apply for sessions whose
     departure falls inside the simulated window. Policy faults abort with a
     :class:`PolicyFault` carrying the failing step index.
+
+    The loop is flat: it builds what :func:`observation_at` builds and
+    computes what :func:`apply_action` (with :func:`per_step_energy_cap` and
+    :func:`_meter_energy`) and :func:`step_profit` compute, with the same
+    expressions in the same order, so every column matches those one-step
+    functions bit for bit; the tests hold it to them.
     """
     n_steps = episode_window(trace, start_step, n_steps)
+    stop = start_step + n_steps
     sessions = sorted(sessions, key=lambda s: s.arrival_step)
     validate_sessions(sessions, battery)
-    step_sessions = _session_index(sessions, start_step, start_step + n_steps)
+    step_sessions = _session_index(sessions, start_step, stop)
 
     violations_before = getattr(policy, "violation_counter", 0)
+    decide = policy.decide
     buy, sell = trace.buy_price, trace.sell_price
     load, pv = trace.load_kw, trace.pv_kw
+    forecast_column = trace.forecast_column
+    window = PriceForecast.window
+    max_charge_kw = battery.max_charge_kw
+    max_discharge_kw = battery.max_discharge_kw
+    soc_min, soc_max = battery.soc_min, battery.soc_max
+    capacity_kwh = battery.capacity_kwh
+    charge_eff, discharge_eff = battery.charge_eff, battery.discharge_eff
+    charge_cap_div = STEP_HOURS * charge_eff
+    discharge_soc_div = discharge_eff * capacity_kwh
+    isfinite = math.isfinite
+    step_hours, step_minutes, horizon = STEP_HOURS, STEP_MINUTES, FORECAST_STEPS
     soc = UNPLUGGED_SOC
-    current_session = None
+    current_session = departure_step = None
     requested_col: list[float] = []
     applied_col: list[float] = []
     soc_col: list[float] = []
     soc_after_col: list[float] = []
     import_col: list[float] = []
     export_col: list[float] = []
-    cost_col: list[float] = []
-    reward_col: list[float] = []
-    total_profit = 0.0
     total_penalty = 0.0
-    total_cost = 0.0
     clamp_events = 0
     deficits = []
 
@@ -479,50 +494,83 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             # The EV is away: nothing to decide, 0 kW applied, SoC kept.
             requested = applied = 0.0
             soc_after = soc
-            grid_import, grid_export = _meter_energy(load[t], pv[t], 0.0)
+            # The 0 kW charger term turns a -0.0 household term into 0.0.
+            meter_kwh = (load[t] - pv[t]) * step_hours + 0.0 * step_hours
         else:
             # A session's steps are contiguous, so a new one has just arrived.
             if session is not current_session:
                 soc = session.arrival_soc
                 current_session = session
-            obs = observation_at(trace, session, soc, t, battery)
+                departure_step = session.departure_step
+            obs = Observation(
+                t, buy[t], sell[t], soc,
+                float((departure_step - t) * step_minutes), load[t], pv[t],
+                max_charge_kw, max_discharge_kw,
+                window(forecast_column, t + 1, horizon), True)
             try:
-                guarded = float(policy.decide(obs))
+                guarded = float(decide(obs))
             except PolicyFault as fault:
                 fault.step_index = t
                 raise
             # Columns carry the pre-guardrail intent so downstream critique
             # can see blocked requests; physics uses the guarded value.
             requested = getattr(policy, "last_raw_kw", guarded)
-            if not math.isfinite(requested):
+            if not isfinite(requested):
                 requested = guarded
-            applied, soc_after, grid_import, grid_export = apply_action(
-                obs, guarded, battery)
+            if not isfinite(guarded):
+                applied = 0.0
+            elif guarded > 0:
+                applied = min(guarded, max_charge_kw, max(
+                    0.0, (soc_max - soc) * capacity_kwh / charge_cap_div))
+            elif guarded < 0:
+                applied = max(guarded, -max_discharge_kw, -max(
+                    0.0, (soc - soc_min) * capacity_kwh * discharge_eff
+                    / step_hours))
+            else:
+                applied = 0.0
+            if applied > 0:
+                soc_after = (soc + applied * step_hours * charge_eff
+                             / capacity_kwh)
+            elif applied < 0:
+                soc_after = soc + applied * step_hours / discharge_soc_div
+            else:
+                soc_after = soc
+            meter_kwh = (load[t] - pv[t]) * step_hours + applied * step_hours
             if abs(applied - guarded) > CLAMP_EPS:
                 clamp_events += 1
+            if t == departure_step - 1:
+                total_penalty += departure_penalty(session, soc_after,
+                                                   reward_cfg)
+                deficits.append(
+                    (session, max(0.0, session.target_soc - soc_after)))
 
-        cost = buy[t] * grid_import - sell[t] * grid_export
-        reward = step_profit(grid_import, grid_export, buy[t], sell[t])
         requested_col.append(requested)
         applied_col.append(applied)
         soc_col.append(soc)
         soc_after_col.append(soc_after)
-        import_col.append(grid_import)
-        export_col.append(grid_export)
-        cost_col.append(cost)
-        reward_col.append(reward)
-        total_profit += reward
-        total_cost += cost
+        # max(-0.0, 0.0) is -0.0: a balanced step exports -0.0 kWh.
+        import_col.append(max(meter_kwh, 0.0))
+        export_col.append(max(-meter_kwh, 0.0))
         soc = soc_after
 
-        if session is not None and t == session.departure_step - 1:
-            total_penalty += departure_penalty(session, soc, reward_cfg)
-            deficits.append((session, max(0.0, session.target_soc - soc)))
+    buy_window, sell_window = buy[start_step:stop], sell[start_step:stop]
+    cost_col = [b * grid_import - s * grid_export
+                for b, s, grid_import, grid_export
+                in zip(buy_window, sell_window, import_col, export_col)]
+    reward_col = list(map(step_profit, import_col, export_col, buy_window,
+                          sell_window))
+    # Left to right with +=: sum() compensates its rounding since Python
+    # 3.12, which would change the totals' last bits.
+    total_profit = 0.0
+    for reward in reward_col:
+        total_profit += reward
+    total_cost = 0.0
+    for cost in cost_col:
+        total_cost += cost
 
     total_reward = total_profit + total_penalty
     if reward_cfg.mode == "normalized" and n_steps:
-        stop = start_step + n_steps
-        peak_buy = max(buy[start_step:stop])
+        peak_buy = max(buy_window)
         household_kwh = sum(load[start_step:stop]) * STEP_HOURS
         denom = peak_buy * household_kwh
         if denom > 0:
