@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evpolicy.errors import ConfigError
+from evpolicy.errors import ConfigError, PolicyFault
 from evpolicy.market import STEP, STEP_MINUTES, EnvTrace, synthetic_trace
 from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
 from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
-from evpolicy.simulation import (UNPLUGGED_SOC, BatteryConfig,
+from evpolicy.simulation import (CLAMP_EPS, UNPLUGGED_SOC, BatteryConfig,
                                  ConnectionSession, StepRecord, apply_action,
                                  default_n_steps, default_sessions,
                                  observation_at, run_episode, session_at)
@@ -25,9 +25,12 @@ DATA = Path(__file__).parent / "data"
 def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
                       n_steps):
     """Per-step rollout that builds every record from ``observation_at``,
-    ``apply_action`` and ``step_profit``; returns (records, total_reward)."""
+    ``apply_action`` and ``step_profit``; returns (records, totals), where
+    ``totals`` maps each of the report's totals and counts to its value."""
     soc, current = UNPLUGGED_SOC, None
-    records, profit, penalty = [], 0.0, 0.0
+    records, profit, penalty, cost = [], 0.0, 0.0, 0.0
+    clamp_events, deficits = 0, []
+    violations_before = getattr(policy, "violation_counter", 0)
     for t in range(start, start + n_steps):
         session = session_at(sessions, t)
         if session is not None and session is not current:
@@ -42,6 +45,8 @@ def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
                 raw = power
         applied, soc_after, grid_import, grid_export = apply_action(
             obs, power, battery)
+        if abs(applied - power) > CLAMP_EPS:
+            clamp_events += 1
         reward = step_profit(grid_import, grid_export, obs.charge_price,
                              obs.discharge_price)
         records.append(StepRecord(
@@ -52,9 +57,11 @@ def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
                        - obs.discharge_price * grid_export),
             step_reward=reward))
         profit += reward
+        cost += records[-1].step_cost
         soc = soc_after
         if session is not None and t == session.departure_step - 1:
             penalty += departure_penalty(session, soc, reward_cfg)
+            deficits.append((session, max(0.0, session.target_soc - soc)))
     total = profit + penalty
     if reward_cfg.mode == "normalized" and records:
         household_kwh = (sum(r.observation.load_kw for r in records)
@@ -62,7 +69,34 @@ def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
         denom = max(r.observation.charge_price for r in records) * household_kwh
         if denom > 0:
             total = total / denom
-    return records, total
+    return records, {
+        "total_reward": total, "total_cost": cost, "total_profit": profit,
+        "total_penalty": penalty, "clamp_events": clamp_events,
+        "soc_violations": (getattr(policy, "violation_counter", 0)
+                           - violations_before),
+        "departure_deficits": deficits}
+
+
+COLUMNS = ("requested_kw", "applied_kw", "soc_after", "grid_import_kwh",
+           "grid_export_kwh", "step_cost", "step_reward")
+
+
+def assert_same_bits(report, records, totals):
+    """Every column entry and total of ``report`` has the repr of the
+    reference's, so a 0.0 against a -0.0 or a last-bit difference fails."""
+    assert list(map(repr, report.soc)) == [repr(r.observation.soc)
+                                           for r in records]
+    for name in COLUMNS:
+        assert list(map(repr, getattr(report, name))) == [
+            repr(getattr(r, name)) for r in records], name
+    assert {key: repr(getattr(report, key)) for key in totals} == {
+        key: repr(value) for key, value in totals.items()}
+
+
+def seen_key(obs):
+    """An observation a policy saw, bit for bit: its fields by repr, and the
+    forecast by value (its repr holds 288 prices)."""
+    return repr(obs._replace(forecast=None)), obs.forecast
 
 
 class OddFloat(float):
@@ -328,9 +362,27 @@ class TestRunEpisode:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_columns_match_per_step_reference(self, data):
-        battery = BatteryConfig()
+        # Sizes and efficiencies whose products round, so a re-associated
+        # product shows in the last bit.
+        battery = BatteryConfig(
+            capacity_kwh=data.draw(st.sampled_from([40.0, 13.5, 75.0])),
+            charge_eff=data.draw(st.sampled_from([0.95, 0.9])),
+            discharge_eff=data.draw(st.sampled_from([0.95, 0.87])))
         trace = synthetic_trace(days=data.draw(st.integers(1, 3)),
                                 seed=data.draw(st.integers(0, 1000)))
+        # A block of balanced rows (load equal to PV, or a -0.0 load beside
+        # no PV) runs the meter's sign-of-zero paths.
+        load, pv = list(trace.load_kw), list(trace.pv_kw)
+        lo = data.draw(st.integers(0, len(trace) - 1))
+        hi = data.draw(st.integers(lo, min(lo + 300, len(trace))))
+        negative_zero = data.draw(st.booleans())
+        for i in range(lo, hi):
+            if negative_zero:
+                load[i], pv[i] = -0.0, 0.0
+            else:
+                pv[i] = load[i]
+        trace = EnvTrace(trace.start, load, pv, trace.buy_price,
+                         trace.sell_price)
         soc = st.floats(min_value=battery.soc_min, max_value=battery.soc_max)
         sessions, step = [], data.draw(st.integers(0, 100))
         for gap, length in data.draw(st.lists(
@@ -349,24 +401,29 @@ class TestRunEpisode:
         # Out-of-envelope and non-finite powers exercise the guardrail; an
         # unguarded policy gets finite ones, which apply_action clamps.
         power = (st.one_of(st.floats(-30, 30), st.sampled_from(
-                     [0.0, 7.0, -7.0, 1e6, -1e6, math.inf, -math.inf,
+                     [0.0, -0.0, 7.0, -7.0, 1e6, -1e6, math.inf, -math.inf,
                       math.nan]))
-                 if guarded else st.floats(-30, 30))
+                 if guarded else st.one_of(st.floats(-30, 30),
+                                           st.sampled_from([0.0, -0.0])))
         palette = data.draw(st.lists(power, min_size=1, max_size=8))
 
-        def make():
-            inner = NativePolicy(
-                lambda obs: palette[obs.step_index % len(palette)])
+        def make(seen):
+            def decide(obs):
+                seen.append(seen_key(obs))
+                return palette[obs.step_index % len(palette)]
+            inner = NativePolicy(decide)
             return GuardrailPolicy(inner, battery) if guarded else inner
 
         for mode in ("raw", "normalized"):
             reward_cfg = RewardConfig(mode=mode)
-            report = run_episode(trace, sessions, battery, make(), reward_cfg,
-                                 start, n_steps)
-            records, total = reference_episode(trace, sessions, battery,
-                                               make(), reward_cfg, start,
-                                               n_steps)
-            assert report.total_reward == total
+            seen, reference_seen = [], []
+            report = run_episode(trace, sessions, battery, make(seen),
+                                 reward_cfg, start, n_steps)
+            records, totals = reference_episode(
+                trace, sessions, battery, make(reference_seen), reward_cfg,
+                start, n_steps)
+            assert seen == reference_seen
+            assert_same_bits(report, records, totals)
             assert len(report.records) == n_steps
             assert list(report.records) == records
             assert list(report.step_rows()) == [reference_row(r)
@@ -374,6 +431,52 @@ class TestRunEpisode:
         if records:
             assert report.records[-1] == records[-1]
             assert report.records[1::2] == records[1::2]
+
+    @pytest.mark.parametrize("policy", ["baseline", "bang-bang"])
+    def test_60_day_rollout_matches_reference(self, battery, policy):
+        """A long trace follows the one-step reference as bit for bit as a
+        short one does. Swings of 40 steps at 5 kW plus the load drive a
+        small battery into both bounds from ever new values, so the clamps
+        to the power limits, the floor and the ceiling all run."""
+        def make():
+            if policy == "baseline":
+                return make_policy("baseline", battery)
+            return NativePolicy(lambda obs: (5.0 + obs.load_kw) * (
+                -1.0 if obs.step_index // 40 % 2 else 1.0))
+
+        if policy == "bang-bang":
+            battery = BatteryConfig(capacity_kwh=13.5, charge_eff=0.9,
+                                    discharge_eff=0.87)
+
+        trace = synthetic_trace(days=60, seed=5)
+        sessions = default_sessions(trace)
+        report = run_episode(trace, sessions, battery, make(), RewardConfig(),
+                             0, len(trace))
+        records, totals = reference_episode(trace, sessions, battery, make(),
+                                            RewardConfig(), 0, len(trace))
+        assert report.n_steps == len(records) == 60 * 288
+        assert_same_bits(report, records, totals)
+        assert len(report.departure_deficits) == 60
+
+    @pytest.mark.parametrize("k", [300, 301, 377, 504, 575])
+    def test_fault_names_its_trace_step_in_a_mid_session_window(self, battery,
+                                                                k):
+        # Sessions 216-378 and 504-576; the window starts mid-session.
+        trace = synthetic_trace(days=2, seed=2)
+        sessions = default_sessions(trace)
+        seen = []
+
+        def decide(obs):
+            seen.append(obs.step_index)
+            if obs.step_index == k:
+                raise PolicyFault("candidate died", step_index=0)
+            return 1.0
+
+        with pytest.raises(PolicyFault) as info:
+            run_episode(trace, sessions, battery, NativePolicy(decide),
+                        RewardConfig(), 300, len(trace) - 300)
+        assert info.value.step_index == k
+        assert seen[0] == 300 and seen[-1] == k
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
