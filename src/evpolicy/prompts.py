@@ -78,7 +78,7 @@ def render_feedback(record, iteration: int) -> str:
     else:
         issues = [issue.text for issue in record.issues]
         lines.append(f"Total reward: {report.total_reward:.2f}")
-        lines.append("Average reward per step: "
+        lines.append("Average profit per step: "
                      f"{report.total_profit / report.n_steps:.4f}")
         if fit is not None:
             lines.append(f"Fit score: {fit.fit_score:.3f}")

@@ -475,11 +475,11 @@ class TestEvolveCommand:
         assert ("EVALUATION RESULTS (Iteration 1):\n\nISSUES IDENTIFIED:"
                 in prompt)
         assert "Total reward:" not in prompt
-        assert "Average reward per step:" not in prompt
+        assert "Average profit per step:" not in prompt
         # The episode of iteration 1 ran, so its evaluation has both lines.
         prompt = (out / "iter_2" / "prompt.txt").read_text()
         assert "EVALUATION RESULTS (Iteration 2):\nTotal reward: " in prompt
-        assert "\nAverage reward per step: " in prompt
+        assert "\nAverage profit per step: " in prompt
 
     def test_next_prompt_shows_the_python_candidate_that_failed(self,
                                                                 tmp_path):

@@ -105,7 +105,7 @@ class TestFeedbackRound:
         text = render_feedback(self.make_record(), 2)
         assert "EVALUATION RESULTS (Iteration 2):" in text
         assert "Total reward: 4.52" in text
-        assert "Average reward per step: 0.0157" in text
+        assert "Average profit per step: 0.0157" in text
         assert "Fit score: 0.912" in text
         assert "Guardrail violations: 3" in text
         assert "Physical clamp events" not in text
