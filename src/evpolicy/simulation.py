@@ -385,6 +385,8 @@ def apply_action(obs: Observation, power: float,
 
     Returns (applied_kw, soc_after, grid_import_kwh, grid_export_kwh). Never
     raises: infeasible requests are reduced, unplugged steps apply 0.
+    :func:`run_episode` repeats these expressions inline, so a change here
+    goes there too.
     """
     if not obs.plugged_in or not math.isfinite(power):
         applied = 0.0
