@@ -438,15 +438,15 @@ class TestRunEpisode:
         short one does. Swings of 40 steps at 5 kW plus the load drive a
         small battery into both bounds from ever new values, so the clamps
         to the power limits, the floor and the ceiling all run."""
+        if policy == "bang-bang":
+            battery = BatteryConfig(capacity_kwh=13.5, charge_eff=0.9,
+                                    discharge_eff=0.87)
+
         def make():
             if policy == "baseline":
                 return make_policy("baseline", battery)
             return NativePolicy(lambda obs: (5.0 + obs.load_kw) * (
                 -1.0 if obs.step_index // 40 % 2 else 1.0))
-
-        if policy == "bang-bang":
-            battery = BatteryConfig(capacity_kwh=13.5, charge_eff=0.9,
-                                    discharge_eff=0.87)
 
         trace = synthetic_trace(days=60, seed=5)
         sessions = default_sessions(trace)
