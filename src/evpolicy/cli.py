@@ -8,13 +8,14 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .baseline import BaselineConfig
 from .errors import (ConfigError, EvPolicyError, OperatorTransportError,
                      PolicyFault, PolicySpawnError)
 from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
 from .prompts import EXAMPLE_STRATEGIES, STRATEGIES
 from .rewards import RewardConfig
-from .runtime import make_policy
+from .runtime import DECISION_TIMEOUT_MS, make_policy
 from .simulation import (BatteryConfig, ConnectionSession, default_sessions,
                          read_step_log, run_episode)
 # The evolve and ledger modules are imported inside the commands that use
@@ -102,8 +103,10 @@ def _resolve_trace(args, config: dict) -> EnvTrace:
 
 
 def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
-                               list[ConnectionSession], RewardConfig]:
-    """The config, trace, battery, sessions and reward settings of a run."""
+                               list[ConnectionSession], RewardConfig,
+                               BaselineConfig]:
+    """The config, trace, battery, sessions, reward and baseline settings
+    of a run."""
     config = _load_config(args.config)
     trace = _resolve_trace(args, config)
     battery = _from_config(BatteryConfig, config.get("battery", {}), "battery")
@@ -117,7 +120,9 @@ def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
         raise ConfigError(f"sessions: expected a list of objects, "
                           f"got {sessions!r}")
     reward_cfg = _from_config(RewardConfig, config.get("reward", {}), "reward")
-    return config, trace, battery, sessions, reward_cfg
+    baseline = _from_config(BaselineConfig, config.get("baseline", {}),
+                            "baseline")
+    return config, trace, battery, sessions, reward_cfg, baseline
 
 
 def _strategies(text: str) -> list[str]:
@@ -138,11 +143,9 @@ def _write_run_config(out_dir: Path, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config, trace, battery, sessions, reward_cfg = _run_inputs(args)
-    policy = make_policy(args.policy, battery, options={
-        "baseline": config.get("baseline", {}),
-        "timeout_ms": _config_number(config, "policy_timeout_ms", 1000),
-    })
+    config, trace, battery, sessions, reward_cfg, baseline = _run_inputs(args)
+    policy = make_policy(args.policy, battery, baseline, timeout_ms=(
+        _config_number(config, "policy_timeout_ms", DECISION_TIMEOUT_MS)))
     try:
         report = run_episode(trace, sessions, battery, policy, reward_cfg,
                              start_step=args.start, n_steps=args.steps)
@@ -181,16 +184,16 @@ def cmd_evolve(args) -> int:
     from . import evolve as evolve_mod
     from . import ledgers
     strategies = _strategies(args.strategy)
-    config, trace, battery, sessions, reward_cfg = _run_inputs(args)
-    retry_base_delay = _config_number(config, "retry_base_delay", 0.5)
+    config, trace, battery, sessions, reward_cfg, baseline = _run_inputs(args)
+    retry_base_delay = _config_number(config, "retry_base_delay",
+                                      evolve_mod.RETRY_BASE_DELAY_S)
     evolve_mod.evolve_window(trace, args.start, args.steps, args.iters)
 
     # One baseline episode feeds both the ledger examples and the fit
     # reference of the imitation and hybrid strategies.
     base_report = ledger_entries = None
     if any(s in EXAMPLE_STRATEGIES for s in strategies):
-        policy = make_policy("baseline", battery, options={
-            "baseline": config.get("baseline", {})})
+        policy = make_policy("baseline", battery, baseline)
         base_report = run_episode(trace, sessions, battery, policy, reward_cfg,
                                   start_step=args.start, n_steps=args.steps)
         all_entries = ledgers.build_ledger(base_report.step_rows())

@@ -16,13 +16,13 @@ from .operators import MutationOperator
 from .prompts import (EXAMPLE_STRATEGIES, NO_CODE_FAILURE, PromptBundle,
                       build_prompt, build_state_prompt)
 from .rewards import FitReport, RewardConfig, fit_score
-from .runtime import (GuardrailPolicy, PolicyHandle, PolicyProgram,
-                      policy_from_program)
+from .runtime import PolicyHandle, PolicyProgram, policy_from_program
 from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
                          episode_window, run_episode)
 
 DEFAULT_QUERY_CADENCE = 60 // STEP_MINUTES  # hourly
 TRANSPORT_RETRIES = 3
+RETRY_BASE_DELAY_S = 0.5  # before the second try; doubled before each next
 CANDIDATE_TIMEOUT_MS = 2000
 FLICKER_ISSUE_DIVISOR = 50
 PEAK_PRICE_THRESHOLD = 0.35  # a sell price at least this high is a spike
@@ -206,7 +206,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   ledger_entries: Sequence[LedgerEntry] | None = None,
                   program_mode: str = "builtin_rules", start_step: int = 0,
                   n_steps: int | None = None, min_fit: float | None = None,
-                  retry_base_delay: float = 0.5,
+                  retry_base_delay: float = RETRY_BASE_DELAY_S,
                   reference: EpisodeReport | None = None) -> EvolutionRun:
     """Run the six-stage loop for ``n_iterations`` and select the best.
 
@@ -342,10 +342,18 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
 
 
 class RuntimeLLMPolicy(PolicyHandle):
-    """Queries the operator every ``cadence`` decisions, caching in between."""
+    """The Runtime strategy: queries the operator every ``cadence``
+    decisions, caching the setpoint in between.
+
+    Run it like any handle: wrap it in
+    :class:`~evpolicy.runtime.GuardrailPolicy` and pass that to
+    :func:`run_episode`. ``decision_log`` holds one entry per query (step,
+    reply, parsed kW, fault).
+    """
 
     def __init__(self, operator: MutationOperator, cadence: int,
-                 battery: BatteryConfig, retry_base_delay: float = 0.5):
+                 battery: BatteryConfig,
+                 retry_base_delay: float = RETRY_BASE_DELAY_S):
         super().__init__("runtime-llm")
         if cadence < 1:
             raise ConfigError("query cadence must be >= 1")
@@ -379,19 +387,3 @@ class RuntimeLLMPolicy(PolicyHandle):
         self._calls += 1
         return self._cached_kw
 
-
-def run_runtime_agent(trace: EnvTrace, sessions: Sequence[ConnectionSession],
-                      battery: BatteryConfig, operator: MutationOperator,
-                      reward_cfg: RewardConfig,
-                      query_cadence_steps: int = DEFAULT_QUERY_CADENCE,
-                      start_step: int = 0,
-                      n_steps: int | None = None,
-                      retry_base_delay: float = 0.5) -> EpisodeReport:
-    """Online agent episode; the returned report carries a decision log."""
-    inner = RuntimeLLMPolicy(operator, query_cadence_steps, battery,
-                             retry_base_delay=retry_base_delay)
-    policy = GuardrailPolicy(inner, battery)
-    report = run_episode(trace, sessions, battery, policy, reward_cfg,
-                         start_step=start_step, n_steps=n_steps)
-    report.decision_log = inner.decision_log
-    return report

@@ -30,6 +30,7 @@ READ_BYTES = 65536  # one pipe's default capacity on Linux
 EXIT_WAIT_S = 1.0  # for a child whose stdout closed to exit
 CLOSE_WAIT_S = 2.0  # for a closed child's pipes and exit
 GUARDRAIL_EPS = 1e-9
+DECISION_TIMEOUT_MS = 1000  # a child's deadline per decision, by default
 
 
 @dataclass
@@ -127,7 +128,8 @@ class ExternalProcessPolicy(PolicyHandle):
     operator's key.
     """
 
-    def __init__(self, command: Sequence[str], timeout_ms: int = 1000):
+    def __init__(self, command: Sequence[str],
+                 timeout_ms: int = DECISION_TIMEOUT_MS):
         super().__init__("external")
         argv = list(command)
         self.timeout_s = timeout_ms / 1000.0
@@ -344,20 +346,18 @@ class GuardrailPolicy(PolicyHandle):
 
 
 def make_policy(spec: str, battery: BatteryConfig,
-                options: dict | None = None) -> PolicyHandle:
+                baseline: BaselineConfig | None = None,
+                timeout_ms: int = DECISION_TIMEOUT_MS) -> PolicyHandle:
     """Build a handle from a CLI-style policy spec.
 
     Accepts a policy name (``baseline``, ``idle``), a ``*.rules`` file path,
     or ``cmd:<command line>`` for an external process; the command line is
     split as a POSIX shell would, and an empty or unbalanced one is a
-    ConfigError.
+    ConfigError. ``baseline`` sets the baseline's thresholds (the defaults
+    when None), ``timeout_ms`` an external process's decision deadline.
     """
-    options = options or {}
     if spec == "baseline":
-        try:
-            cfg = BaselineConfig(**options.get("baseline", {}))
-        except TypeError as exc:  # an unknown or mistyped config field
-            raise ConfigError(f"baseline: {exc}") from exc
+        cfg = baseline or BaselineConfig()
         handle = NativePolicy(lambda obs: baseline_decide(obs, cfg, battery),
                               name="baseline")
     elif spec == "idle":
@@ -369,8 +369,7 @@ def make_policy(spec: str, battery: BatteryConfig,
             raise ConfigError(f"{spec!r}: {exc}") from exc
         if not argv:
             raise ConfigError(f"{spec!r}: expected a command after cmd:")
-        handle = ExternalProcessPolicy(
-            argv, timeout_ms=options.get("timeout_ms", 1000))
+        handle = ExternalProcessPolicy(argv, timeout_ms=timeout_ms)
     elif spec.endswith(".rules"):
         with open(spec) as fh:
             handle = RuleScriptPolicy(fh.read(), name=spec)
@@ -382,7 +381,7 @@ def make_policy(spec: str, battery: BatteryConfig,
 
 
 def policy_from_program(program: PolicyProgram, battery: BatteryConfig,
-                        timeout_ms: int = 1000) -> PolicyHandle:
+                        timeout_ms: int = DECISION_TIMEOUT_MS) -> PolicyHandle:
     """Instantiate a candidate program as a runnable handle."""
     if program.mode == "builtin_rules":
         handle = RuleScriptPolicy(program.source_text, name=program.name)

@@ -156,7 +156,6 @@ class EpisodeReport:
     departure_deficits: list  # (ConnectionSession, deficit fraction)
     start_step: int
     n_steps: int
-    decision_log: list | None = None
 
     def summary_dict(self) -> dict:
         return {

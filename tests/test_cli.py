@@ -190,6 +190,28 @@ class TestConfigErrors:
                        "numbers must be finite\n")
         assert not (tmp_path / "run").exists()
 
+    # Every command parses every config section, whichever policy or
+    # strategy it runs.
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--policy", "idle"],
+        ["evolve", "--strategy", "reasoning", "--operator", "mock:{replies}"],
+    ], ids=["simulate-idle", "evolve-reasoning"])
+    def test_bad_baseline_section_is_an_error_on_every_command(
+            self, tmp_path, capsys, command):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"baseline": {"bogus": 1}}))
+        out = tmp_path / "run"
+        code = main([*(arg.format(replies=replies) for arg in command),
+                     "--synthetic", "days=1", "seed=3", "--config", str(path),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: baseline: ") and err.count("\n") == 1
+        assert "'bogus'" in err
+        assert not out.exists()
+
     def test_non_integer_synthetic_days(self, tmp_path, capsys):
         code = main(["simulate", "--synthetic", "days=abc", "--policy", "idle",
                      "--out", str(tmp_path / "x")])

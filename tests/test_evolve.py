@@ -8,11 +8,12 @@ from evpolicy.errors import ConfigError, OperatorTransportError
 from evpolicy.evolve import (DEFAULT_QUERY_CADENCE, MIN_FIT_EXAMPLES,
                              EvolutionRun, RuntimeLLMPolicy,
                              _reference_examples, extract_program,
-                             make_feedback, run_evolution, run_runtime_agent)
+                             make_feedback, run_evolution)
 from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator, MutationOperator, make_operator
 from evpolicy.rewards import RewardConfig
-from evpolicy.runtime import PolicyProgram, make_policy, policy_from_program
+from evpolicy.runtime import (GuardrailPolicy, PolicyProgram, make_policy,
+                              policy_from_program)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  default_sessions, run_episode)
 from tests.conftest import make_obs
@@ -364,16 +365,16 @@ class TestRuntimeAgent:
     def test_constant_idle_agent_matches_idle_policy(self, battery):
         trace = synthetic_trace(days=1, seed=3)
         sessions = default_sessions(trace)
-        agent = run_runtime_agent(trace, sessions, battery,
-                                  MockOperator(["0"]), RewardConfig(),
-                                  query_cadence_steps=DEFAULT_QUERY_CADENCE,
-                                  retry_base_delay=0.0)
+        handle = RuntimeLLMPolicy(MockOperator(["0"]), DEFAULT_QUERY_CADENCE,
+                                  battery, retry_base_delay=0.0)
+        agent = run_episode(trace, sessions, battery,
+                            GuardrailPolicy(handle, battery), RewardConfig())
         idle = run_episode(trace, sessions, battery,
                            make_policy("idle", battery), RewardConfig(),
                            0, len(trace))
         assert agent.total_reward == pytest.approx(idle.total_reward, abs=1e-12)
-        assert agent.decision_log
-        assert all(e["parsed_kw"] == 0.0 for e in agent.decision_log)
+        assert handle.decision_log
+        assert all(e["parsed_kw"] == 0.0 for e in handle.decision_log)
 
 
 class TestReferenceExamples:
