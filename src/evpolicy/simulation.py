@@ -560,8 +560,9 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                 in zip(buy_window, sell_window, import_col, export_col)]
     reward_col = list(map(step_profit, import_col, export_col, buy_window,
                           sell_window))
-    # Left to right with +=: sum() compensates its rounding since Python
-    # 3.12, which would change the totals' last bits.
+    # Left to right with +=, here and for the household load below: sum()
+    # compensates its rounding since Python 3.12, which would change the
+    # totals' last bits.
     total_profit = 0.0
     for reward in reward_col:
         total_profit += reward
@@ -572,7 +573,10 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     total_reward = total_profit + total_penalty
     if reward_cfg.mode == "normalized" and n_steps:
         peak_buy = max(buy_window)
-        household_kwh = sum(load[start_step:stop]) * STEP_HOURS
+        household = 0.0
+        for load_kw in load[start_step:stop]:
+            household += load_kw
+        household_kwh = household * STEP_HOURS
         denom = peak_buy * household_kwh
         if denom > 0:
             total_reward = total_reward / denom

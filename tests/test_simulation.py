@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evpolicy.errors import ConfigError, PolicyFault
-from evpolicy.market import STEP, STEP_MINUTES, EnvTrace, synthetic_trace
+from evpolicy.market import (STEP, STEP_HOURS, STEP_MINUTES, EnvTrace,
+                             synthetic_trace)
 from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
 from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
 from evpolicy.simulation import (CLAMP_EPS, UNPLUGGED_SOC, BatteryConfig,
@@ -64,8 +65,10 @@ def reference_episode(trace, sessions, battery, policy, reward_cfg, start,
             deficits.append((session, max(0.0, session.target_soc - soc)))
     total = profit + penalty
     if reward_cfg.mode == "normalized" and records:
-        household_kwh = (sum(r.observation.load_kw for r in records)
-                         * (STEP_MINUTES / 60.0))
+        household = 0.0
+        for r in records:
+            household += r.observation.load_kw
+        household_kwh = household * (STEP_MINUTES / 60.0)
         denom = max(r.observation.charge_price for r in records) * household_kwh
         if denom > 0:
             total = total / denom
@@ -582,6 +585,18 @@ class TestRunEpisode:
         kwh = sum(r.observation.load_kw for r in raw.records) * dt
         assert norm.total_reward == pytest.approx(raw.total_reward / (peak * kwh),
                                                   abs=1e-12)
+
+    def test_normalized_load_is_added_left_to_right(self, battery):
+        # Added left to right, 1.0 and then 1e-16s stay exactly 1.0; sum()
+        # compensates its rounding since Python 3.12 and gives more.
+        n = 288
+        trace = EnvTrace(datetime(2024, 1, 1), [1.0] + [1e-16] * (n - 1),
+                         [0.0] * n, [0.2] * n, [0.1] * n)
+        policy = make_policy("idle", battery)
+        raw = run_episode(trace, [], battery, policy, RewardConfig(), 0, n)
+        norm = run_episode(trace, [], battery, policy,
+                           RewardConfig(mode="normalized"), 0, n)
+        assert norm.total_reward == raw.total_reward / (0.2 * STEP_HOURS)
 
 
 class TestGoldenBaseline:
