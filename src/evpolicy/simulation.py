@@ -394,9 +394,11 @@ def apply_action(obs: Observation, power: float,
             obs.soc, battery.soc_max, battery.capacity_kwh, "charge",
             battery.charge_eff))
     elif power < 0:
-        applied = max(power, -battery.max_discharge_kw, -per_step_energy_cap(
-            obs.soc, battery.soc_min, battery.capacity_kwh, "discharge",
-            battery.discharge_eff))
+        # 0.0 - cap, not -cap: a battery at its floor applies 0.0, not -0.0.
+        applied = max(power, -battery.max_discharge_kw,
+                      0.0 - per_step_energy_cap(
+                          obs.soc, battery.soc_min, battery.capacity_kwh,
+                          "discharge", battery.discharge_eff))
     else:
         applied = 0.0
 
@@ -413,9 +415,11 @@ def apply_action(obs: Observation, power: float,
 
 def _meter_energy(load_kw: float, pv_kw: float,
                   applied_kw: float) -> tuple[float, float]:
-    """(grid_import_kwh, grid_export_kwh) over one step."""
+    """(grid_import_kwh, grid_export_kwh) over one step; a meter that reads
+    0 (or -0.0) imports and exports 0.0, never -0.0."""
     meter_kwh = (load_kw - pv_kw) * STEP_HOURS + applied_kw * STEP_HOURS
-    return max(meter_kwh, 0.0), max(-meter_kwh, 0.0)
+    return (meter_kwh if meter_kwh > 0 else 0.0,
+            -meter_kwh if meter_kwh < 0 else 0.0)
 
 
 def default_n_steps(trace: EnvTrace, start_step: int) -> int:
@@ -495,8 +499,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
             # The EV is away: nothing to decide, 0 kW applied, SoC kept.
             requested = applied = 0.0
             soc_after = soc
-            # The 0 kW charger term turns a -0.0 household term into 0.0.
-            meter_kwh = (load[t] - pv[t]) * step_hours + 0.0 * step_hours
+            meter_kwh = (load[t] - pv[t]) * step_hours
         else:
             # A session's steps are contiguous, so a new one has just arrived.
             if session is not current_session:
@@ -524,7 +527,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                 applied = min(guarded, max_charge_kw, max(
                     0.0, (soc_max - soc) * capacity_kwh / charge_cap_div))
             elif guarded < 0:
-                applied = max(guarded, -max_discharge_kw, -max(
+                applied = max(guarded, -max_discharge_kw, 0.0 - max(
                     0.0, (soc - soc_min) * capacity_kwh * discharge_eff
                     / step_hours))
             else:
@@ -549,9 +552,8 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
         applied_col.append(applied)
         soc_col.append(soc)
         soc_after_col.append(soc_after)
-        # max(-0.0, 0.0) is -0.0: a balanced step exports -0.0 kWh.
-        import_col.append(max(meter_kwh, 0.0))
-        export_col.append(max(-meter_kwh, 0.0))
+        import_col.append(meter_kwh if meter_kwh > 0 else 0.0)
+        export_col.append(-meter_kwh if meter_kwh < 0 else 0.0)
         soc = soc_after
 
     buy_window, sell_window = buy[start_step:stop], sell[start_step:stop]

@@ -461,6 +461,35 @@ class TestRunEpisode:
         assert_same_bits(report, records, totals)
         assert len(report.departure_deficits) == 60
 
+    def test_zeros_are_written_as_positive_zeros(self, battery, tmp_path):
+        """Balanced rows (PV equal to load, then a -0.0 load beside no PV),
+        away and plugged in, with the battery held at its floor by
+        discharge requests, at non-negative prices: every zero in the
+        columns and the step log is 0.0, never -0.0."""
+        trace = synthetic_trace(days=1, seed=4)
+        load = list(trace.load_kw[:144]) + [-0.0] * 144
+        pv = load[:144] + [0.0] * 144
+        trace = EnvTrace(trace.start, load, pv, trace.buy_price,
+                         trace.sell_price)
+        sessions = [ConnectionSession(100, 200, battery.soc_min)]
+        # Unguarded: the guardrail would turn the request into 0.0 itself.
+        policy = NativePolicy(lambda obs: -7.0)
+        report = run_episode(trace, sessions, battery, policy, RewardConfig(),
+                             0, len(trace))
+        zeros = ("applied_kw", "grid_import_kwh", "grid_export_kwh",
+                 "step_cost", "step_reward")
+        for name in zeros:
+            assert list(map(repr, getattr(report, name))) == \
+                ["0.0"] * len(trace), name
+        records, totals = reference_episode(trace, sessions, battery, policy,
+                                            RewardConfig(), 0, len(trace))
+        assert_same_bits(report, records, totals)
+        report.write_step_log(tmp_path / "steps.jsonl")
+        with open(tmp_path / "steps.jsonl") as fh:
+            rows = [json.loads(line) for line in fh]
+        assert [[repr(row[name]) for name in zeros] for row in rows] == \
+            [["0.0"] * len(zeros)] * len(trace)
+
     @pytest.mark.parametrize("k", [300, 301, 377, 504, 575])
     def test_fault_names_its_trace_step_in_a_mid_session_window(self, battery,
                                                                 k):
