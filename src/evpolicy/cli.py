@@ -196,12 +196,10 @@ def cmd_evolve(args) -> int:
         policy = make_policy("baseline", battery, baseline)
         base_report = run_episode(trace, sessions, battery, policy, reward_cfg,
                                   start_step=args.start, n_steps=args.steps)
-        all_entries = ledgers.build_ledger(base_report.step_rows())
-        n_sample = min(_config_number(config, "ledger_examples", 1500, int),
-                       len(all_entries))
-        ledger_entries = ledgers.quadrant_sample(all_entries,
-                                                 max(4, n_sample),
-                                                 seed=args.seed)
+        n_sample = _config_number(config, "ledger_examples", 1500, int)
+        ledger_entries = ledgers.quadrant_sample(
+            ledgers.build_ledger(base_report.step_rows()), max(4, n_sample),
+            seed=args.seed)
 
     # Every input is checked before the first write to ``--out``, so a
     # config error leaves no run directory behind.
