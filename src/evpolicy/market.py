@@ -114,6 +114,16 @@ class PriceForecast:
         return forecast
 
     @property
+    def column(self) -> tuple[float, ...]:
+        """The price column the window is cut from."""
+        return self._column
+
+    @property
+    def start(self) -> int:
+        """The index in :attr:`column` of the window's first value."""
+        return self._start
+
+    @property
     def values(self) -> tuple[float, ...]:
         return self._column[self._start:self._start + self.horizon_steps]
 

@@ -450,13 +450,48 @@ def _compile(node):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+# Constant-horizon aggregates are memoized. Such a value depends only on the
+# forecast's price column, the reduce, n = min(h, horizon_steps) and the
+# window's start, so every script evaluated on a trace, in rollouts and in
+# fit scoring alike, shares one table per (reduce, n): a list indexed by
+# start, None until first read. _memo pairs the one column served with its
+# tables. Holding the column keeps its id from being reused; another column
+# replaces both, dropping every table.
+_memo: tuple = (None, {})
+
+
+def _memo_table(column: tuple, reduce, n: int) -> list:
+    """The memo's table of ``reduce`` over ``n`` values of ``column``."""
+    global _memo
+    held, tables = _memo
+    if column is not held:
+        tables = {}
+        _memo = (column, tables)
+    table = tables.get((reduce, n))
+    if table is None:
+        table = tables[reduce, n] = [None] * len(column)
+    return table
+
+
 def _compile_aggregate(reduce, horizon_node):
     """``fc_*``: ``reduce`` over the first ``min(h, horizon)`` forecast
-    values, sliced once from the forecast's column."""
+    values, sliced once from the forecast's column; with a constant ``h``,
+    computed once per column and start (see :func:`_memo_table`)."""
     if isinstance(horizon_node, Num) and math.isfinite(horizon_node.value):
         h = int(round(horizon_node.value))
         if h >= 1:  # a constant horizon is checked once
-            return lambda obs: reduce(obs.forecast.head(h))
+            def memoized(obs):
+                forecast = obs.forecast
+                column, start = forecast.column, forecast.start
+                n = forecast.horizon_steps
+                if h < n:
+                    n = h
+                table = _memo_table(column, reduce, n)
+                value = table[start]
+                if value is None:  # reduce(forecast.head(h)), same slice
+                    value = table[start] = reduce(column[start:start + n])
+                return value
+            return memoized
     horizon = _compile(horizon_node)
 
     def aggregate(obs):

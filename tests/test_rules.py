@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from evpolicy import rules
 from evpolicy.errors import RuleParseError
 from evpolicy.market import PriceForecast, synthetic_trace
 from evpolicy.rewards import RewardConfig
@@ -391,6 +392,11 @@ EPISODE_SCRIPTS = [
     "if fc_mean(ttd / 5 + 1) < discharge_price then -max_discharge_kw",
     "if charge_price <= fc_min(soc * 300 + 1) then min(max_charge_kw, 5)\n"
     "if discharge_price > fc_mean(72) then -(max_discharge_kw / 2)",
+    # One aggregate at two constant horizons, one past the 288-step forecast.
+    "if discharge_price > fc_mean(12) + 0.01 and fc_mean(12) > fc_mean(400) "
+    "then -max_discharge_kw\n"
+    "if charge_price <= fc_min(144) + 0.01 and charge_price < fc_min(6) + 0.005 "
+    "then max_charge_kw",
     # Faults: a horizon below 1 far from departure, division by zero in sun.
     "if soc < 0.5 then fc_mean(24 - ttd / 30)\n"
     "if pv_kw > 0 then load_kw / (pv_kw - pv_kw)\n"
@@ -398,27 +404,62 @@ EPISODE_SCRIPTS = [
 ]
 
 
+EPISODE_COLUMNS = ("requested_kw", "applied_kw", "soc", "soc_after",
+                   "grid_import_kwh", "grid_export_kwh", "step_cost",
+                   "step_reward")
+
+
 @pytest.fixture(scope="module")
-def week():
-    trace = synthetic_trace(days=7, seed=11)
-    return trace, default_sessions(trace)
+def traces():
+    """Two traces with two price columns, and their default sessions."""
+    return [(trace, default_sessions(trace))
+            for trace in (synthetic_trace(days=7, seed=11),
+                          synthetic_trace(days=3, seed=5))]
+
+
+def _episode(trace, sessions, policy):
+    """A whole-trace episode of ``policy`` and the faults it logged."""
+    logged = len(policy.fault_log)
+    report = run_episode(trace, sessions, BatteryConfig(), policy,
+                         RewardConfig(), 0, len(trace))
+    return report, policy.fault_log[logged:]
+
+
+def _memo_values():
+    """How many constant-horizon aggregate values the memo holds."""
+    return sum(len(table) - table.count(None)
+               for table in rules._memo[1].values())
 
 
 @pytest.mark.parametrize("source", EPISODE_SCRIPTS,
-                         ids=["file", "max_mean", "min_mean", "faulting"])
-def test_episode_matches_reference(week, source):
-    trace, sessions = week
-    reports = []
-    fault_logs = []
-    for policy in (RuleScriptPolicy(source), ReferencePolicy(source)):
-        reports.append(run_episode(trace, sessions, BatteryConfig(), policy,
-                                   RewardConfig(), 0, len(trace)))
-        fault_logs.append(policy.fault_log)
-    fast, slow = reports
-    for column in ("requested_kw", "applied_kw", "soc", "soc_after",
-                   "grid_import_kwh", "grid_export_kwh", "step_cost",
-                   "step_reward"):
-        assert getattr(fast, column) == getattr(slow, column), column
-    assert fast.summary_dict() == slow.summary_dict()
-    assert fault_logs[0] == fault_logs[1]
-    assert bool(fault_logs[0]) == (source is EPISODE_SCRIPTS[-1])
+                         ids=["file", "max_mean", "min_mean", "two_horizons",
+                              "faulting"])
+def test_episode_matches_reference(traces, source):
+    """One compiled script on traces A, B, A (the memo switches columns each
+    time) matches the tree walker column for column; a repeat on A, whose
+    every constant-horizon read is a memo hit, matches too."""
+    expected = [_episode(trace, sessions, ReferencePolicy(source))
+                for trace, sessions in traces]
+    fast = RuleScriptPolicy(source)
+    runs = []
+    for k in (0, 1, 0):
+        runs.append(_episode(*traces[k], fast))
+        (report, faults), (slow, slow_faults) = runs[-1], expected[k]
+        for column in EPISODE_COLUMNS:
+            assert getattr(report, column) == getattr(slow, column), column
+        assert report.summary_dict() == slow.summary_dict()
+        assert faults == slow_faults
+        assert bool(faults) == (source is EPISODE_SCRIPTS[-1])
+
+    held, filled = rules._memo, _memo_values()
+    again, faults = _episode(*traces[0], fast)
+    # No table dropped and no value computed again: every read was a hit.
+    assert filled and rules._memo is held and _memo_values() == filled
+    first, first_faults = runs[0]
+    for column in EPISODE_COLUMNS:
+        assert getattr(again, column) == getattr(first, column), column
+    assert faults == first_faults
+    column, tables = rules._memo
+    assert column is traces[0][0].forecast_column
+    assert tables and all(len(table) == len(column)
+                          for table in tables.values())
