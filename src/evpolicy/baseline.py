@@ -1,7 +1,7 @@
 """Expert rule-based controller: PV-surplus charging, peak-price discharge."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .simulation import BatteryConfig, Observation, per_step_energy_cap
@@ -15,10 +15,19 @@ class BaselineConfig:
     target_soc: float = 0.80
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # Exactly an int or a float, as for BatteryConfig: a bool or a
+            # string would compare, or fail to, deep inside a rollout.
+            if type(value) not in (int, float):
+                raise ConfigError(f"{field.name} must be an int or a float, "
+                                  f"got {value!r}")
         if self.peak_price_threshold <= 0 or self.cheap_price_threshold <= 0:
             raise ConfigError("price thresholds must be > 0")
         if not 0 <= self.min_soc_reserve < 1:
             raise ConfigError("min_soc_reserve must be in [0, 1)")
+        if not 0 < self.target_soc <= 1:
+            raise ConfigError("target_soc must be in (0, 1]")
 
 
 def baseline_decide(obs: Observation, cfg: BaselineConfig,

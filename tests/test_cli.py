@@ -212,6 +212,28 @@ class TestConfigErrors:
         assert "'bogus'" in err
         assert not out.exists()
 
+    # Each once ran: a string ended in a TypeError traceback mid-rollout,
+    # and the rest were used as given.
+    @pytest.mark.parametrize("baseline,message", [
+        ({"target_soc": "x"}, "target_soc must be an int or a float, got 'x'"),
+        ({"cheap_price_threshold": True},
+         "cheap_price_threshold must be an int or a float, got True"),
+        ({"target_soc": 1.7}, "target_soc must be in (0, 1]"),
+        ({"target_soc": 0}, "target_soc must be in (0, 1]"),
+    ], ids=["target_soc_a_string", "threshold_a_bool", "target_soc_above_1",
+            "target_soc_0"])
+    def test_bad_baseline_value_is_an_error_line(self, tmp_path, capsys,
+                                                 baseline, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"baseline": baseline}))
+        out = tmp_path / "run"
+        code = main(["simulate", "--synthetic", "days=1", "seed=1",
+                     "--policy", "baseline", "--config", str(path),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_non_integer_synthetic_days(self, tmp_path, capsys):
         code = main(["simulate", "--synthetic", "days=abc", "--policy", "idle",
                      "--out", str(tmp_path / "x")])
