@@ -27,8 +27,11 @@ class RewardConfig:
 
 def step_profit(grid_import_kwh: float, grid_export_kwh: float,
                 buy_price: float, sell_price: float) -> float:
-    """Negated net meter cost for one step: revenue minus cost."""
-    return sell_price * grid_export_kwh - buy_price * grid_import_kwh
+    """Negated net meter cost for one step: revenue minus cost. A zero
+    profit is 0.0, never -0.0, as a negative sell price times no export
+    would give."""
+    profit = sell_price * grid_export_kwh - buy_price * grid_import_kwh
+    return profit if profit else 0.0
 
 
 def departure_penalty(session, soc_at_departure: float,
