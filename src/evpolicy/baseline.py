@@ -1,9 +1,9 @@
 """Expert rule-based controller: PV-surplus charging, peak-price discharge."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, require_numbers
 from .simulation import BatteryConfig, Observation, per_step_energy_cap
 
 
@@ -15,13 +15,7 @@ class BaselineConfig:
     target_soc: float = 0.80
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            # Exactly an int or a float, as for BatteryConfig: a bool or a
-            # string would compare, or fail to, deep inside a rollout.
-            if type(value) not in (int, float):
-                raise ConfigError(f"{field.name} must be an int or a float, "
-                                  f"got {value!r}")
+        require_numbers(self, vars(self))
         if self.peak_price_threshold <= 0 or self.cheap_price_threshold <= 0:
             raise ConfigError("price thresholds must be > 0")
         if not 0 <= self.min_soc_reserve < 1:

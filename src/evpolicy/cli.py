@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -39,15 +40,25 @@ def _parse_kv(tokens: list[str]) -> dict:
 
 
 def _read_json(path: str):
-    """The JSON value in the file ``path``. A decode error, or ``NaN``,
-    ``Infinity`` or ``-Infinity`` (which ``json`` accepts by default), is a
+    """The JSON value in the file ``path``. A decode error, ``NaN``,
+    ``Infinity`` or ``-Infinity`` (which ``json`` accepts by default), or a
+    number too large for a float (``1e400`` would read as inf) is a
     ConfigError naming the file."""
-    def reject(constant):
-        raise ConfigError(f"{path}: {constant} is not allowed; "
+    def reject(literal):
+        raise ConfigError(f"{path}: {literal} is not allowed; "
                           "numbers must be finite")
+
+    def number(literal, kind=float):
+        # float() reads a literal too large for a float as inf; testing it
+        # first also keeps int() from a literal of thousands of digits.
+        if not math.isfinite(float(literal)):
+            reject(literal)
+        return kind(literal)
+
     with open(path) as fh:
         try:
-            return json.load(fh, parse_constant=reject)
+            return json.load(fh, parse_constant=reject, parse_float=number,
+                             parse_int=lambda text: number(text, int))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from None
@@ -104,9 +115,9 @@ def _resolve_trace(args, config: dict) -> EnvTrace:
 
 def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
                                list[ConnectionSession], RewardConfig,
-                               BaselineConfig]:
+                               BaselineConfig, float]:
     """The config, trace, battery, sessions, reward and baseline settings
-    of a run."""
+    of a run, and an external policy's deadline per decision (ms)."""
     config = _load_config(args.config)
     trace = _resolve_trace(args, config)
     battery = _from_config(BatteryConfig, config.get("battery", {}), "battery")
@@ -122,7 +133,12 @@ def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
     reward_cfg = _from_config(RewardConfig, config.get("reward", {}), "reward")
     baseline = _from_config(BaselineConfig, config.get("baseline", {}),
                             "baseline")
-    return config, trace, battery, sessions, reward_cfg, baseline
+    timeout_ms = _config_number(config, "policy_timeout_ms",
+                                DECISION_TIMEOUT_MS)
+    if not timeout_ms > 0:
+        raise ConfigError(f"policy_timeout_ms: expected a number > 0, "
+                          f"got {timeout_ms!r}")
+    return config, trace, battery, sessions, reward_cfg, baseline, timeout_ms
 
 
 def _strategies(text: str) -> list[str]:
@@ -143,9 +159,9 @@ def _write_run_config(out_dir: Path, payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config, trace, battery, sessions, reward_cfg, baseline = _run_inputs(args)
-    policy = make_policy(args.policy, battery, baseline, timeout_ms=(
-        _config_number(config, "policy_timeout_ms", DECISION_TIMEOUT_MS)))
+    (config, trace, battery, sessions, reward_cfg, baseline,
+     timeout_ms) = _run_inputs(args)
+    policy = make_policy(args.policy, battery, baseline, timeout_ms=timeout_ms)
     try:
         report = run_episode(trace, sessions, battery, policy, reward_cfg,
                              start_step=args.start, n_steps=args.steps)
@@ -184,7 +200,8 @@ def cmd_evolve(args) -> int:
     from . import evolve as evolve_mod
     from . import ledgers
     strategies = _strategies(args.strategy)
-    config, trace, battery, sessions, reward_cfg, baseline = _run_inputs(args)
+    config, trace, battery, sessions, reward_cfg, baseline, _ = \
+        _run_inputs(args)
     retry_base_delay = _config_number(config, "retry_base_delay",
                                       evolve_mod.RETRY_BASE_DELAY_S)
     evolve_mod.evolve_window(trace, args.start, args.steps, args.iters)

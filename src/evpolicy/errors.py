@@ -17,6 +17,16 @@ class ConfigError(EvPolicyError, ValueError):
     """A run configuration is incomplete or inconsistent."""
 
 
+def require_numbers(config, names) -> None:
+    """A ConfigError unless each attribute of ``config`` in ``names`` is
+    exactly an int or a float: a bool or a string would compare, or fail
+    to, deep inside a rollout, and the step log writes numbers with repr."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) not in (int, float):
+            raise ConfigError(f"{name} must be an int or a float, got {value!r}")
+
+
 class RuleParseError(EvPolicyError):
     """Rule script could not be parsed."""
 

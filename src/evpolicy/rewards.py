@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, PolicyFault
+from .errors import ConfigError, PolicyFault, require_numbers
 
 FIT_TOLERANCE_KW = 0.5
 
@@ -20,6 +20,9 @@ class RewardConfig:
     def __post_init__(self):
         if self.mode not in ("raw", "normalized"):
             raise ConfigError(f"unknown reward mode {self.mode!r}")
+        require_numbers(self, ("deficit_penalty_coeff",
+                               "satisfaction_exponent_scale",
+                               "satisfaction_weight"))
         if min(self.deficit_penalty_coeff, self.satisfaction_exponent_scale,
                self.satisfaction_weight) < 0:
             raise ConfigError("reward coefficients must be >= 0")

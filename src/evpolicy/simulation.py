@@ -4,11 +4,13 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import timedelta
+from itertools import islice, repeat
+from operator import is_not
 from typing import NamedTuple
 
-from .errors import ConfigError, PolicyFault
+from .errors import ConfigError, PolicyFault, require_numbers
 from .market import (FORECAST_STEPS, STEP, STEP_HOURS, STEP_MINUTES,
                      STEPS_PER_DAY, EnvTrace, PriceForecast, forecast_at)
 from .rewards import RewardConfig, behavioral_metrics, departure_penalty, step_profit
@@ -32,13 +34,7 @@ class BatteryConfig:
     max_discharge_kw: float = 7.0
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            # Exactly an int or a float: these values reach the step log,
-            # which writes numbers with repr.
-            if type(value) not in (int, float):
-                raise ConfigError(f"{field.name} must be an int or a float, "
-                                  f"got {value!r}")
+        require_numbers(self, vars(self))
         if self.capacity_kwh <= 0:
             raise ConfigError("capacity_kwh must be > 0")
         if not 0 <= self.soc_min < self.soc_max <= 1:
@@ -68,11 +64,7 @@ def validate_sessions(sessions: Sequence[ConnectionSession],
                       battery: BatteryConfig) -> None:
     prev_end = None
     for s in sessions:
-        for soc in (s.arrival_soc, s.target_soc):
-            # Exactly an int or a float, as for BatteryConfig.
-            if type(soc) not in (int, float):
-                raise ConfigError(
-                    f"session SoC must be an int or a float, got {soc!r}")
+        require_numbers(s, ("arrival_soc", "target_soc"))
         if not battery.soc_min <= s.arrival_soc <= battery.soc_max:
             raise ConfigError(f"arrival_soc {s.arrival_soc} outside SoC bounds")
         if not battery.soc_min < s.target_soc <= battery.soc_max:
@@ -129,8 +121,9 @@ class EpisodeReport:
     Entry ``i`` of each column belongs to trace step ``start_step + i``:
     ``step_sessions`` holds the session plugged in then (None when the EV is
     away), ``soc`` the SoC before the step and ``soc_after`` the SoC after
-    it. Prices, load and PV stay in ``trace``'s columns. ``records`` builds
-    the :class:`StepRecord`s, observations included, each time it is read.
+    it. Prices, load and PV stay in ``trace``'s columns. ``step_cost`` and
+    ``total_cost`` are the negated rewards, built when read, as ``records``
+    builds the :class:`StepRecord`s, observations included.
     """
 
     trace: EnvTrace
@@ -142,10 +135,8 @@ class EpisodeReport:
     soc_after: list[float]
     grid_import_kwh: list[float]
     grid_export_kwh: list[float]
-    step_cost: list[float]
     step_reward: list[float]
     total_reward: float
-    total_cost: float
     total_profit: float
     total_penalty: float
     soc_violations: int
@@ -187,8 +178,20 @@ class EpisodeReport:
             fh.write("\n")
 
     @property
+    def step_cost(self) -> list[float]:
+        """Each step's net meter cost: its reward negated, a zero as 0.0."""
+        return [0.0 - reward for reward in self.step_reward]
+
+    @property
+    def total_cost(self) -> float:
+        return 0.0 - self.total_profit
+
+    @property
     def records(self) -> list[StepRecord]:
-        return [self._record(i) for i in range(self.n_steps)]
+        return [StepRecord(self.observation(i), *row) for i, row in enumerate(
+            zip(self.requested_kw, self.applied_kw, self.soc_after,
+                self.grid_import_kwh, self.grid_export_kwh, self.step_cost,
+                self.step_reward))]
 
     def observation(self, i: int) -> Observation:
         """What the policy saw at column entry ``i``, trace step
@@ -196,47 +199,55 @@ class EpisodeReport:
         return observation_at(self.trace, self.step_sessions[i], self.soc[i],
                               self.start_step + i, self.battery)
 
-    def _record(self, i: int) -> StepRecord:
-        return StepRecord(
-            observation=self.observation(i),
-            requested_kw=self.requested_kw[i], applied_kw=self.applied_kw[i],
-            soc_after=self.soc_after[i],
-            grid_import_kwh=self.grid_import_kwh[i],
-            grid_export_kwh=self.grid_export_kwh[i],
-            step_cost=self.step_cost[i], step_reward=self.step_reward[i])
+    def _columns(self) -> dict:
+        """The step log's columns by key, each an iterable of one value per
+        simulated step, with the keys in the sorted order in which
+        ``json.dumps(row, sort_keys=True)`` writes them."""
+        start, stop = self.start_step, self.start_step + self.n_steps
+        steps = range(start, stop)
+        return {
+            "applied_kw": self.applied_kw,
+            "charge_price": islice(self.trace.buy_price, start, stop),
+            "discharge_price": islice(self.trace.sell_price, start, stop),
+            "grid_export_kwh": self.grid_export_kwh,
+            "grid_import_kwh": self.grid_import_kwh,
+            "load_kw": islice(self.trace.load_kw, start, stop),
+            "plugged_in": map(is_not, self.step_sessions, repeat(None)),
+            "pv_kw": islice(self.trace.pv_kw, start, stop),
+            "requested_kw": self.requested_kw,
+            "soc": self.soc,
+            "soc_after": self.soc_after,
+            "step": steps,
+            "step_cost": self.step_cost,
+            "step_reward": self.step_reward,
+            "ttd_min": map(_ttd_minutes, self.step_sessions, steps),
+        }
 
     def step_rows(self) -> Iterator[dict]:
         """One plain row per simulated step, as written to the step log."""
-        buy, sell = self.trace.buy_price, self.trace.sell_price
-        load, pv = self.trace.load_kw, self.trace.pv_kw
-        for t, session, soc, requested, applied, soc_after, grid_import, \
-                grid_export, cost, reward in zip(
-                    range(self.start_step, self.start_step + self.n_steps),
-                    self.step_sessions, self.soc, self.requested_kw,
-                    self.applied_kw, self.soc_after, self.grid_import_kwh,
-                    self.grid_export_kwh, self.step_cost, self.step_reward):
-            yield {
-                "step": t,
-                "charge_price": buy[t],
-                "discharge_price": sell[t],
-                "soc": soc,
-                "ttd_min": _ttd_minutes(session, t),
-                "load_kw": load[t],
-                "pv_kw": pv[t],
-                "plugged_in": session is not None,
-                "requested_kw": requested,
-                "applied_kw": applied,
-                "soc_after": soc_after,
-                "grid_import_kwh": grid_import,
-                "grid_export_kwh": grid_export,
-                "step_cost": cost,
-                "step_reward": reward,
-            }
+        columns = self._columns()
+        return (dict(zip(columns, row)) for row in zip(*columns.values()))
 
     def write_step_log(self, path) -> None:
-        """JSON-lines step log: one object per simulated step, streamed."""
+        """JSON-lines step log, streamed: each line is
+        ``json.dumps(row, sort_keys=True)`` of a row of :meth:`step_rows`.
+
+        One template writes every line, with ``{}``, which is ``repr`` for
+        the plain ints and finite floats the trace, the battery and the
+        sessions hold. Only ``requested_kw`` can be non-finite (an
+        unguarded policy's request), so only it goes through
+        :func:`_json_float`.
+        """
+        columns = self._columns()
+        columns["plugged_in"] = map(_JSON_BOOL.__getitem__,
+                                    columns["plugged_in"])
+        columns["requested_kw"] = map(_json_float, columns["requested_kw"])
+        line = "{{" + ", ".join(f'"{key}": {{}}' for key in columns) + "}}\n"
         with open(path, "w") as fh:
-            fh.writelines(map(_step_line, self.step_rows()))
+            fh.writelines(map(line.format, *columns.values()))
+
+
+_JSON_BOOL = {True: "true", False: "false"}
 
 
 def _json_float(value: float) -> str:
@@ -244,34 +255,6 @@ def _json_float(value: float) -> str:
     if math.isfinite(value):
         return repr(value)
     return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
-def _step_line(r: dict) -> str:
-    """``json.JSONEncoder(sort_keys=True).encode(r) + "\\n"`` for a row of
-    :meth:`EpisodeReport.step_rows`, from one template.
-
-    Keys are in sorted order and numbers are written with ``repr``, as the
-    encoder writes plain ints and finite floats; the trace, the battery and
-    the sessions hold only those. Only ``requested_kw`` can be non-finite
-    (an unguarded policy's request), so only it goes through
-    :func:`_json_float`.
-    """
-    return (
-        f'{{"applied_kw": {r["applied_kw"]!r}, '
-        f'"charge_price": {r["charge_price"]!r}, '
-        f'"discharge_price": {r["discharge_price"]!r}, '
-        f'"grid_export_kwh": {r["grid_export_kwh"]!r}, '
-        f'"grid_import_kwh": {r["grid_import_kwh"]!r}, '
-        f'"load_kw": {r["load_kw"]!r}, '
-        f'"plugged_in": {"true" if r["plugged_in"] else "false"}, '
-        f'"pv_kw": {r["pv_kw"]!r}, '
-        f'"requested_kw": {_json_float(r["requested_kw"])}, '
-        f'"soc": {r["soc"]!r}, '
-        f'"soc_after": {r["soc_after"]!r}, '
-        f'"step": {r["step"]!r}, '
-        f'"step_cost": {r["step_cost"]!r}, '
-        f'"step_reward": {r["step_reward"]!r}, '
-        f'"ttd_min": {r["ttd_min"]!r}}}\n')
 
 
 _READ_FIELDS = ("step", "charge_price", "discharge_price", "soc", "soc_after",
@@ -557,9 +540,6 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
         soc = soc_after
 
     buy_window, sell_window = buy[start_step:stop], sell[start_step:stop]
-    cost_col = [b * grid_import - s * grid_export
-                for b, s, grid_import, grid_export
-                in zip(buy_window, sell_window, import_col, export_col)]
     reward_col = list(map(step_profit, import_col, export_col, buy_window,
                           sell_window))
     # Left to right with +=, here and for the household load below: sum()
@@ -568,9 +548,6 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     total_profit = 0.0
     for reward in reward_col:
         total_profit += reward
-    total_cost = 0.0
-    for cost in cost_col:
-        total_cost += cost
 
     total_reward = total_profit + total_penalty
     if reward_cfg.mode == "normalized" and n_steps:
@@ -594,10 +571,8 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
         soc_after=soc_after_col,
         grid_import_kwh=import_col,
         grid_export_kwh=export_col,
-        step_cost=cost_col,
         step_reward=reward_col,
         total_reward=total_reward,
-        total_cost=total_cost,
         total_profit=total_profit,
         total_penalty=total_penalty,
         soc_violations=getattr(policy, "violation_counter", 0) - violations_before,

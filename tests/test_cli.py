@@ -176,7 +176,16 @@ class TestConfigErrors:
         ('{"battery": {"capacity_kwh": NaN}}', "NaN"),
         ('{"reward": {"deficit_penalty_coeff": NaN}}', "NaN"),
         ('{"policy_timeout_ms": Infinity}', "Infinity"),
-    ], ids=["capacity_nan", "deficit_penalty_nan", "timeout_infinity"])
+        # Too large for a float: once -Infinity in report.json, an
+        # OverflowError from selectors and one from int-to-float.
+        ('{"reward": {"deficit_penalty_coeff": 1e400}}', "1e400"),
+        ('{"policy_timeout_ms": -1e400}', "-1e400"),
+        ('{"battery": {"capacity_kwh": %s}}' % ("9" * 400), "9" * 400),
+        # Past int()'s 4300-digit limit: once a ValueError traceback.
+        ('{"battery": {"capacity_kwh": %s}}' % ("9" * 5000), "9" * 5000),
+    ], ids=["capacity_nan", "deficit_penalty_nan", "timeout_infinity",
+            "deficit_penalty_1e400", "timeout_minus_1e400",
+            "capacity_400_digits", "capacity_5000_digits"])
     def test_non_finite_config_number_is_an_error_line(self, tmp_path, capsys,
                                                        text, constant):
         path = tmp_path / "cfg.json"
@@ -232,6 +241,54 @@ class TestConfigErrors:
                      "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # Each once ran: a bool was used as 1 and a string ended in a
+    # TypeError from a comparison.
+    @pytest.mark.parametrize("reward,message", [
+        ({"satisfaction_weight": True},
+         "satisfaction_weight must be an int or a float, got True"),
+        ({"deficit_penalty_coeff": "10"},
+         "deficit_penalty_coeff must be an int or a float, got '10'"),
+    ], ids=["weight_a_bool", "coeff_a_string"])
+    def test_bad_reward_value_is_an_error_line(self, tmp_path, capsys, reward,
+                                               message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"reward": reward}))
+        out = tmp_path / "run"
+        code = main(["simulate", "--synthetic", "days=1", "seed=1",
+                     "--policy", "baseline", "--config", str(path),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # A deadline of 0 or less once timed out every decision of a cmd:
+    # policy, which ended in a policy fault after three of them.
+    @pytest.mark.parametrize("command,timeout_ms", [
+        (["simulate", "--policy",
+          "cmd:{python} -m evpolicy.pydriver {helpers}/price_candidate.py"],
+         -5),
+        (["simulate", "--policy", "idle"], 0),
+        (["evolve", "--strategy", "reasoning", "--operator",
+          "mock:{replies}"], -5),
+    ], ids=["simulate-cmd", "simulate-idle", "evolve-reasoning"])
+    def test_non_positive_policy_timeout_is_an_error_on_every_command(
+            self, tmp_path, capsys, command, timeout_ms):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"policy_timeout_ms": timeout_ms}))
+        out = tmp_path / "run"
+        fields = {"replies": replies, "python": sys.executable,
+                  "helpers": Path(__file__).parent / "helpers"}
+        code = main([*(arg.format(**fields) for arg in command),
+                     "--synthetic", "days=1", "seed=3", "--config", str(path),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: policy_timeout_ms: expected a number > 0, "
+            f"got {timeout_ms}\n")
         assert not out.exists()
 
     def test_non_integer_synthetic_days(self, tmp_path, capsys):

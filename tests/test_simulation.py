@@ -492,22 +492,27 @@ class TestRunEpisode:
 
     def test_balanced_step_at_a_negative_sell_price_earns_0(self, battery,
                                                             tmp_path):
-        """A negative sell price times no export is -0.0; the step's reward
-        is written 0.0, like its cost."""
-        assert repr(step_profit(0.0, 0.0, 0.2, -0.05)) == "0.0"
+        """A negative sell price times no export is -0.0, and so is a
+        negative buy price times no import; the step's reward and cost are
+        written 0.0, and the total cost is 0.0."""
         load = [0.5, 1.0, 0.0, 2.0]
-        trace = EnvTrace(datetime(2024, 1, 1), load, load, [0.2] * 4,
-                         [-0.05] * 4)
         sessions = [ConnectionSession(1, 3, 0.5)]
-        report = run_episode(trace, sessions, battery,
-                             NativePolicy(lambda obs: 0.0), RewardConfig(),
-                             0, len(trace))
-        report.write_step_log(tmp_path / "steps.jsonl")
-        with open(tmp_path / "steps.jsonl") as fh:
-            rows = [json.loads(line) for line in fh]
-        for name in ("step_cost", "step_reward"):
-            assert list(map(repr, getattr(report, name))) == ["0.0"] * 4, name
-            assert [repr(row[name]) for row in rows] == ["0.0"] * 4, name
+        for buy, sell in ((0.2, -0.05), (-0.05, 0.02)):
+            assert repr(step_profit(0.0, 0.0, buy, sell)) == "0.0"
+            trace = EnvTrace(datetime(2024, 1, 1), load, load, [buy] * 4,
+                             [sell] * 4)
+            report = run_episode(trace, sessions, battery,
+                                 NativePolicy(lambda obs: 0.0),
+                                 RewardConfig(), 0, len(trace))
+            report.write_step_log(tmp_path / "steps.jsonl")
+            with open(tmp_path / "steps.jsonl") as fh:
+                rows = [json.loads(line) for line in fh]
+            for name in ("step_cost", "step_reward"):
+                assert list(map(repr, getattr(report, name))) == \
+                    ["0.0"] * 4, (buy, name)
+                assert [repr(row[name]) for row in rows] == ["0.0"] * 4, \
+                    (buy, name)
+            assert repr(report.total_cost) == "0.0", buy
 
     @pytest.mark.parametrize("k", [300, 301, 377, 504, 575])
     def test_fault_names_its_trace_step_in_a_mid_session_window(self, battery,
