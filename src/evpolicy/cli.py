@@ -18,7 +18,7 @@ from .prompts import EXAMPLE_STRATEGIES, STRATEGIES
 from .rewards import RewardConfig
 from .runtime import DECISION_TIMEOUT_MS, make_policy
 from .simulation import (BatteryConfig, ConnectionSession, default_sessions,
-                         read_step_log, run_episode)
+                         read_step_log, run_episode, validate_sessions)
 # The evolve and ledger modules are imported inside the commands that use
 # them, so ``simulate`` starts without loading them.
 
@@ -138,6 +138,8 @@ def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
     if not timeout_ms > 0:
         raise ConfigError(f"policy_timeout_ms: expected a number > 0, "
                           f"got {timeout_ms!r}")
+    # As run_episode checks them, so evolve fails before its first write.
+    validate_sessions(sorted(sessions, key=lambda s: s.arrival_step), battery)
     return config, trace, battery, sessions, reward_cfg, baseline, timeout_ms
 
 

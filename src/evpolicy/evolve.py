@@ -11,16 +11,15 @@ from typing import Sequence
 
 from .errors import ConfigError, OperatorTransportError, PolicyFault
 from .ledgers import LedgerEntry, render_examples
-from .market import FORECAST_STEPS, STEP_MINUTES, EnvTrace, trace_stats
+from .market import FORECAST_STEPS, EnvTrace, trace_stats
 from .operators import MutationOperator
 from .prompts import (EXAMPLE_STRATEGIES, NO_CODE_FAILURE, PromptBundle,
-                      build_prompt, build_state_prompt)
+                      build_prompt)
 from .rewards import FitReport, RewardConfig, fit_score
-from .runtime import PolicyHandle, PolicyProgram, policy_from_program
+from .runtime import PolicyProgram, policy_from_program
 from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
                          episode_window, run_episode)
 
-DEFAULT_QUERY_CADENCE = 60 // STEP_MINUTES  # hourly
 TRANSPORT_RETRIES = 3
 RETRY_BASE_DELAY_S = 0.5  # before the second try; doubled before each next
 CANDIDATE_TIMEOUT_MS = 2000
@@ -29,7 +28,6 @@ PEAK_PRICE_THRESHOLD = 0.35  # a sell price at least this high is a spike
 # _reference_examples keeps between min(P, 200) and 399 of P plugged-in steps.
 MIN_FIT_EXAMPLES = 200
 _FENCED_RE = re.compile(r"```[a-zA-Z0-9_+-]*\n(.*?)```", re.DOTALL)
-_DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
 
 @dataclass(frozen=True)
@@ -339,51 +337,3 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     if transport_error is not None:
         raise transport_error
     return run
-
-
-class RuntimeLLMPolicy(PolicyHandle):
-    """The Runtime strategy: queries the operator every ``cadence``
-    decisions, caching the setpoint in between.
-
-    Run it like any handle: wrap it in
-    :class:`~evpolicy.runtime.GuardrailPolicy` and pass that to
-    :func:`run_episode`. ``decision_log`` holds one entry per query (step,
-    reply, parsed kW, fault).
-    """
-
-    def __init__(self, operator: MutationOperator, cadence: int,
-                 battery: BatteryConfig,
-                 retry_base_delay: float = RETRY_BASE_DELAY_S):
-        super().__init__("runtime-llm")
-        if cadence < 1:
-            raise ConfigError("query cadence must be >= 1")
-        self.operator = operator
-        self.cadence = cadence
-        self.battery = battery
-        self.retry_base_delay = retry_base_delay
-        self.decision_log: list[dict] = []
-        self._calls = 0
-        self._cached_kw = 0.0
-
-    def decide(self, obs) -> float:
-        if self._calls % self.cadence == 0:
-            bundle = build_state_prompt(obs, self.battery)
-            entry = {"step": obs.step_index, "reply": None,
-                     "parsed_kw": None, "fault": None}
-            try:
-                reply = _complete_with_retry(self.operator, bundle,
-                                             self.retry_base_delay)
-                entry["reply"] = reply
-                match = _DECIMAL_RE.search(reply)
-                if match is None:
-                    raise ValueError(f"no decimal in reply {reply!r}")
-                self._cached_kw = float(match.group(0))
-                entry["parsed_kw"] = self._cached_kw
-            except (OperatorTransportError, ValueError) as exc:
-                entry["fault"] = str(exc)
-                self.fault_log.append(f"step {obs.step_index}: {exc}")
-                # keep the previous cached action (idle before the first reply)
-            self.decision_log.append(entry)
-        self._calls += 1
-        return self._cached_kw
-

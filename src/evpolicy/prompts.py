@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .market import TraceStats
 from .pydriver import DECISION_INPUTS
-from .simulation import BatteryConfig, Observation
+from .simulation import BatteryConfig
 
 STRATEGIES = ("reasoning", "imitation", "hybrid")
 EXAMPLE_STRATEGIES = ("imitation", "hybrid")  # use the ledger examples
@@ -33,8 +33,6 @@ RULES_FORMAT_NOTE = (
 class PromptBundle:
     system_text: str
     user_text: str
-    examples_block: str = ""
-    stats_block: str = ""
 
 
 def _system_text(battery: BatteryConfig) -> str:
@@ -123,19 +121,14 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
     if strategy == "hybrid" and stats is None:
         raise ConfigError("hybrid strategy needs trace statistics")
 
-    if not needs_examples:
-        examples_block = ""
-    stats_block = _stats_block(stats) if strategy == "hybrid" and stats else ""
-
     parts = ["TASK: Generate a decide_power program to control EV charging."]
-    if examples_block:
+    if needs_examples:
         parts.append("BASELINE BEHAVIOR SUMMARY:\n" + examples_block)
-    if stats_block:
-        parts.append(stats_block)
     if strategy == "imitation":
         parts.append("YOUR GOAL: Write a function that MATCHES these training "
                      "examples as closely as possible.")
     elif strategy == "hybrid":
+        parts.append(_stats_block(stats))
         parts.append("YOUR GOAL: Maximize total household profit over the "
                      "episode while staying consistent with the examples "
                      "above where they are profitable.")
@@ -154,29 +147,4 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
     return PromptBundle(
         system_text=_system_text(battery),
         user_text="\n\n".join(parts),
-        examples_block=examples_block,
-        stats_block=stats_block,
     )
-
-
-def build_state_prompt(obs: Observation,
-                       battery: BatteryConfig | None = None) -> PromptBundle:
-    """Per-query prompt for the runtime agent: current state, one number back."""
-    battery = battery or BatteryConfig()
-    fc = obs.forecast.values
-    user = "\n".join([
-        "CURRENT STATE:",
-        f"SoC: {obs.soc * 100:.1f}%",
-        f"Time to departure: {obs.ttd_minutes:.0f} min",
-        f"Buy price: {obs.charge_price:.4f} /kWh",
-        f"Sell price: {obs.discharge_price:.4f} /kWh",
-        f"Load: {obs.load_kw:.2f} kW, PV: {obs.pv_kw:.2f} kW",
-        f"24h forecast: min {min(fc):.4f}, mean {sum(fc) / len(fc):.4f}, "
-        f"max {max(fc):.4f}",
-        "",
-        f"Reply with a single signed power setpoint in kW between "
-        f"-{obs.max_discharge_kw:g} and +{obs.max_charge_kw:g}. "
-        "Positive charges, negative discharges, 0 idles. Reply with the "
-        "number only.",
-    ])
-    return PromptBundle(system_text=_system_text(battery), user_text=user)

@@ -292,8 +292,8 @@ class ExternalProcessPolicy(PolicyHandle):
             raise PolicyFault(
                 f"{MAX_CONSECUTIVE_FAULTS} consecutive policy faults "
                 f"(last: {reason})",
-                diagnostics="\n".join(self.fault_log[-MAX_CONSECUTIVE_FAULTS:])
-                or self._stderr_tail())
+                diagnostics="\n".join(
+                    self.fault_log[-MAX_CONSECUTIVE_FAULTS:]))
         return 0.0
 
     def close(self) -> None:

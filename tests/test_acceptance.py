@@ -245,7 +245,7 @@ def test_09_prompt_fidelity():
 
     reasoning = build_prompt("reasoning", 1, render_examples(entries), STATS)
     assert "{SoC:" not in reasoning.user_text
-    assert reasoning.examples_block == ""
+    assert "BASELINE BEHAVIOR SUMMARY" not in reasoning.user_text
     _pass("hybrid prompt carries exact action-count lines and the "
           "decide_power signature; reasoning prompt has no example lines")
 

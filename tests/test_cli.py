@@ -129,6 +129,19 @@ CONFIG_MISTAKES = {
         {"arrival_step": 0.5, "departure_step": 100, "arrival_soc": 0.5}]},
     "session_step_a_bool": {"sessions": [
         {"arrival_step": False, "departure_step": 100, "arrival_soc": 0.5}]},
+    "capacity_0": {"battery": {"capacity_kwh": 0}},
+    "soc_min_not_below_soc_max": {"battery": {"soc_min": 0.6, "soc_max": 0.6}},
+    "charge_eff_0": {"battery": {"charge_eff": 0}},
+    "max_charge_kw_0": {"battery": {"max_charge_kw": 0}},
+    "cheap_price_threshold_0": {"baseline": {"cheap_price_threshold": 0}},
+    "min_soc_reserve_1": {"baseline": {"min_soc_reserve": 1}},
+    "reward_coefficient_negative": {
+        "reward": {"satisfaction_exponent_scale": -1}},
+    "departure_not_after_arrival": {"sessions": [
+        {"arrival_step": 50, "departure_step": 50, "arrival_soc": 0.5}]},
+    "target_soc_above_soc_max": {"battery": {"soc_max": 0.85}, "sessions": [
+        {"arrival_step": 0, "departure_step": 100, "arrival_soc": 0.5,
+         "target_soc": 0.9}]},
 }
 
 
@@ -145,7 +158,8 @@ class TestConfigErrors:
                      "--config", str(path), "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_naive_and_aware_timestamps_are_an_error_line(self, tmp_path,
                                                           capsys):
@@ -289,6 +303,33 @@ class TestConfigErrors:
         assert capsys.readouterr().err == (
             "error: policy_timeout_ms: expected a number > 0, "
             f"got {timeout_ms}\n")
+        assert not out.exists()
+
+    # Each once wrote run_config.json and iteration 0's files, and sent one
+    # operator request, before the rollout found it.
+    @pytest.mark.parametrize("config,message", [
+        ({"sessions": [{"arrival_step": 0, "departure_step": 100,
+                        "arrival_soc": 0.1}]},
+         "arrival_soc 0.1 outside SoC bounds"),
+        ({"sessions": [
+            {"arrival_step": 50, "departure_step": 150, "arrival_soc": 0.5},
+            {"arrival_step": 0, "departure_step": 60, "arrival_soc": 0.5}]},
+         "sessions must be ordered and non-overlapping"),
+        ({"battery": {"soc_max": 0.7}}, "target_soc 0.8 outside SoC bounds"),
+    ], ids=["arrival_soc_out_of_bounds", "overlapping", "default_target_soc"])
+    def test_bad_session_stops_evolve_before_any_write(self, tmp_path, capsys,
+                                                       config, message):
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = main(["evolve", "--synthetic", "days=1", "seed=0",
+                     "--strategy", "reasoning", "--iters", "2",
+                     "--operator", f"mock:{replies}", "--config", str(path),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_non_integer_synthetic_days(self, tmp_path, capsys):

@@ -5,18 +5,16 @@ from types import SimpleNamespace
 import pytest
 
 from evpolicy.errors import ConfigError, OperatorTransportError
-from evpolicy.evolve import (DEFAULT_QUERY_CADENCE, MIN_FIT_EXAMPLES,
-                             EvolutionRun, RuntimeLLMPolicy,
+from evpolicy.evolve import (MIN_FIT_EXAMPLES, EvolutionRun, Issue,
                              _reference_examples, extract_program,
                              make_feedback, run_evolution)
 from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator, MutationOperator, make_operator
 from evpolicy.rewards import RewardConfig
-from evpolicy.runtime import (GuardrailPolicy, PolicyProgram, make_policy,
-                              policy_from_program)
+from evpolicy.runtime import (GuardrailPolicy, NativePolicy, PolicyProgram,
+                              make_policy, policy_from_program)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  default_sessions, run_episode)
-from tests.conftest import make_obs
 
 # Five canned candidates: rewards strictly increase for the first three,
 # then the last two are strictly worse (verified inside the tests below).
@@ -108,6 +106,20 @@ class TestMakeFeedback:
                              0, 50)
         issues = make_feedback(report, battery)
         assert any("SoC floor" in i.text for i in issues)
+
+    def test_alternating_policy_is_told_to_add_hysteresis(self, battery):
+        trace = synthetic_trace(days=1, seed=1)
+        sessions = [ConnectionSession(10, 200, 0.5, 0.8)]
+        flip = NativePolicy(lambda obs: 3.0 if obs.step_index % 2 else -3.0)
+        report = run_episode(trace, sessions, battery,
+                             GuardrailPolicy(flip, battery), RewardConfig(),
+                             5, 100)
+        assert report.flicker_count == 94
+        flicker = [i for i in make_feedback(report, battery)
+                   if i.text.startswith("Policy flicker")]
+        assert flicker == [Issue(
+            "Policy flicker: 94 adjacent charge/discharge reversals (first "
+            "at step 11). Add hysteresis.", (11,))]
 
 
 class _FlakyOperator(MutationOperator):
@@ -334,47 +346,6 @@ class TestMockOperatorLoading:
             "temperature": 0, "timeout_s": 2.5})
         assert (op.url, op.model, op.temperature, op.timeout_s) == (
             "https://example.invalid/v1", "m", 0, 2.5)
-
-
-class TestRuntimeAgent:
-    def test_query_cadence(self, battery):
-        op = MockOperator(["3.5"])
-        policy = RuntimeLLMPolicy(op, cadence=12, battery=battery)
-        for i in range(36):
-            assert policy.decide(make_obs(step_index=i)) == 3.5
-        assert op.request_count == 3
-        assert len(policy.decision_log) == 3
-
-    def test_parse_failure_keeps_cached_action(self, battery):
-        op = MockOperator(["2.0", "cannot comply"])
-        policy = RuntimeLLMPolicy(op, cadence=1, battery=battery)
-        assert policy.decide(make_obs(step_index=0)) == 2.0
-        assert policy.decide(make_obs(step_index=1)) == 2.0
-        assert policy.fault_log
-        assert policy.decision_log[1]["fault"]
-
-    def test_negative_decimal_parsed(self, battery):
-        op = MockOperator(["I would discharge at -4.2 kW here."])
-        policy = RuntimeLLMPolicy(op, cadence=1, battery=battery)
-        assert policy.decide(make_obs()) == -4.2
-
-    def test_zero_cadence_rejected(self, battery):
-        with pytest.raises(ConfigError):
-            RuntimeLLMPolicy(MockOperator(["0"]), cadence=0, battery=battery)
-
-    def test_constant_idle_agent_matches_idle_policy(self, battery):
-        trace = synthetic_trace(days=1, seed=3)
-        sessions = default_sessions(trace)
-        handle = RuntimeLLMPolicy(MockOperator(["0"]), DEFAULT_QUERY_CADENCE,
-                                  battery, retry_base_delay=0.0)
-        agent = run_episode(trace, sessions, battery,
-                            GuardrailPolicy(handle, battery), RewardConfig())
-        idle = run_episode(trace, sessions, battery,
-                           make_policy("idle", battery), RewardConfig(),
-                           0, len(trace))
-        assert agent.total_reward == pytest.approx(idle.total_reward, abs=1e-12)
-        assert handle.decision_log
-        assert all(e["parsed_kw"] == 0.0 for e in handle.decision_log)
 
 
 class TestReferenceExamples:

@@ -7,7 +7,7 @@ from evpolicy.evolve import IterationRecord, Issue
 from evpolicy.ledgers import render_examples
 from evpolicy.market import TraceStats
 from evpolicy.prompts import (SIGNATURE_BLOCK, TOP_MISMATCHES, PromptBundle,
-                              build_prompt, build_state_prompt, render_feedback)
+                              build_prompt, render_feedback)
 from evpolicy.rewards import FitReport
 from evpolicy.runtime import PolicyProgram
 from evpolicy.simulation import BatteryConfig
@@ -46,7 +46,7 @@ class TestStrategies:
     def test_reasoning_has_no_examples(self):
         bundle = build_prompt("reasoning", 1, render_examples(some_entries()),
                               STATS)
-        assert bundle.examples_block == ""
+        assert "BASELINE BEHAVIOR SUMMARY" not in bundle.user_text
         assert "SoC: 45%" not in bundle.user_text
         assert SIGNATURE_BLOCK in bundle.user_text
 
@@ -68,11 +68,10 @@ class TestStrategies:
     def test_hybrid_threshold_lines(self):
         bundle = build_prompt("hybrid", 1, render_examples(some_entries()),
                               STATS)
-        assert ("CHARGE when: charge_price <= 0.120 (runtime median)"
-                in bundle.stats_block)
-        assert ("DISCHARGE when: discharge_price >= 0.250 (runtime median)"
-                in bundle.stats_block)
-        assert bundle.stats_block in bundle.user_text
+        assert ("RECOMMENDED THRESHOLDS (based on runtime environment):\n"
+                "CHARGE when: charge_price <= 0.120 (runtime median)\n"
+                "DISCHARGE when: discharge_price >= 0.250 (runtime median)"
+                in bundle.user_text)
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -142,21 +141,3 @@ class TestFeedbackRound:
         assert bundle.user_text.index("PREVIOUS FUNCTION:") < \
                bundle.user_text.index("EVALUATION RESULTS")
         assert "EVALUATION RESULTS (Iteration 1):" in bundle.user_text
-
-
-class TestStatePrompt:
-    def test_contains_state_and_instruction(self):
-        obs = make_obs(soc=0.62, charge_price=0.1234, ttd_minutes=95.0,
-                       load_kw=0.8, pv_kw=1.5)
-        bundle = build_state_prompt(obs)
-        assert isinstance(bundle, PromptBundle)
-        assert "SoC: 62.0%" in bundle.user_text
-        assert "Time to departure: 95 min" in bundle.user_text
-        assert "Buy price: 0.1234" in bundle.user_text
-        assert "Reply with the number only." in bundle.user_text
-
-    def test_forecast_aggregates(self):
-        from evpolicy.market import PriceForecast
-        fc = PriceForecast((0.1, 0.2, 0.3, 0.4))
-        bundle = build_state_prompt(make_obs(forecast=fc))
-        assert "min 0.1000, mean 0.2500, max 0.4000" in bundle.user_text

@@ -65,6 +65,25 @@ class TestParser:
             parse_rule_script(source)
         assert (err.value.line, err.value.column) == (1, column)
 
+    @pytest.mark.parametrize("source, column, message", [
+        ("if soc > 1.2.3 then 1", 10, "malformed number '1.2.3'"),
+        ("if soc > 1 1", 12, "expected 'then', found '1'"),
+        ("if fc_max(1, 2) > 0 then 1", 4, "fc_max takes 1 argument(s)"),
+        ("if min(1) > 0 then 1", 4, "min takes 2 argument(s)"),
+        ("if fc_max(soc > 1) > 0 then 1", 4,
+         "fc_max needs numeric arguments"),
+        ("if soc > ) then 1", 10, "unexpected token ')'"),
+        ("if -(soc > 1) then 1", 15, "unary '-' needs a numeric operand"),
+        ("if not soc then 1", 12, "'not' needs a boolean operand"),
+    ], ids=["two_points", "missing_then", "fc_max_arity", "min_arity",
+            "boolean_argument", "stray_paren", "negated_boolean",
+            "not_a_number"])
+    def test_parse_error_names_its_position(self, source, column, message):
+        with pytest.raises(RuleParseError) as err:
+            parse_rule_script(source)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert str(err.value) == f"line 1, col {column}: {message}"
+
     def test_comments_and_multiline(self):
         script = parse_rule_script(
             "# discharge at peak\n"

@@ -187,6 +187,21 @@ class TestExternalProcess:
         finally:
             handle.close()
 
+    def test_non_finite_reply_is_a_malformed_reply(self):
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import sys\n"
+             "for line in sys.stdin:\n"
+             "    if 'protocol' in line: continue\n"
+             "    if 'end' in line: break\n"
+             "    print('nan', flush=True)"], timeout_ms=5000)
+        try:
+            assert handle.decide(make_obs(step_index=4)) == 0.0
+        finally:
+            handle.close()
+        assert handle.fault_log == [
+            "step 4: malformed reply: non-finite reply 'nan'"]
+
     def test_candidate_that_raises_is_a_fault(self):
         handle = ExternalProcessPolicy(driver_cmd("raising_candidate.py"),
                                        timeout_ms=5000)
