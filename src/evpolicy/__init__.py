@@ -20,7 +20,7 @@ _EXPORTS = {
                 "departure_penalty", "fit_score", "step_profit"),
     "rules": ("evaluate_rules", "parse_rule_script", "script_to_source"),
     "runtime": ("ExternalProcessPolicy", "GuardrailPolicy", "PolicyHandle",
-                "PolicyProgram", "make_policy"),
+                "make_policy"),
     "simulation": ("BatteryConfig", "ConnectionSession", "EpisodeReport",
                    "Observation", "StepRecord", "apply_action",
                    "observation_at", "per_step_energy_cap", "read_step_log",

@@ -16,7 +16,7 @@ from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
 from .prompts import EXAMPLE_STRATEGIES, STRATEGIES
 from .rewards import RewardConfig
-from .runtime import DECISION_TIMEOUT_MS, make_policy
+from .runtime import DECISION_TIMEOUT_MS, PROGRAM_MODES, make_policy
 from .simulation import (BatteryConfig, ConnectionSession, default_sessions,
                          read_step_log, run_episode, validate_sessions)
 # The evolve and ledger modules are imported inside the commands that use
@@ -336,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=DEFAULT_ITERATIONS)
     p.add_argument("--operator", required=True,
                    help="mock:replies.jsonl or http (configure in --config)")
-    p.add_argument("--mode", default="builtin_rules",
-                   choices=["builtin_rules", "external_process"])
+    p.add_argument("--mode", default="builtin_rules", choices=PROGRAM_MODES)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--min-fit", dest="min_fit", type=float, default=None)
     p.add_argument("--out", default="evolve_out")

@@ -16,7 +16,8 @@ from .operators import MutationOperator
 from .prompts import (EXAMPLE_STRATEGIES, NO_CODE_FAILURE, PromptBundle,
                       build_prompt)
 from .rewards import FitReport, RewardConfig, fit_score
-from .runtime import PolicyProgram, policy_from_program
+from .runtime import (PROGRAM_MODES, ExternalProcessPolicy, GuardrailPolicy,
+                      RuleScriptPolicy)
 from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
                          episode_window, run_episode)
 
@@ -39,9 +40,6 @@ class Issue:
 @dataclass
 class IterationRecord:
     index: int
-    prompt: PromptBundle
-    reply: str | None = None
-    program: PolicyProgram | None = None
     failure: str | None = None
     report: EpisodeReport | None = None
     fit: FitReport | None = None
@@ -75,9 +73,9 @@ class EvolutionRun:
         }
 
 
-def extract_program(model_reply: str, mode: str = "builtin_rules",
-                    name: str = "candidate") -> PolicyProgram | None:
-    """Pull candidate source out of a model reply.
+def extract_program(model_reply: str,
+                    mode: str = "builtin_rules") -> str | None:
+    """Pull candidate source text out of a model reply.
 
     First fenced code block wins; failing that, the longest blank-line
     delimited chunk starting with the mode's signature keyword (``if`` for
@@ -95,9 +93,7 @@ def extract_program(model_reply: str, mode: str = "builtin_rules",
         if not candidates:
             return None
         source = max(candidates, key=len)
-    if not source:
-        return None
-    return PolicyProgram(name=name, source_text=source, mode=mode)
+    return source or None
 
 
 def make_feedback(report: EpisodeReport, battery: BatteryConfig,
@@ -227,6 +223,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     ``reference`` is the baseline episode over the same window; the imitation
     and hybrid strategies score fit against its plugged-in steps.
     """
+    if program_mode not in PROGRAM_MODES:
+        raise ConfigError(f"unknown program mode {program_mode!r}")
     n_steps = evolve_window(trace, start_step, n_steps, n_iterations)
     fit_examples = []
     if strategy in EXAMPLE_STRATEGIES:
@@ -241,7 +239,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     out_dir = Path(out_dir)
 
     iterations: list[IterationRecord] = []
-    prior: PolicyProgram | None = None
+    prior: str | None = None  # the last candidate's source text
     transport_error: OperatorTransportError | None = None
 
     for k in range(n_iterations):
@@ -252,7 +250,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                               prior=prior,
                               feedback=iterations[-1] if iterations else None,
                               battery=battery)
-        record = IterationRecord(index=k, prompt=bundle)
+        record = IterationRecord(index=k)
         iterations.append(record)
         (iter_dir / "prompt.txt").write_text(
             bundle.system_text + "\n\n" + bundle.user_text)
@@ -263,25 +261,27 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             record.failure = f"operator transport failure: {exc}"
             transport_error = exc
             break
-        record.reply = reply
         (iter_dir / "reply.txt").write_text(reply)
 
-        program = extract_program(reply, mode=program_mode,
-                                  name=f"{strategy}_iter_{k}")
-        if program is None:
+        source = extract_program(reply, mode=program_mode)
+        if source is None:
             record.failure = NO_CODE_FAILURE
             continue
-        prior = record.program = program
-        (iter_dir / "policy.txt").write_text(program.source_text)
-        if program.mode == "external_process":
+        prior = source
+        (iter_dir / "policy.txt").write_text(source)
+        if program_mode == "external_process":
             policy_path = iter_dir / "policy.py"
-            policy_path.write_text(program.source_text)
-            program.command = [sys.executable, "-m", "evpolicy.pydriver",
-                               str(policy_path)]
+            policy_path.write_text(source)
+            command = [sys.executable, "-m", "evpolicy.pydriver",
+                       str(policy_path)]
 
         try:
-            policy = policy_from_program(program, battery,
-                                         timeout_ms=CANDIDATE_TIMEOUT_MS)
+            if program_mode == "external_process":
+                handle = ExternalProcessPolicy(
+                    command, timeout_ms=CANDIDATE_TIMEOUT_MS)
+            else:
+                handle = RuleScriptPolicy(source, name=f"{strategy}_iter_{k}")
+            policy = GuardrailPolicy(handle, battery)
         except Exception as exc:  # parse error, spawn failure
             record.failure = f"policy construction failed: {exc}"
             continue

@@ -102,15 +102,15 @@ def render_feedback(record, iteration: int) -> str:
 
 def build_prompt(strategy: str, iteration: int, examples_block: str,
                  stats: TraceStats | None,
-                 prior=None, feedback=None,
+                 prior: str | None = None, feedback=None,
                  battery: BatteryConfig | None = None) -> PromptBundle:
     """Deterministic prompt assembly for one evolution iteration.
 
     ``examples_block`` is the ledger examples as
     :func:`~evpolicy.ledgers.render_examples` renders them, once per run;
-    only the imitation and hybrid strategies use it. ``prior`` is the last
-    policy program extracted and ``feedback`` the previous iteration's
-    record, reported as iteration ``iteration - 1``.
+    only the imitation and hybrid strategies use it. ``prior`` is the source
+    text of the last candidate extracted and ``feedback`` the previous
+    iteration's record, reported as iteration ``iteration - 1``.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -138,8 +138,8 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
                      "the objectives and constraints alone.")
     parts.append("REQUIRED FUNCTION SIGNATURE:\n" + SIGNATURE_BLOCK)
     parts.append(RULES_FORMAT_NOTE)
-    if prior is not None and prior.source_text:
-        parts.append("PREVIOUS FUNCTION:\n```\n" + prior.source_text + "\n```")
+    if prior:
+        parts.append("PREVIOUS FUNCTION:\n```\n" + prior + "\n```")
     if feedback is not None:
         parts.append(render_feedback(feedback, iteration - 1))
         parts.append("TASK: Rewrite the function to fix the identified issues.")

@@ -8,7 +8,6 @@ import selectors
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -31,21 +30,8 @@ EXIT_WAIT_S = 1.0  # for a child whose stdout closed to exit
 CLOSE_WAIT_S = 2.0  # for a closed child's pipes and exit
 GUARDRAIL_EPS = 1e-9
 DECISION_TIMEOUT_MS = 1000  # a child's deadline per decision, by default
-
-
-@dataclass
-class PolicyProgram:
-    name: str
-    source_text: str
-    mode: str  # builtin_rules | external_process
-    command: list[str] | None = None  # argv that serves an external_process
-
-    def __post_init__(self):
-        if self.mode not in ("builtin_rules", "external_process"):
-            raise ValueError(f"unknown policy mode {self.mode!r}")
-        # An empty rule script is still legal (implicit idle rule).
-        if self.mode == "external_process" and not self.source_text.strip():
-            raise ValueError("external_process policy needs source text")
+# How an evolve candidate runs: a rule script, or a Python child process.
+PROGRAM_MODES = ("builtin_rules", "external_process")
 
 
 class PolicyHandle:
@@ -377,14 +363,4 @@ def make_policy(spec: str, battery: BatteryConfig,
         raise ConfigError(
             f"unknown policy {spec!r}: expected a registered name "
             "(baseline, idle), a .rules file, or cmd:...")
-    return GuardrailPolicy(handle, battery)
-
-
-def policy_from_program(program: PolicyProgram, battery: BatteryConfig,
-                        timeout_ms: int = DECISION_TIMEOUT_MS) -> PolicyHandle:
-    """Instantiate a candidate program as a runnable handle."""
-    if program.mode == "builtin_rules":
-        handle = RuleScriptPolicy(program.source_text, name=program.name)
-    else:
-        handle = ExternalProcessPolicy(program.command, timeout_ms=timeout_ms)
     return GuardrailPolicy(handle, battery)

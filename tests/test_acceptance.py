@@ -18,8 +18,7 @@ from evpolicy.prompts import SIGNATURE_BLOCK, build_prompt
 from evpolicy.rewards import (FIT_TOLERANCE_KW, RewardConfig,
                               behavioral_metrics, fit_score)
 from evpolicy.runtime import (ExternalProcessPolicy, GuardrailPolicy,
-                              NativePolicy, PolicyProgram, make_policy,
-                              policy_from_program)
+                              NativePolicy, RuleScriptPolicy, make_policy)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  default_sessions, run_episode)
 from tests.conftest import make_obs
@@ -91,9 +90,7 @@ def test_02_reward_oracle_idle_and_random_policies():
                f"if discharge_price >= {rng.uniform(0.2, 0.5):.3f} and "
                f"soc > {rng.uniform(0.2, 0.5):.2f} then "
                f"-{rng.uniform(0.5, 7):.2f}")
-        program = PolicyProgram(name="rand", source_text=src,
-                                mode="builtin_rules")
-        policy = policy_from_program(program, battery)
+        policy = GuardrailPolicy(RuleScriptPolicy(src, name="rand"), battery)
         report = run_episode(trace, sessions, battery, policy, cfg,
                              0, len(trace))
         penalties = 0.0
@@ -141,14 +138,12 @@ def test_04_anticipatory_arbitrage_beats_baseline():
     base = run_episode(trace, sessions, battery,
                        make_policy("baseline", battery),
                        RewardConfig(), 0, 288)
-    program = PolicyProgram(
-        name="anticipatory", mode="builtin_rules",
-        source_text=(
-            "if discharge_price >= 0.45 and soc > 0.2 then -max_discharge_kw\n"
-            "if fc_max(72) >= 2 * charge_price and soc < 0.95 then "
-            "max_charge_kw"))
+    program = RuleScriptPolicy(
+        "if discharge_price >= 0.45 and soc > 0.2 then -max_discharge_kw\n"
+        "if fc_max(72) >= 2 * charge_price and soc < 0.95 then "
+        "max_charge_kw", name="anticipatory")
     anticipatory = run_episode(trace, sessions, battery,
-                               policy_from_program(program, battery),
+                               GuardrailPolicy(program, battery),
                                RewardConfig(), 0, 288)
     elapsed = time.perf_counter() - started
     assert anticipatory.total_reward > base.total_reward

@@ -340,9 +340,16 @@ class TestConfigErrors:
         assert err.startswith("error:") and "Traceback" not in err
 
 
-# Outside input that once ended in a Python traceback: each is one
-# ``error:`` line naming what was wrong, and exit 1.
+# Mistakes in the arguments and the files they name, several of which once
+# ended in a Python traceback: each is one ``error:`` line naming what was
+# wrong, exit 1, and no ``--out``.
 OUTSIDE_INPUT_MISTAKES = {
+    "synthetic_zero_days": (["simulate", "--synthetic", "days=0",
+                             "--policy", "idle"], "days must be >= 1"),
+    "operator_unknown": (["evolve", "--operator", "bogus"],
+                         "unknown operator spec 'bogus'"),
+    "replies_empty": (["evolve", "--operator", "mock:{tmp}/empty.jsonl"],
+                      "mock operator needs at least one reply"),
     "cmd_empty": (["simulate", "--policy", "cmd:"], "cmd:"),
     "cmd_unclosed_quote": (["simulate", "--policy", 'cmd:python "x'],
                            "No closing quotation"),
@@ -390,6 +397,7 @@ class TestOutsideInput:
         (tmp_path / "five.jsonl").write_text('{"reply": 5}\n')
         (tmp_path / "list.jsonl").write_text("\n[1]\n")
         (tmp_path / "garbled.jsonl").write_text("\nnot json\n")
+        (tmp_path / "empty.jsonl").write_text("")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if (argv[0] in ("simulate", "evolve")
                 and not {"--synthetic", "--trace"} & set(argv)):

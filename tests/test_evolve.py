@@ -11,8 +11,8 @@ from evpolicy.evolve import (MIN_FIT_EXAMPLES, EvolutionRun, Issue,
 from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator, MutationOperator, make_operator
 from evpolicy.rewards import RewardConfig
-from evpolicy.runtime import (GuardrailPolicy, NativePolicy, PolicyProgram,
-                              make_policy, policy_from_program)
+from evpolicy.runtime import (GuardrailPolicy, NativePolicy, RuleScriptPolicy,
+                              make_policy)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  default_sessions, run_episode)
 
@@ -40,28 +40,26 @@ REPLIES = [f"Here is my policy:\n```\n{src}\n```\nGood luck!"
 class TestExtractProgram:
     def test_fenced_block_wins(self):
         reply = "notes\n```python\nif soc < 0.3 then 7\n```\ntrailing text"
-        program = extract_program(reply)
-        assert program.source_text == "if soc < 0.3 then 7"
-        assert program.mode == "builtin_rules"
+        assert extract_program(reply) == "if soc < 0.3 then 7"
 
     def test_first_of_several_fences(self):
         reply = "```\nif soc < 0.1 then 1\n```\nor\n```\nif soc < 0.2 then 2\n```"
-        assert extract_program(reply).source_text == "if soc < 0.1 then 1"
+        assert extract_program(reply) == "if soc < 0.1 then 1"
 
     def test_unfenced_longest_keyword_chunk(self):
         reply = ("I considered several options.\n\n"
                  "if soc < 0.3 then 7\n\n"
                  "if soc < 0.3 then max_charge_kw\nif soc > 0.9 then -1\n\n"
                  "Hope that helps.")
-        program = extract_program(reply)
-        assert program.source_text.startswith("if soc < 0.3 then max_charge_kw")
+        assert extract_program(reply).startswith(
+            "if soc < 0.3 then max_charge_kw")
 
     def test_python_mode_looks_for_def(self):
         reply = ("def decide_power(charge_price, discharge_price, soc, ttd,\n"
                  "                 load_kw, pv_kw, max_charge_kw, max_discharge_kw):\n"
                  "    return 0.0")
-        program = extract_program(reply, mode="external_process")
-        assert program.source_text.startswith("def decide_power")
+        assert extract_program(reply, mode="external_process").startswith(
+            "def decide_power")
 
     def test_no_code_returns_none(self):
         assert extract_program("I am unable to help with that.") is None
@@ -99,9 +97,8 @@ class TestMakeFeedback:
     def test_floor_breach_attempts_reported(self, battery):
         trace = synthetic_trace(days=1, seed=3)
         sessions = [ConnectionSession(0, len(trace), arrival_soc=0.20)]
-        program = PolicyProgram(name="dump", mode="builtin_rules",
-                                source_text="if soc <= 1 then -max_discharge_kw")
-        policy = policy_from_program(program, battery)
+        policy = GuardrailPolicy(
+            RuleScriptPolicy("if soc <= 1 then -max_discharge_kw"), battery)
         report = run_episode(trace, sessions, battery, policy, RewardConfig(),
                              0, 50)
         issues = make_feedback(report, battery)
@@ -208,6 +205,24 @@ class TestRunEvolution:
         assert "transport" in iteration["failure"]
         assert run["best_index"] is None
 
+    def test_transport_retries_back_off_doubling(self, tmp_path, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("evpolicy.evolve.time.sleep", sleeps.append)
+        with pytest.raises(OperatorTransportError):
+            run_evolution("reasoning", 1, self.trace, self.sessions,
+                          self.battery, _FlakyOperator(99, REPLIES[0]),
+                          self.reward_cfg, retry_base_delay=0.5,
+                          out_dir=tmp_path)
+        # No sleep after the last try: the error is raised at once.
+        assert sleeps == [0.5, 1.0]
+        assert (tmp_path / "run.json").exists()
+
+    def test_unknown_program_mode_fails_before_any_write(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown program mode 'nope'"):
+            self.evolve(MockOperator(REPLIES), out_dir=tmp_path,
+                        program_mode="nope")
+        assert not (tmp_path / "iter_0").exists()
+
     def baseline_report(self):
         policy = make_policy("baseline", self.battery)
         return run_episode(self.trace, self.sessions, self.battery, policy,
@@ -282,13 +297,13 @@ class TestRunEvolution:
             reference = run_episode(trace, self.sessions, self.battery,
                                     make_policy("baseline", self.battery),
                                     self.reward_cfg, 0, len(t))
-            run = run_evolution("hybrid", 1, trace, self.sessions,
-                                self.battery, MockOperator(REPLIES[:1]),
-                                self.reward_cfg, out_dir=tmp_path,
-                                retry_base_delay=0.0,
-                                ledger_entries=ledger, n_steps=len(t),
-                                reference=reference)
-            prompts.append(run.iterations[0].prompt.user_text)
+            run_evolution("hybrid", 1, trace, self.sessions,
+                          self.battery, MockOperator(REPLIES[:1]),
+                          self.reward_cfg, out_dir=tmp_path,
+                          retry_base_delay=0.0,
+                          ledger_entries=ledger, n_steps=len(t),
+                          reference=reference)
+            prompts.append((tmp_path / "iter_0" / "prompt.txt").read_text())
         assert "RECOMMENDED THRESHOLDS" in prompts[0]
         assert prompts[1] == prompts[0]
 

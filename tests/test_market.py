@@ -124,6 +124,24 @@ class TestLoadTrace:
         assert trace.buy_price == trace.sell_price == (0.10, 0.12)
         assert trace.load_kw == (0.5, 0.6)
 
+    def test_sell_price_alone_fills_the_buy_column(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["2024-01-01T00:00:00,0.5,0.0,0.10,0.09",
+                      "2024-01-01T00:05:00,0.6,0.0,0.12,0.11"])
+        trace = load_trace(f, schema={"timestamp": "timestamp",
+                                      "load_kw": "load_kw", "pv_kw": "pv_kw",
+                                      "sell_price": "sell_price"})
+        assert trace.buy_price == trace.sell_price == (0.09, 0.11)
+
+    def test_no_price_mapping_is_schema_error(self, tmp_path):
+        f = tmp_path / "t.csv"
+        write_csv(f, ["2024-01-01T00:00:00,0.5,0.0,0.10,0.09",
+                      "2024-01-01T00:05:00,0.6,0.0,0.12,0.11"])
+        with pytest.raises(TraceSchemaError) as excinfo:
+            load_trace(f, schema={"timestamp": "timestamp",
+                                  "load_kw": "load_kw", "pv_kw": "pv_kw"})
+        assert str(excinfo.value) == f"{f}: no price column mapped"
+
     def test_blank_line_between_rows_is_skipped(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, ["2024-01-01T00:00:00,0.5,0.0,0.10,0.10", "",

@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PUBLIC_NAMES = """
     BaselineConfig BatteryConfig ConnectionSession EnvTrace
     EpisodeReport ExternalProcessPolicy FitReport GuardrailPolicy LedgerEntry
-    Observation PolicyHandle PolicyProgram PriceForecast
+    Observation PolicyHandle PriceForecast
     RewardConfig StepRecord apply_action baseline_decide behavioral_metrics
     build_ledger departure_penalty evaluate_rules export_ledger fit_score
     forecast_at load_trace make_policy observation_at parse_rule_script

@@ -6,10 +6,9 @@ from evpolicy.errors import ConfigError
 from evpolicy.evolve import IterationRecord, Issue
 from evpolicy.ledgers import render_examples
 from evpolicy.market import TraceStats
-from evpolicy.prompts import (SIGNATURE_BLOCK, TOP_MISMATCHES, PromptBundle,
-                              build_prompt, render_feedback)
+from evpolicy.prompts import (SIGNATURE_BLOCK, TOP_MISMATCHES, build_prompt,
+                              render_feedback)
 from evpolicy.rewards import FitReport
-from evpolicy.runtime import PolicyProgram
 from evpolicy.simulation import BatteryConfig
 from tests.conftest import make_obs
 from tests.test_ledger import entry
@@ -96,7 +95,7 @@ class TestFeedbackRound:
                                  n_steps=288, soc_violations=3,
                                  clamp_events=0)
         return IterationRecord(
-            index=0, prompt=PromptBundle("", ""), report=report,
+            index=0, report=report,
             fit=FitReport(fit_score=0.912, mismatches=mismatches),
             issues=[Issue("Missed arbitrage window at step 210.", (210, 211))])
 
@@ -130,9 +129,8 @@ class TestFeedbackRound:
         assert got == sorted(gaps, reverse=True)[:10]
 
     def test_second_iteration_carries_prior_and_repair_task(self):
-        prior = PolicyProgram(name="p", mode="builtin_rules",
-                              source_text="if soc < 0.3 then 7")
-        bundle = build_prompt("reasoning", 2, "", None, prior=prior,
+        bundle = build_prompt("reasoning", 2, "", None,
+                              prior="if soc < 0.3 then 7",
                               feedback=self.make_record())
         assert "PREVIOUS FUNCTION:" in bundle.user_text
         assert "if soc < 0.3 then 7" in bundle.user_text

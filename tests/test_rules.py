@@ -140,6 +140,14 @@ class TestEvaluation:
         assert policy.fault_log[0].startswith(
             "step 7: non-finite forecast horizon")
 
+    @pytest.mark.parametrize("evaluate", [evaluate_rules,
+                                          evaluate_rules_reference])
+    def test_non_finite_action_faults_to_idle(self, evaluate):
+        script = parse_rule_script("if soc > 0 then 1" + "0" * 400)  # inf
+        faults = []
+        assert evaluate(script, make_obs(step_index=3), fault_log=faults) == 0.0
+        assert faults == ["step 3: non-finite action value inf"]
+
     def test_horizon_below_one_keeps_its_message(self):
         faults = []
         script = parse_rule_script("if soc > 0 then fc_max(0.2)")

@@ -19,8 +19,8 @@ from evpolicy.errors import PolicyFault, PolicySpawnError
 from evpolicy.market import PriceForecast, forecast_at, synthetic_trace
 from evpolicy.rewards import RewardConfig
 from evpolicy.runtime import (ExternalProcessPolicy, GuardrailPolicy,
-                              NativePolicy, PolicyProgram, RuleScriptPolicy,
-                              STDERR_TAIL_BYTES, encode_request, make_policy)
+                              NativePolicy, STDERR_TAIL_BYTES, encode_request,
+                              make_policy)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  run_episode)
 from tests.conftest import make_obs
@@ -726,13 +726,3 @@ class TestMakePolicy:
     def test_unknown_spec(self, battery):
         with pytest.raises(ValueError):
             make_policy("definitely-not-a-policy", battery)
-
-
-class TestPolicyProgram:
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            PolicyProgram(name="x", source_text="y", mode="nope")
-
-    def test_external_needs_source(self):
-        with pytest.raises(ValueError):
-            PolicyProgram(name="x", source_text="  ", mode="external_process")
