@@ -202,6 +202,11 @@ def cmd_evolve(args) -> int:
     from . import evolve as evolve_mod
     from . import ledgers
     strategies = _strategies(args.strategy)
+    # A fit score is a fraction; NaN fails this test too, and would be
+    # written to run.json as a literal that JSON readers reject.
+    if args.min_fit is not None and not 0.0 <= args.min_fit <= 1.0:
+        raise ConfigError(f"--min-fit must be a fit score in [0, 1], "
+                          f"got {args.min_fit!r}")
     config, trace, battery, sessions, reward_cfg, baseline, _ = \
         _run_inputs(args)
     retry_base_delay = _config_number(config, "retry_base_delay",
@@ -250,22 +255,33 @@ def cmd_evolve(args) -> int:
 
 
 def _read_report(path: str) -> dict:
-    """What ``compare`` reads of a ``report.json`` summary."""
+    """What ``compare`` reads of a ``report.json`` summary, by field name:
+    ``total_reward`` a number, and the window and the counts ints (a bool is
+    neither)."""
     report = _read_json(path)
     try:
-        return {"window": (report["start_step"], report["n_steps"]),
-                "total_reward": report["total_reward"],
-                "cycles": report["metrics"]["cycle_count"],
-                "flicker": report["metrics"]["flicker_count"],
-                "soc_violations": report["soc_violations"]}
+        metrics = report["metrics"]
+        summary = {"total_reward": report["total_reward"],
+                   "start_step": report["start_step"],
+                   "n_steps": report["n_steps"],
+                   "cycle_count": metrics["cycle_count"],
+                   "flicker_count": metrics["flicker_count"],
+                   "soc_violations": report["soc_violations"]}
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: not a report summary "
                           f"({type(exc).__name__}: {exc})") from exc
+    for name, value in summary.items():
+        number = name == "total_reward"
+        if type(value) not in ((int, float) if number else (int,)):
+            expected = "an int or a float" if number else "an int"
+            raise ConfigError(f"{path}: not a report summary ({name} must "
+                              f"be {expected}, got {value!r})")
+    return summary
 
 
 def cmd_compare(args) -> int:
     a, b = _read_report(args.report_a), _read_report(args.report_b)
-    if a["window"] != b["window"]:
+    if (a["start_step"], a["n_steps"]) != (b["start_step"], b["n_steps"]):
         raise ConfigError("reports cover different trace windows")
     ra, rb = a["total_reward"], b["total_reward"]
     if ra != 0 and (ra > 0) == (rb > 0):
@@ -276,8 +292,9 @@ def cmd_compare(args) -> int:
     print(f"{'total_reward':<18}{ra:>14.4f}{rb:>14.4f}")
     print(f"{'relative':<18}{'100.0%':>14}{rel:>14}")
     print(f"{'delta':<18}{0.0:>14.4f}{rb - ra:>14.4f}")
-    for key in ("cycles", "flicker", "soc_violations"):
-        print(f"{key:<18}{a[key]:>14}{b[key]:>14}")
+    for label, name in (("cycles", "cycle_count"), ("flicker", "flicker_count"),
+                        ("soc_violations", "soc_violations")):
+        print(f"{label:<18}{a[name]:>14}{b[name]:>14}")
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from datetime import timedelta
-from itertools import islice, repeat
-from operator import is_not
+from itertools import chain, islice, repeat
+from operator import is_not, sub
 from typing import NamedTuple
 
 from .errors import ConfigError, PolicyFault, require_numbers
@@ -218,7 +218,7 @@ class EpisodeReport:
             "soc": self.soc,
             "soc_after": self.soc_after,
             "step": steps,
-            "step_cost": self.step_cost,
+            "step_cost": map(sub, repeat(0.0), self.step_reward),
             "step_reward": self.step_reward,
             "ttd_min": map(_ttd_minutes, self.step_sessions, steps),
         }
@@ -232,22 +232,76 @@ class EpisodeReport:
         """JSON-lines step log, streamed: each line is
         ``json.dumps(row, sort_keys=True)`` of a row of :meth:`step_rows`.
 
-        One template writes every line, with ``{}``, which is ``repr`` for
-        the plain ints and finite floats the trace, the battery and the
-        sessions hold. Only ``requested_kw`` can be non-finite (an
-        unguarded policy's request), so only it goes through
-        :func:`_json_float`.
+        A line is the join of its keys with each column's text, formatted
+        one row at a time. Numbers are written by ``repr``, which is what the
+        encoder writes for the plain ints and finite floats the trace, the
+        battery and the sessions hold. Only ``requested_kw`` can be
+        non-finite (an unguarded policy's request), so it goes through
+        :func:`_json_float` when it is. The text of a SoC or a reward is
+        reused where the log repeats it (see :func:`_soc_texts` and
+        :func:`_cost_and_reward_texts`).
         """
         columns = self._columns()
-        columns["plugged_in"] = map(_JSON_BOOL.__getitem__,
-                                    columns["plugged_in"])
-        columns["requested_kw"] = map(_json_float, columns["requested_kw"])
-        line = "{{" + ", ".join(f'"{key}": {{}}' for key in columns) + "}}\n"
+        texts = {key: map(repr, column) for key, column in columns.items()}
+        texts["plugged_in"] = map(_JSON_BOOL.__getitem__,
+                                  columns["plugged_in"])
+        if not all(map(math.isfinite, self.requested_kw)):
+            texts["requested_kw"] = map(_json_float, self.requested_kw)
+        # One iterator under two adjacent keys: zip takes its arguments'
+        # next items from left to right, so each row gets both texts.
+        texts["soc"] = texts["soc_after"] = _soc_texts(self.soc,
+                                                       self.soc_after)
+        texts["step_cost"] = texts["step_reward"] = _cost_and_reward_texts(
+            self.step_reward)
+        parts = []
+        for separator, key in zip(chain("{", repeat(", ")), texts):
+            parts += repeat(f'{separator}"{key}": '), texts[key]
+        parts.append(repeat("}\n"))
         with open(path, "w") as fh:
-            fh.writelines(map(line.format, *columns.values()))
+            fh.writelines(map("".join, zip(*parts)))
 
 
 _JSON_BOOL = {True: "true", False: "false"}
+
+
+def _soc_texts(soc: Sequence[float],
+               soc_after: Sequence[float]) -> Iterator[str]:
+    """``repr`` of each step's ``soc``, then of its ``soc_after``.
+
+    A step's ``soc`` is mostly the previous step's ``soc_after`` object, and
+    a step that moves no energy keeps its ``soc`` object as ``soc_after``, so
+    an object is formatted once for each run of steps that repeats it. Equal
+    values in distinct objects are formatted apart, so an int and a float,
+    or ``0.0`` and ``-0.0``, each keep their own text.
+    """
+    last, text = object(), ""
+    for before, after in zip(soc, soc_after):
+        if before is not last:
+            text = repr(before)
+        yield text
+        if after is not before:
+            text = repr(after)
+        yield text
+        last = after
+
+
+def _cost_and_reward_texts(step_reward: Sequence[float]) -> Iterator[str]:
+    """The text of each step's ``step_cost``, ``0.0 - reward``, then of its
+    ``step_reward``, as ``repr`` writes them.
+
+    For a float reward the cost's text is the reward's with its sign
+    flipped, except that a zero of either sign costs ``0.0`` and a NaN stays
+    ``nan``; any other number is negated and formatted.
+    """
+    for reward in step_reward:
+        text = repr(reward)
+        if type(reward) is not float:
+            yield repr(0.0 - reward)
+        elif text[0] == "-":
+            yield "0.0" if text == "-0.0" else text[1:]
+        else:
+            yield text if text == "0.0" or text == "nan" else "-" + text
+        yield text
 
 
 def _json_float(value: float) -> str:

@@ -353,6 +353,16 @@ OUTSIDE_INPUT_MISTAKES = {
     "cmd_empty": (["simulate", "--policy", "cmd:"], "cmd:"),
     "cmd_unclosed_quote": (["simulate", "--policy", 'cmd:python "x'],
                            "No closing quotation"),
+    # A fit score is a fraction; a NaN floor was written into run.json.
+    "min_fit_nan": (["evolve", "--operator", "mock:{tmp}/replies.jsonl",
+                     "--min-fit", "nan"],
+                    "--min-fit must be a fit score in [0, 1], got nan"),
+    "min_fit_infinite": (["evolve", "--operator", "mock:{tmp}/replies.jsonl",
+                          "--min-fit", "inf"], "got inf"),
+    "min_fit_above_1": (["evolve", "--operator", "mock:{tmp}/replies.jsonl",
+                         "--min-fit", "1.5"], "got 1.5"),
+    "min_fit_negative": (["evolve", "--operator", "mock:{tmp}/replies.jsonl",
+                          "--min-fit", "-0.1"], "got -0.1"),
     "synthetic_unknown_key": (["simulate", "--synthetic", "dys=2", "seed=0",
                                "--policy", "baseline"], "'dys'"),
     "reply_missing": (["evolve", "--operator", "mock:{tmp}/text.jsonl"],
@@ -398,6 +408,7 @@ class TestOutsideInput:
         (tmp_path / "list.jsonl").write_text("\n[1]\n")
         (tmp_path / "garbled.jsonl").write_text("\nnot json\n")
         (tmp_path / "empty.jsonl").write_text("")
+        (tmp_path / "replies.jsonl").write_text(REPLIES_JSONL)
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if (argv[0] in ("simulate", "evolve")
                 and not {"--synthetic", "--trace"} & set(argv)):
@@ -830,7 +841,44 @@ def summary(tmp_path, name, total_reward, cycles=4, flicker=0):
     return str(path)
 
 
+# Fields of a report summary that compare reads, each of a wrong type; every
+# one once ended in a traceback or was compared as a number.
+REPORT_TYPE_MISTAKES = {
+    "total_reward_a_string": ({"total_reward": "x"},
+                              "total_reward must be an int or a float, "
+                              "got 'x'"),
+    "total_reward_a_bool": ({"total_reward": True},
+                            "total_reward must be an int or a float, "
+                            "got True"),
+    "cycle_count_a_list": ({"metrics": {"cycle_count": [1],
+                                        "flicker_count": 0}},
+                           "cycle_count must be an int, got [1]"),
+    "flicker_count_a_float": ({"metrics": {"cycle_count": 4,
+                                           "flicker_count": 0.5}},
+                              "flicker_count must be an int, got 0.5"),
+    "soc_violations_a_float": ({"soc_violations": 0.0},
+                               "soc_violations must be an int, got 0.0"),
+    "start_step_a_bool": ({"start_step": False},
+                          "start_step must be an int, got False"),
+    "n_steps_a_string": ({"n_steps": "288"},
+                         "n_steps must be an int, got '288'"),
+}
+
+
 class TestCompare:
+    @pytest.mark.parametrize("fields,expected", REPORT_TYPE_MISTAKES.values(),
+                             ids=REPORT_TYPE_MISTAKES.keys())
+    def test_a_field_of_the_wrong_type_is_an_error_line(self, tmp_path, capsys,
+                                                        fields, expected):
+        a = summary(tmp_path, "a.json", 1.64)
+        b = Path(summary(tmp_path, "b.json", 3.0))
+        b.write_text(json.dumps({**json.loads(b.read_text()), **fields}))
+        code = main(["compare", a, str(b)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {b}: not a report summary ({expected})\n"
+
     def test_relative_percentage(self, tmp_path, capsys):
         a = summary(tmp_path, "a.json", 2.66)
         b = summary(tmp_path, "b.json", 3.15)

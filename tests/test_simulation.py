@@ -15,7 +15,8 @@ from evpolicy.market import (STEP, STEP_HOURS, STEP_MINUTES, EnvTrace,
 from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
 from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
 from evpolicy.simulation import (CLAMP_EPS, UNPLUGGED_SOC, BatteryConfig,
-                                 ConnectionSession, StepRecord, apply_action,
+                                 ConnectionSession, EpisodeReport, StepRecord,
+                                 apply_action,
                                  default_n_steps, default_sessions,
                                  observation_at, run_episode, session_at)
 from tests.conftest import make_obs
@@ -583,6 +584,66 @@ class TestRunEpisode:
         with open(path) as fh:
             lines = fh.readlines()
         assert lines == [encode(row) + "\n" for row in report.step_rows()]
+
+    def test_step_log_text_is_exact_where_no_soc_object_repeats(
+            self, tmp_path, battery):
+        """The writer reuses a SoC's text only for the same object, and a
+        cost's only from a float reward: equal SoCs in distinct objects, an
+        int SoC beside a float one, signed zeros and int rewards are each
+        written as the encoder writes them."""
+        chain = ["1", "1.0", "1.0", "1", "-0.0", "0.0", "0.0", "-0.0",
+                 "0.5", "0.5", "0.5", "0.5", "0.5", "0.75", "0.75", "0.75"]
+        # Each step's soc, then its soc_after, each a new object.
+        values = [float(text) if "." in text else int(text) for text in chain]
+        assert all(a is not b for a, b in zip(values, values[1:]))
+        soc, soc_after = values[0::2], values[1::2]
+        rewards = [0.0, -0.0, -1.5, 2.25, 0, 3, -1e-7, math.nan]
+        n = len(soc)
+        sessions = [None, *[ConnectionSession(1, n, 1)] * (n - 1)]
+        zeros = [0.0] * n
+        report = EpisodeReport(
+            trace=synthetic_trace(days=1, seed=0), battery=battery,
+            step_sessions=sessions, requested_kw=zeros, applied_kw=zeros,
+            soc=soc, soc_after=soc_after, grid_import_kwh=zeros,
+            grid_export_kwh=zeros, step_reward=rewards, total_reward=0.0,
+            total_profit=0.0, total_penalty=0.0, soc_violations=0,
+            clamp_events=0, cycle_count=0, flicker_count=0,
+            action_distribution={}, departure_deficits=[], start_step=0,
+            n_steps=n)
+        path = tmp_path / "steps.jsonl"
+        report.write_step_log(path)
+        lines = path.read_text().splitlines()
+        encode = json.JSONEncoder(sort_keys=True).encode
+        # A NaN reward is not a JSON number; its line is checked apart.
+        assert lines[:-1] == [encode(row) for row in report.step_rows()][:-1]
+        rows = [json.loads(line) for line in lines[:-1]]
+        assert [repr(row[key]) for row in rows
+                for key in ("soc", "soc_after")] == chain[:-2]
+        assert [repr(row["step_cost"]) for row in rows] == [
+            "0.0", "0.0", "1.5", "-2.25", "0.0", "-3.0", "1e-07"]
+        assert lines[-1].endswith('"soc": 0.75, "soc_after": 0.75, '
+                                  '"step": 7, "step_cost": nan, '
+                                  '"step_reward": nan, "ttd_min": 5.0}')
+
+    def test_step_log_writer_streams(self, tmp_path):
+        """Writing a 60-day log holds a few lines of text at a time, not a
+        column of it: a column of 17,280 numbers' text is over 1 MB."""
+        trace = synthetic_trace(days=60, seed=3)
+        battery = BatteryConfig()
+        report = run_episode(trace, default_sessions(trace), battery,
+                             make_policy("baseline", battery), RewardConfig(),
+                             0, len(trace))
+        path = tmp_path / "steps.jsonl"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            report.write_step_log(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_text().count("\n") == len(trace)
+        assert peak - before < 200_000
 
     def test_episode_retains_under_250_bytes_per_step(self, battery):
         """Columns, not per-step objects: unplugged steps build nothing."""
