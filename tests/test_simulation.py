@@ -16,9 +16,9 @@ from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
 from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
 from evpolicy.simulation import (CLAMP_EPS, UNPLUGGED_SOC, BatteryConfig,
                                  ConnectionSession, EpisodeReport, StepRecord,
-                                 apply_action,
-                                 default_n_steps, default_sessions,
-                                 observation_at, run_episode, session_at)
+                                 apply_action, default_n_steps,
+                                 default_sessions, observation_at, run_episode,
+                                 session_at)
 from tests.conftest import make_obs
 
 DATA = Path(__file__).parent / "data"
