@@ -37,9 +37,7 @@ PROGRAM_MODES = ("builtin_rules", "external_process")
 class PolicyHandle:
     """Executable policy wrapper. decide() is total: faults become idle."""
 
-    def __init__(self, name: str = "policy"):
-        self.name = name
-        self.violation_counter = 0
+    def __init__(self):
         self.fault_log: list[str] = []
 
     def decide(self, obs: Observation) -> float:
@@ -50,8 +48,8 @@ class PolicyHandle:
 
 
 class NativePolicy(PolicyHandle):
-    def __init__(self, fn: Callable[[Observation], float], name: str = "native"):
-        super().__init__(name)
+    def __init__(self, fn: Callable[[Observation], float]):
+        super().__init__()
         self._fn = fn
 
     def decide(self, obs: Observation) -> float:
@@ -59,10 +57,10 @@ class NativePolicy(PolicyHandle):
 
 
 class RuleScriptPolicy(PolicyHandle):
-    def __init__(self, source_text: str, name: str = "rules"):
+    def __init__(self, source_text: str):
         # Imported here: only rule policies need the interpreter.
         from . import rules
-        super().__init__(name)
+        super().__init__()
         self.script = rules.parse_rule_script(source_text)
         self._evaluate = rules.evaluate_rules
 
@@ -116,7 +114,7 @@ class ExternalProcessPolicy(PolicyHandle):
 
     def __init__(self, command: Sequence[str],
                  timeout_ms: int = DECISION_TIMEOUT_MS):
-        super().__init__("external")
+        super().__init__()
         argv = list(command)
         self.timeout_s = timeout_ms / 1000.0
         env = {key: value for key, value in os.environ.items()
@@ -304,13 +302,16 @@ class ExternalProcessPolicy(PolicyHandle):
 
 
 class GuardrailPolicy(PolicyHandle):
-    """Semantic guardrails: power envelope plus SoC floor/ceiling sign rules."""
+    """Semantic guardrails: power envelope plus SoC floor/ceiling sign rules.
+
+    ``violation_counter`` counts the decisions it changed.
+    """
 
     def __init__(self, inner: PolicyHandle, battery: BatteryConfig):
-        super().__init__(f"guarded({inner.name})")
         self.inner = inner
         self.battery = battery
         self.fault_log = inner.fault_log  # shared list
+        self.violation_counter = 0
         self.last_raw_kw = 0.0
 
     def decide(self, obs: Observation) -> float:
@@ -344,10 +345,9 @@ def make_policy(spec: str, battery: BatteryConfig,
     """
     if spec == "baseline":
         cfg = baseline or BaselineConfig()
-        handle = NativePolicy(lambda obs: baseline_decide(obs, cfg, battery),
-                              name="baseline")
+        handle = NativePolicy(lambda obs: baseline_decide(obs, cfg, battery))
     elif spec == "idle":
-        handle = NativePolicy(lambda obs: 0.0, name="idle")
+        handle = NativePolicy(lambda obs: 0.0)
     elif spec.startswith("cmd:"):
         try:
             argv = shlex.split(spec[4:])
@@ -358,7 +358,7 @@ def make_policy(spec: str, battery: BatteryConfig,
         handle = ExternalProcessPolicy(argv, timeout_ms=timeout_ms)
     elif spec.endswith(".rules"):
         with open(spec) as fh:
-            handle = RuleScriptPolicy(fh.read(), name=spec)
+            handle = RuleScriptPolicy(fh.read())
     else:
         raise ConfigError(
             f"unknown policy {spec!r}: expected a registered name "

@@ -1,4 +1,4 @@
-"""The package root resolves its public names lazily (PEP 562)."""
+"""The package root re-exports nothing and imports no submodule."""
 import importlib
 import os
 import subprocess
@@ -10,16 +10,6 @@ import pytest
 import evpolicy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-PUBLIC_NAMES = """
-    BaselineConfig BatteryConfig ConnectionSession EnvTrace
-    EpisodeReport ExternalProcessPolicy FitReport GuardrailPolicy LedgerEntry
-    Observation PolicyHandle PriceForecast
-    RewardConfig StepRecord apply_action baseline_decide behavioral_metrics
-    build_ledger departure_penalty evaluate_rules export_ledger fit_score
-    forecast_at load_trace make_policy observation_at parse_rule_script
-    per_step_energy_cap quadrant_sample read_step_log render_examples
-    run_episode save_trace script_to_source step_profit synthetic_trace
-    trace_stats""".split()
 
 
 def modules_after(statement: str) -> set[str]:
@@ -61,15 +51,6 @@ def test_cli_leaves_the_evolve_modules_to_the_commands_that_use_them():
     loaded = modules_after("import evpolicy.cli")
     assert loaded.isdisjoint({"evpolicy.evolve", "evpolicy.ledgers",
                               "evpolicy.rules"})
-
-
-def test_public_names_are_their_submodules_objects():
-    assert evpolicy.__all__ == sorted(PUBLIC_NAMES)
-    for name in evpolicy.__all__:
-        value = getattr(evpolicy, name)
-        module = importlib.import_module(value.__module__)
-        assert value is getattr(module, name)
-        assert name in dir(evpolicy)
 
 
 def test_unknown_name_raises_attribute_error():
