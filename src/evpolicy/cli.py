@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .baseline import BaselineConfig
 from .errors import (ConfigError, EvPolicyError, OperatorTransportError,
-                     PolicyFault, PolicySpawnError)
+                     PolicyFault, PolicySpawnError, open_utf8)
 from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
 from .prompts import EXAMPLE_STRATEGIES, STRATEGIES
@@ -55,7 +55,7 @@ def _read_json(path: str):
             reject(literal)
         return kind(literal)
 
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         try:
             return json.load(fh, parse_constant=reject, parse_float=number,
                              parse_int=lambda text: number(text, int))
@@ -93,6 +93,9 @@ def _from_config(cls, fields, section: str):
 
 
 def _resolve_trace(args, config: dict) -> EnvTrace:
+    if getattr(args, "synthetic", None) and getattr(args, "trace", None):
+        raise ConfigError("give --trace FILE or --synthetic days=N seed=S, "
+                          "not both")
     if getattr(args, "synthetic", None):
         kv = _parse_kv(args.synthetic)
         unknown = sorted(set(kv) - {"days", "seed"})

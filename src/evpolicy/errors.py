@@ -1,4 +1,5 @@
 """Shared exception types."""
+from contextlib import contextmanager
 
 
 class EvPolicyError(Exception):
@@ -25,6 +26,17 @@ def require_numbers(config, names) -> None:
         value = getattr(config, name)
         if type(value) not in (int, float):
             raise ConfigError(f"{name} must be an int or a float, got {value!r}")
+
+
+@contextmanager
+def open_utf8(path, error=ConfigError, **kwargs):
+    """``path`` opened as UTF-8 text; a byte read from it that is not UTF-8
+    is an ``error`` naming the file, not a ``UnicodeDecodeError``."""
+    with open(path, encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class RuleParseError(EvPolicyError):

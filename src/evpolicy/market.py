@@ -16,7 +16,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import TraceSchemaError, TraceValidationError
+from .errors import TraceSchemaError, TraceValidationError, open_utf8
 
 CANONICAL_COLUMNS = ("timestamp", "load_kw", "pv_kw", "buy_price", "sell_price")
 
@@ -154,7 +154,7 @@ def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
     """
     schema = dict(schema) if schema else {c: c for c in CANONICAL_COLUMNS}
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open_utf8(path, TraceValidationError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [row for row in reader if row]  # blank lines are skipped

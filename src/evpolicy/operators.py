@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from .errors import ConfigError, OperatorTransportError
+from .errors import ConfigError, OperatorTransportError, open_utf8
 from .prompts import PromptBundle
 
 API_KEY_ENV = "EVPOLICY_API_KEY"
@@ -41,7 +41,7 @@ class MockOperator(MutationOperator):
     @classmethod
     def from_jsonl(cls, path) -> "MockOperator":
         replies = []
-        with open(path) as fh:
+        with open_utf8(path) as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue

@@ -12,7 +12,7 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from .baseline import BaselineConfig, baseline_decide
-from .errors import ConfigError, PolicyFault, PolicySpawnError
+from .errors import ConfigError, PolicyFault, PolicySpawnError, open_utf8
 from .operators import API_KEY_ENV
 from .pydriver import DECISION_INPUTS, PROTOCOL
 from .simulation import BatteryConfig, Observation
@@ -357,7 +357,7 @@ def make_policy(spec: str, battery: BatteryConfig,
             raise ConfigError(f"{spec!r}: expected a command after cmd:")
         handle = ExternalProcessPolicy(argv, timeout_ms=timeout_ms)
     elif spec.endswith(".rules"):
-        with open(spec) as fh:
+        with open_utf8(spec) as fh:
             handle = RuleScriptPolicy(fh.read())
     else:
         raise ConfigError(

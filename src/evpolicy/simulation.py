@@ -10,7 +10,7 @@ from itertools import chain, islice, repeat
 from operator import is_not, sub
 from typing import NamedTuple
 
-from .errors import ConfigError, PolicyFault, require_numbers
+from .errors import ConfigError, PolicyFault, open_utf8, require_numbers
 from .market import (FORECAST_STEPS, STEP, STEP_HOURS, STEP_MINUTES,
                      STEPS_PER_DAY, EnvTrace, PriceForecast, forecast_at)
 from .rewards import RewardConfig, behavioral_metrics, departure_penalty, step_profit
@@ -323,7 +323,7 @@ def read_step_log(path) -> list[dict]:
     line.
     """
     rows = []
-    with open(path) as fh:
+    with open_utf8(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue

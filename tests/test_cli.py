@@ -395,6 +395,26 @@ OUTSIDE_INPUT_MISTAKES = {
     "step_log_line_not_json": (
         ["ledger", "--from", "{tmp}/garbled.jsonl", "--out", "{tmp}/l.csv"],
         "garbled.jsonl: line 2, column 1: Expecting value"),
+    # A file that is not UTF-8, one row per reader: each ended in a
+    # UnicodeDecodeError traceback.
+    "rules_not_utf8": (["simulate", "--policy", "{tmp}/latin1.rules"],
+                       "latin1.rules: not UTF-8 text"),
+    "config_not_utf8": (["simulate", "--policy", "idle",
+                         "--config", "{tmp}/latin1.json"],
+                        "latin1.json: not UTF-8 text"),
+    "trace_not_utf8": (["simulate", "--policy", "idle",
+                        "--trace", "{tmp}/latin1.json"],
+                       "latin1.json: not UTF-8 text"),
+    "step_log_not_utf8": (
+        ["ledger", "--from", "{tmp}/latin1.json", "--out", "{tmp}/l.csv"],
+        "latin1.json: not UTF-8 text"),
+    "replies_not_utf8": (["evolve", "--operator", "mock:{tmp}/latin1.json"],
+                         "latin1.json: not UTF-8 text"),
+    # The trace was the synthetic one, and run_config.json named the file.
+    "trace_and_synthetic": (["simulate", "--policy", "idle",
+                             "--synthetic", "days=1",
+                             "--trace", "{tmp}/missing.csv"],
+                            "not both"),
 }
 
 
@@ -409,6 +429,8 @@ class TestOutsideInput:
         (tmp_path / "garbled.jsonl").write_text("\nnot json\n")
         (tmp_path / "empty.jsonl").write_text("")
         (tmp_path / "replies.jsonl").write_text(REPLIES_JSONL)
+        for name in ("latin1.rules", "latin1.json"):
+            (tmp_path / name).write_bytes(b"\xff" + b"if soc < 1 then 1\n")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if (argv[0] in ("simulate", "evolve")
                 and not {"--synthetic", "--trace"} & set(argv)):
@@ -882,6 +904,17 @@ class TestCompare:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {b}: not a report summary ({expected})\n"
+
+    def test_a_file_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        a = summary(tmp_path, "a.json", 1.64)
+        b = tmp_path / "b.json"
+        b.write_bytes(b"\xff" + Path(a).read_bytes())
+        code = main(["compare", a, str(b)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: {b}: not UTF-8 text "
+                                "(invalid start byte)\n")
 
     def test_relative_percentage(self, tmp_path, capsys):
         a = summary(tmp_path, "a.json", 2.66)

@@ -6,12 +6,12 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evpolicy.errors import ConfigError, PolicyFault
-from evpolicy.market import (STEP, STEP_HOURS, STEP_MINUTES, EnvTrace,
-                             synthetic_trace)
+from evpolicy.market import (FORECAST_STEPS, STEP, STEP_HOURS, STEP_MINUTES,
+                             STEPS_PER_DAY, EnvTrace, synthetic_trace)
 from evpolicy.rewards import RewardConfig, departure_penalty, step_profit
 from evpolicy.runtime import GuardrailPolicy, NativePolicy, make_policy
 from evpolicy.simulation import (CLAMP_EPS, UNPLUGGED_SOC, BatteryConfig,
@@ -95,6 +95,21 @@ def assert_same_bits(report, records, totals):
             repr(getattr(r, name)) for r in records], name
     assert {key: repr(getattr(report, key)) for key in totals} == {
         key: repr(value) for key, value in totals.items()}
+
+
+REPORT_COLUMNS = ("step_sessions", "soc", *COLUMNS, "departure_deficits")
+
+
+@st.composite
+def longer_trace_cases(draw):
+    """(seed, days, extra days, start, n_steps): a window that ends at least
+    ``FORECAST_STEPS`` before a ``days``-day trace does, so its forecasts
+    stay inside that trace."""
+    days = draw(st.integers(2, 7))
+    last = days * STEPS_PER_DAY - FORECAST_STEPS
+    start = draw(st.integers(0, last - 1))
+    return (draw(st.integers(0, 1000)), days, draw(st.integers(1, 3)), start,
+            draw(st.integers(1, last - start)))
 
 
 def seen_key(obs):
@@ -711,6 +726,32 @@ class TestRunEpisode:
         norm = run_episode(trace, [], battery, policy,
                            RewardConfig(mode="normalized"), 0, n)
         assert norm.total_reward == raw.total_reward / (0.2 * STEP_HOURS)
+
+    # The windows of a hand check on 7- and 9-day traces, seed 3.
+    @given(case=longer_trace_cases())
+    @example(case=(3, 7, 2, 0, 1500))
+    @example(case=(3, 7, 2, 100, 1500))
+    @example(case=(3, 7, 2, 0, 1728))
+    @example(case=(3, 7, 2, 500, 10))
+    @settings(max_examples=15, deadline=None)
+    def test_a_window_does_not_see_how_long_the_trace_runs_on(self, case):
+        seed, days, extra_days, start, n_steps = case
+        battery = BatteryConfig()
+        longer = synthetic_trace(days=days + extra_days, seed=seed)
+        n = days * STEPS_PER_DAY
+        trace = EnvTrace(longer.start, longer.load_kw[:n], longer.pv_kw[:n],
+                         longer.buy_price[:n], longer.sell_price[:n])
+        assert trace == synthetic_trace(days=days, seed=seed)
+        sessions = default_sessions(trace)
+        for spec in ("baseline", str(DATA / "fc_aggregates.rules")):
+            for mode in ("raw", "normalized"):
+                short, long = (
+                    run_episode(t, sessions, battery, make_policy(spec, battery),
+                                RewardConfig(mode=mode), start, n_steps)
+                    for t in (trace, longer))
+                assert short.summary_dict() == long.summary_dict()
+                for name in REPORT_COLUMNS:
+                    assert getattr(short, name) == getattr(long, name), name
 
 
 class TestGoldenBaseline:
