@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the input checks that raise them."""
 from contextlib import contextmanager
 
 

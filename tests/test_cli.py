@@ -905,17 +905,6 @@ class TestCompare:
         assert captured.out == ""
         assert captured.err == f"error: {b}: not a report summary ({expected})\n"
 
-    def test_a_file_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
-        a = summary(tmp_path, "a.json", 1.64)
-        b = tmp_path / "b.json"
-        b.write_bytes(b"\xff" + Path(a).read_bytes())
-        code = main(["compare", a, str(b)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == (f"error: {b}: not UTF-8 text "
-                                "(invalid start byte)\n")
-
     def test_relative_percentage(self, tmp_path, capsys):
         a = summary(tmp_path, "a.json", 2.66)
         b = summary(tmp_path, "b.json", 3.15)
