@@ -29,14 +29,14 @@ def require_numbers(config, names) -> None:
 
 
 @contextmanager
-def open_utf8(path, error=ConfigError, **kwargs):
+def open_utf8(path, **kwargs):
     """``path`` opened as UTF-8 text; a byte read from it that is not UTF-8
-    is an ``error`` naming the file, not a ``UnicodeDecodeError``."""
+    is a ConfigError naming the file, not a ``UnicodeDecodeError``."""
     with open(path, encoding="utf-8", **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class RuleParseError(EvPolicyError):

@@ -280,7 +280,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                 handle = ExternalProcessPolicy(
                     command, timeout_ms=CANDIDATE_TIMEOUT_MS)
             else:
-                handle = RuleScriptPolicy(source)
+                handle = RuleScriptPolicy(source, name=f"{strategy}_iter_{k}")
             policy = GuardrailPolicy(handle, battery)
         except Exception as exc:  # parse error, spawn failure
             record.failure = f"policy construction failed: {exc}"

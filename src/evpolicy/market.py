@@ -154,7 +154,7 @@ def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
     """
     schema = dict(schema) if schema else {c: c for c in CANONICAL_COLUMNS}
     path = Path(path)
-    with open_utf8(path, TraceValidationError, newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [row for row in reader if row]  # blank lines are skipped

@@ -37,7 +37,10 @@ PROGRAM_MODES = ("builtin_rules", "external_process")
 class PolicyHandle:
     """Executable policy wrapper. decide() is total: faults become idle."""
 
-    def __init__(self):
+    def __init__(self, name: str = "policy"):
+        # perfbench's probe counts an evolve run's baseline rollouts by this
+        # name; run_episode and the artifacts do not read it.
+        self.name = name
         self.fault_log: list[str] = []
 
     def decide(self, obs: Observation) -> float:
@@ -48,8 +51,8 @@ class PolicyHandle:
 
 
 class NativePolicy(PolicyHandle):
-    def __init__(self, fn: Callable[[Observation], float]):
-        super().__init__()
+    def __init__(self, fn: Callable[[Observation], float], name: str = "native"):
+        super().__init__(name)
         self._fn = fn
 
     def decide(self, obs: Observation) -> float:
@@ -57,10 +60,10 @@ class NativePolicy(PolicyHandle):
 
 
 class RuleScriptPolicy(PolicyHandle):
-    def __init__(self, source_text: str):
+    def __init__(self, source_text: str, name: str = "rules"):
         # Imported here: only rule policies need the interpreter.
         from . import rules
-        super().__init__()
+        super().__init__(name)
         self.script = rules.parse_rule_script(source_text)
         self._evaluate = rules.evaluate_rules
 
@@ -114,7 +117,7 @@ class ExternalProcessPolicy(PolicyHandle):
 
     def __init__(self, command: Sequence[str],
                  timeout_ms: int = DECISION_TIMEOUT_MS):
-        super().__init__()
+        super().__init__("external")
         argv = list(command)
         self.timeout_s = timeout_ms / 1000.0
         env = {key: value for key, value in os.environ.items()
@@ -302,12 +305,10 @@ class ExternalProcessPolicy(PolicyHandle):
 
 
 class GuardrailPolicy(PolicyHandle):
-    """Semantic guardrails: power envelope plus SoC floor/ceiling sign rules.
-
-    ``violation_counter`` counts the decisions it changed.
-    """
+    """Semantic guardrails: power envelope plus SoC floor/ceiling sign rules."""
 
     def __init__(self, inner: PolicyHandle, battery: BatteryConfig):
+        super().__init__(f"guarded({inner.name})")
         self.inner = inner
         self.battery = battery
         self.fault_log = inner.fault_log  # shared list
@@ -345,9 +346,10 @@ def make_policy(spec: str, battery: BatteryConfig,
     """
     if spec == "baseline":
         cfg = baseline or BaselineConfig()
-        handle = NativePolicy(lambda obs: baseline_decide(obs, cfg, battery))
+        handle = NativePolicy(lambda obs: baseline_decide(obs, cfg, battery),
+                              name="baseline")
     elif spec == "idle":
-        handle = NativePolicy(lambda obs: 0.0)
+        handle = NativePolicy(lambda obs: 0.0, name="idle")
     elif spec.startswith("cmd:"):
         try:
             argv = shlex.split(spec[4:])
@@ -358,7 +360,7 @@ def make_policy(spec: str, battery: BatteryConfig,
         handle = ExternalProcessPolicy(argv, timeout_ms=timeout_ms)
     elif spec.endswith(".rules"):
         with open_utf8(spec) as fh:
-            handle = RuleScriptPolicy(fh.read())
+            handle = RuleScriptPolicy(fh.read(), name=spec)
     else:
         raise ConfigError(
             f"unknown policy {spec!r}: expected a registered name "

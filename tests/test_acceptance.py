@@ -90,7 +90,7 @@ def test_02_reward_oracle_idle_and_random_policies():
                f"if discharge_price >= {rng.uniform(0.2, 0.5):.3f} and "
                f"soc > {rng.uniform(0.2, 0.5):.2f} then "
                f"-{rng.uniform(0.5, 7):.2f}")
-        policy = GuardrailPolicy(RuleScriptPolicy(src), battery)
+        policy = GuardrailPolicy(RuleScriptPolicy(src, name="rand"), battery)
         report = run_episode(trace, sessions, battery, policy, cfg,
                              0, len(trace))
         penalties = 0.0
@@ -141,7 +141,7 @@ def test_04_anticipatory_arbitrage_beats_baseline():
     program = RuleScriptPolicy(
         "if discharge_price >= 0.45 and soc > 0.2 then -max_discharge_kw\n"
         "if fc_max(72) >= 2 * charge_price and soc < 0.95 then "
-        "max_charge_kw")
+        "max_charge_kw", name="anticipatory")
     anticipatory = run_episode(trace, sessions, battery,
                                GuardrailPolicy(program, battery),
                                RewardConfig(), 0, 288)

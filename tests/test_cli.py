@@ -561,16 +561,13 @@ class TestEvolveCommand:
         import evpolicy.cli
         import evpolicy.evolve
         from evpolicy.simulation import run_episode
-        callers = []
+        policies = []
 
-        def counting(caller):
-            def wrapper(*args, **kwargs):
-                callers.append(caller)
-                return run_episode(*args, **kwargs)
-            return wrapper
-        for module in (evpolicy.cli, evpolicy.evolve):
-            monkeypatch.setattr(module, "run_episode",
-                                counting(module.__name__))
+        def counting(*args, **kwargs):
+            policies.append(args[3].name)
+            return run_episode(*args, **kwargs)
+        monkeypatch.setattr(evpolicy.cli, "run_episode", counting)
+        monkeypatch.setattr(evpolicy.evolve, "run_episode", counting)
         replies = tmp_path / "replies.jsonl"
         replies.write_text(REPLIES_JSONL)
         code = main(["evolve", "--synthetic", "days=1", "seed=3",
@@ -578,9 +575,8 @@ class TestEvolveCommand:
                      "--operator", f"mock:{replies}",
                      "--out", str(tmp_path / "evo")])
         assert code == 0
-        # The baseline runs once, in the CLI; each candidate once, in evolve.
-        assert sorted(callers) == ["evpolicy.cli", "evpolicy.evolve",
-                                   "evpolicy.evolve"]
+        assert len([p for p in policies if "baseline" in p]) == 1
+        assert len(policies) == 3
 
     def test_non_finite_horizon_reply_does_not_end_the_run(self, tmp_path):
         nines = "9" * 400

@@ -405,7 +405,7 @@ class ReferencePolicy(PolicyHandle):
     """A rule script evaluated by the tree walker at every step."""
 
     def __init__(self, source_text: str):
-        super().__init__()
+        super().__init__("reference")
         self.script = parse_rule_script(source_text)
 
     def decide(self, obs) -> float:
