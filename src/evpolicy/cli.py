@@ -287,17 +287,26 @@ def cmd_compare(args) -> int:
     if (a["start_step"], a["n_steps"]) != (b["start_step"], b["n_steps"]):
         raise ConfigError("reports cover different trace windows")
     ra, rb = a["total_reward"], b["total_reward"]
-    if ra != 0 and (ra > 0) == (rb > 0):
-        rel = f"{100.0 * rb / ra:.1f}%"
-    else:
+    # B as a percentage of A: undefined for a zero A, totals of opposite
+    # signs or a ratio too large for a float; a zero B is 0.0% (+ 0.0 turns
+    # a -0.0 into 0.0).
+    ratio = 100.0 * rb / ra + 0.0 if ra != 0 else math.nan
+    if (rb != 0 and (ra > 0) != (rb > 0)) or not math.isfinite(ratio):
         rel = "undefined"
-    print(f"{'metric':<18}{'A':>14}{'B':>14}")
-    print(f"{'total_reward':<18}{ra:>14.4f}{rb:>14.4f}")
-    print(f"{'relative':<18}{'100.0%':>14}{rel:>14}")
-    print(f"{'delta':<18}{0.0:>14.4f}{rb - ra:>14.4f}")
+    else:
+        rel = f"{ratio:.1f}%"
+
+    def row(label, value_a, value_b, spec=""):
+        # One space at least between columns: wide figures never run
+        # together.
+        print(f"{label:<17} {value_a:>13{spec}} {value_b:>13{spec}}")
+    row("metric", "A", "B")
+    row("total_reward", ra, rb, ".4f")
+    row("relative", "100.0%", rel)
+    row("delta", 0.0, rb - ra, ".4f")
     for label, name in (("cycles", "cycle_count"), ("flicker", "flicker_count"),
                         ("soc_violations", "soc_violations")):
-        print(f"{label:<18}{a[name]:>14}{b[name]:>14}")
+        row(label, a[name], b[name])
     return EXIT_OK
 
 

@@ -29,10 +29,11 @@ def require_numbers(config, names) -> None:
 
 
 @contextmanager
-def open_utf8(path, **kwargs):
-    """``path`` opened as UTF-8 text; a byte read from it that is not UTF-8
-    is a ConfigError naming the file, not a ``UnicodeDecodeError``."""
-    with open(path, encoding="utf-8", **kwargs) as fh:
+def open_utf8(path, encoding="utf-8", **kwargs):
+    """``path`` opened as UTF-8 text (``encoding="utf-8-sig"`` also skips a
+    leading byte-order mark); a byte read from it that is not UTF-8 is a
+    ConfigError naming the file, not a ``UnicodeDecodeError``."""
+    with open(path, encoding=encoding, **kwargs) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -88,20 +88,23 @@ class EnvTrace:
 class PriceForecast:
     """Buy prices for the ``horizon_steps`` steps after an observation.
 
-    A read-only window on a price column: ``values`` is a tuple sliced on each
-    read and never stored, so building a forecast copies no prices. Direct
-    construction takes the values themselves, which must be finite, and the
-    horizon is their count; :func:`forecast_at` windows a column its trace
-    validated once.
+    A window on a price column: ``column[start:start + horizon_steps]``.
+    ``values`` is a tuple sliced on each read and never stored, so building a
+    forecast copies no prices. Direct construction takes the values
+    themselves, which must be finite, and the horizon is their count;
+    :func:`forecast_at` windows a column its trace validated once.
+    ``horizon_steps``, ``column`` and ``start`` are plain slots, which rule
+    aggregates read on every decision; nothing writes them after
+    construction.
     """
 
-    __slots__ = ("horizon_steps", "_column", "_start")
+    __slots__ = ("horizon_steps", "column", "start")
 
     def __init__(self, values: Sequence[float]):
         values = tuple(values)
         if not all(map(math.isfinite, values)):
             raise TraceValidationError("forecast contains non-finite values")
-        self.horizon_steps, self._column, self._start = len(values), values, 0
+        self.horizon_steps, self.column, self.start = len(values), values, 0
 
     @classmethod
     def window(cls, column: tuple[float, ...], start: int,
@@ -109,27 +112,17 @@ class PriceForecast:
         """``column[start:start + horizon_steps]`` of an already validated,
         long enough column."""
         forecast = object.__new__(cls)
-        forecast.horizon_steps, forecast._column, forecast._start = (
+        forecast.horizon_steps, forecast.column, forecast.start = (
             horizon_steps, column, start)
         return forecast
 
     @property
-    def column(self) -> tuple[float, ...]:
-        """The price column the window is cut from."""
-        return self._column
-
-    @property
-    def start(self) -> int:
-        """The index in :attr:`column` of the window's first value."""
-        return self._start
-
-    @property
     def values(self) -> tuple[float, ...]:
-        return self._column[self._start:self._start + self.horizon_steps]
+        return self.column[self.start:self.start + self.horizon_steps]
 
     def head(self, n: int) -> tuple[float, ...]:
         """The first ``min(n, horizon_steps)`` values, in one slice."""
-        return self._column[self._start:self._start + min(n, self.horizon_steps)]
+        return self.column[self.start:self.start + min(n, self.horizon_steps)]
 
     def __eq__(self, other):
         if not isinstance(other, PriceForecast):
@@ -154,7 +147,9 @@ def load_trace(path, schema: Mapping[str, str] | None = None) -> EnvTrace:
     """
     schema = dict(schema) if schema else {c: c for c in CANONICAL_COLUMNS}
     path = Path(path)
-    with open_utf8(path, newline="") as fh:
+    # utf-8-sig: spreadsheets save "CSV UTF-8" with a byte-order mark, which
+    # would otherwise stick to the first header name.
+    with open_utf8(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [row for row in reader if row]  # blank lines are skipped

@@ -12,7 +12,6 @@ auditable and terminates.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -94,12 +93,15 @@ class RuleScript:
     rules: tuple[Rule, ...]
 
     @cached_property
-    def compiled(self) -> tuple:
-        """One (condition, action) pair of closures per rule, built on first
-        use and kept on the script; not a field, so ==, hash and repr ignore
-        it."""
-        return tuple((_compile(rule.condition), _compile(rule.action))
-                     for rule in self.rules)
+    def compiled(self):
+        """The script as one Python function of an observation, whose only
+        builtin is ``float`` (see :func:`_function_source`); built on first
+        use and kept on the script, not a field, so ==, hash and repr
+        ignore it."""
+        source, numbers = _function_source(self)
+        namespace = {"__builtins__": {"float": float}}
+        exec(compile(source, "<rule script>", "exec"), namespace)
+        return namespace["factory"](*_HELPERS.values(), *numbers)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def script_to_source(script: RuleScript) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators: compiled closures, and the tree walker they are tested against
+# Evaluators: a generated function, and the tree walker it is tested against
 # ---------------------------------------------------------------------------
 
 class _EvalFault(Exception):
@@ -408,46 +410,16 @@ def _mean(window):
     return sum(window) / len(window)
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "<": operator.lt, "<=": operator.le,
-           ">": operator.gt, ">=": operator.ge, "==": operator.eq,
-           "!=": operator.ne}
-_AGGREGATES = {"fc_max": max, "fc_min": min, "fc_mean": _mean}
-
-
-def _compile(node):
-    """A closure ``f(obs)`` that returns ``_eval(node, obs)`` or raises the
-    same :class:`_EvalFault`, evaluating operands in the same order."""
-    if isinstance(node, Num):
-        value = node.value
-        return lambda obs: value
-    if isinstance(node, Var):
-        return operator.attrgetter(_FIELD[node.name])
-    if isinstance(node, Unary):
-        operand = _compile(node.operand)
-        if node.op == "-":
-            return lambda obs: -operand(obs)
-        return lambda obs: not operand(obs)
-    if isinstance(node, Binary):
-        left = _compile(node.left)
-        if isinstance(node.right, Num) and (node.op != "/"
-                                            or node.right.value != 0):
-            op, constant = _BINARY[node.op], node.right.value
-            return lambda obs: op(left(obs), constant)
-        right = _compile(node.right)
-        if node.op == "and":
-            return lambda obs: left(obs) and right(obs)
-        if node.op == "or":
-            return lambda obs: left(obs) or right(obs)
-        op = _divide if node.op == "/" else _BINARY[node.op]
-        return lambda obs: op(left(obs), right(obs))
-    if isinstance(node, Call):
-        if node.name in NUMERIC_FUNCS:
-            pick = min if node.name == "min" else max
-            first, second = (_compile(a) for a in node.args)
-            return lambda obs: pick(first(obs), second(obs))
-        return _compile_aggregate(_AGGREGATES[node.name], node.args[0])
-    raise TypeError(f"not an AST node: {node!r}")
+def _aggregate(obs, reduce, value):
+    """``reduce`` over the first ``min(h, horizon)`` forecast values, where
+    ``h`` is ``value`` rounded; a horizon that is not finite or is below 1
+    is a fault."""
+    if not math.isfinite(value):
+        raise _EvalFault(f"non-finite forecast horizon {value!r}")
+    h = int(round(value))
+    if h < 1:
+        raise _EvalFault(f"forecast horizon {h} < 1")
+    return reduce(obs.forecast.head(h))
 
 
 # Constant-horizon aggregates are memoized. Such a value depends only on the
@@ -460,9 +432,11 @@ def _compile(node):
 _memo: tuple = (None, {})
 
 
-def _memo_table(column: tuple, reduce, n: int) -> list:
-    """The memo's table of ``reduce`` over ``n`` values of ``column``."""
+def _memo_table(forecast, reduce, h: int) -> list:
+    """The memo's table of ``reduce`` over ``min(h, horizon)`` values of
+    ``forecast``'s column."""
     global _memo
+    column, n = forecast.column, min(h, forecast.horizon_steps)
     held, tables = _memo
     if column is not held:
         tables = {}
@@ -473,36 +447,102 @@ def _memo_table(column: tuple, reduce, n: int) -> list:
     return table
 
 
-def _compile_aggregate(reduce, horizon_node):
-    """``fc_*``: ``reduce`` over the first ``min(h, horizon)`` forecast
-    values, sliced once from the forecast's column; with a constant ``h``,
-    computed once per column and start (see :func:`_memo_table`)."""
-    if isinstance(horizon_node, Num) and math.isfinite(horizon_node.value):
-        h = int(round(horizon_node.value))
-        if h >= 1:  # a constant horizon is checked once
-            def memoized(obs):
-                forecast = obs.forecast
-                column, start = forecast.column, forecast.start
-                n = forecast.horizon_steps
-                if h < n:
-                    n = h
-                table = _memo_table(column, reduce, n)
-                value = table[start]
-                if value is None:  # reduce(forecast.head(h)), same slice
-                    value = table[start] = reduce(column[start:start + n])
-                return value
-            return memoized
-    horizon = _compile(horizon_node)
+def _fill(table, forecast, reduce, h: int):
+    """``reduce(forecast.head(h))``, from the same slice, stored in
+    ``table`` at the window's start."""
+    start, n = forecast.start, min(h, forecast.horizon_steps)
+    value = table[start] = reduce(forecast.column[start:start + n])
+    return value
 
-    def aggregate(obs):
-        value = horizon(obs)
-        if not math.isfinite(value):
-            raise _EvalFault(f"non-finite forecast horizon {value!r}")
-        h = int(round(value))
-        if h < 1:
-            raise _EvalFault(f"forecast horizon {h} < 1")
-        return reduce(obs.forecast.head(h))
-    return aggregate
+
+# What the generated function reads besides ``obs`` and its numbers: the
+# factory's parameters, in this order. An aggregate's reduce goes by the
+# rule language's name of it.
+_HELPERS = {"min": min, "max": max, "fc_max": max, "fc_min": min,
+            "fc_mean": _mean, "div": _divide, "agg": _aggregate,
+            "table": _memo_table, "fill": _fill}
+
+
+def _expr(node, numbers: list, memos: dict) -> str:
+    """Python source of ``node`` as an expression of ``obs``, evaluating
+    operands in :func:`_eval`'s order and raising its faults.
+
+    No text of the script is copied: the ``i``-th number is appended to
+    ``numbers`` and read as ``c<i>``, a variable is the attribute that
+    ``_FIELD`` names, and operators and calls are checked against the
+    parser's fixed sets. A constant-horizon aggregate reads table ``m<k>``,
+    where ``k`` is its (reduce, h) entry in ``memos``.
+    """
+    def recurse(child):
+        return _expr(child, numbers, memos)
+    if isinstance(node, Num):
+        numbers.append(node.value)
+        return f"c{len(numbers) - 1}"
+    if isinstance(node, Var):
+        return f"obs.{_FIELD[node.name]}"
+    if isinstance(node, Unary):
+        prefix = "not " if node.op == "not" else "-"
+        return f"({prefix}{recurse(node.operand)})"
+    if isinstance(node, Binary):
+        if node.op not in _OPERANDS:
+            raise TypeError(f"not an operator: {node.op!r}")
+        left, right = recurse(node.left), recurse(node.right)
+        if node.op == "/" and not (isinstance(node.right, Num)
+                                   and node.right.value != 0):
+            return f"div({left}, {right})"  # a divisor that may be zero
+        return f"({left} {node.op} {right})"
+    if isinstance(node, Call):
+        if node.name not in FORECAST_FUNCS + NUMERIC_FUNCS:
+            raise TypeError(f"not a function: {node.name!r}")
+        horizon = node.args[0]
+        if (node.name in FORECAST_FUNCS and isinstance(horizon, Num)
+                and math.isfinite(horizon.value)
+                and int(round(horizon.value)) >= 1):  # checked once
+            key = (node.name, int(round(horizon.value)))
+            if key not in memos:
+                numbers.append(key[1])
+                memos[key] = (len(memos), len(numbers) - 1)
+            k, i = memos[key]
+            args = f"{node.name}, c{i}"
+            return (f"(v if (v := (m{k} or (m{k} := table(forecast, {args})))"
+                    f"[start]) is not None else fill(m{k}, forecast, {args}))")
+        args = ", ".join(map(recurse, node.args))
+        if node.name in FORECAST_FUNCS:
+            return f"agg(obs, {node.name}, {args})"
+        return f"{node.name}({args})"
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _function_source(script: RuleScript) -> tuple[str, list]:
+    """Source of a factory whose parameters are :data:`_HELPERS` and the
+    script's numbers ``c0, c1, ...``, and those numbers. The factory returns
+    ``decide(obs)``: the first matching rule's action as a float, or 0.0.
+
+    With constant-horizon aggregates, ``decide`` keeps the memo's tables
+    ``m0, m1, ...`` that it took for the last forecast column and horizon
+    it saw, and takes them again when either changes.
+    """
+    numbers: list = []
+    memos: dict = {}
+    body = "".join(f"        if {_expr(rule.condition, numbers, memos)}:\n"
+                   "            return float("
+                   f"{_expr(rule.action, numbers, memos)})\n"
+                   for rule in script.rules)
+    state = ""
+    if memos:
+        names = ", ".join(f"m{k}" for k in range(len(memos)))
+        state = f"    column = horizon = {names.replace(',', ' =')} = None\n"
+        body = (f"        nonlocal column, horizon, {names}\n"
+                "        forecast = obs.forecast\n"
+                "        if (forecast.column is not column\n"
+                "                or forecast.horizon_steps != horizon):\n"
+                "            column = forecast.column\n"
+                "            horizon = forecast.horizon_steps\n"
+                f"            {names.replace(',', ' =')} = None\n"
+                f"        start = forecast.start\n{body}")
+    params = ", ".join([*_HELPERS, *(f"c{i}" for i in range(len(numbers)))])
+    return (f"def factory({params}):\n{state}    def decide(obs):\n{body}"
+            "        return 0.0\n    return decide\n", numbers)
 
 
 def _eval(node, obs):
@@ -575,9 +615,18 @@ def _first_match(rules, obs, fault_log: list | None) -> float:
 def evaluate_rules(script: RuleScript, obs, fault_log: list | None = None) -> float:
     """First matching rule decides; runtime faults yield 0 and are logged.
 
-    Runs the script's compiled closures (:attr:`RuleScript.compiled`).
+    Runs the script's generated function (:attr:`RuleScript.compiled`), and
+    checks and logs as :func:`_first_match` does.
     """
-    return _first_match(script.compiled, obs, fault_log)
+    try:
+        value = script.compiled(obs)
+        if math.isfinite(value):
+            return value
+        raise _EvalFault(f"non-finite action value {value!r}")
+    except _EvalFault as fault:
+        if fault_log is not None:
+            fault_log.append(f"step {obs.step_index}: {fault}")
+        return 0.0
 
 
 def evaluate_rules_reference(script: RuleScript, obs,

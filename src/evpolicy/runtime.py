@@ -65,10 +65,11 @@ class RuleScriptPolicy(PolicyHandle):
         from . import rules
         super().__init__(name)
         self.script = rules.parse_rule_script(source_text)
+        self.script.compiled  # generated once here, not in the first decision
         self._evaluate = rules.evaluate_rules
 
     def decide(self, obs: Observation) -> float:
-        return self._evaluate(self.script, obs, fault_log=self.fault_log)
+        return self._evaluate(self.script, obs, self.fault_log)
 
 
 def encode_request(obs: Observation, forecast: bool) -> bytes:
@@ -305,7 +306,11 @@ class ExternalProcessPolicy(PolicyHandle):
 
 
 class GuardrailPolicy(PolicyHandle):
-    """Semantic guardrails: power envelope plus SoC floor/ceiling sign rules."""
+    """Semantic guardrails: power envelope plus SoC floor/ceiling sign rules.
+
+    The inner ``decide`` and the battery's four limits are read once, here,
+    so each decision is plain comparisons.
+    """
 
     def __init__(self, inner: PolicyHandle, battery: BatteryConfig):
         super().__init__(f"guarded({inner.name})")
@@ -314,18 +319,30 @@ class GuardrailPolicy(PolicyHandle):
         self.fault_log = inner.fault_log  # shared list
         self.violation_counter = 0
         self.last_raw_kw = 0.0
+        self._inner_decide = inner.decide
+        self._lowest_kw = -battery.max_discharge_kw
+        self._highest_kw = battery.max_charge_kw
+        self._soc_min, self._soc_max = battery.soc_min, battery.soc_max
 
     def decide(self, obs: Observation) -> float:
-        raw = float(self.inner.decide(obs))
+        """The inner decision with a non-finite value as 0.0, clamped to the
+        power envelope, then no discharge at the SoC floor and no charge at
+        the ceiling. A limit comes back as the battery holds it (an int
+        stays an int), and a -0.0 stays -0.0."""
+        raw = float(self._inner_decide(obs))
         self.last_raw_kw = raw
-        value = raw if math.isfinite(raw) else 0.0
-        value = min(max(value, -self.battery.max_discharge_kw),
-                    self.battery.max_charge_kw)
-        if obs.soc <= self.battery.soc_min:
-            value = max(value, 0.0)
-        if obs.soc >= self.battery.soc_max:
-            value = min(value, 0.0)
-        if not math.isfinite(raw) or abs(value - raw) > GUARDRAIL_EPS:
+        if raw > self._highest_kw:
+            value = self._highest_kw if raw < math.inf else 0.0
+        elif raw < self._lowest_kw:
+            value = self._lowest_kw if raw > -math.inf else 0.0
+        else:
+            value = raw if raw == raw else 0.0  # NaN
+        if value < 0.0 and obs.soc <= self._soc_min:
+            value = 0.0
+        elif value > 0.0 and obs.soc >= self._soc_max:
+            value = 0.0
+        # Not within the tolerance: a NaN or an infinite raw value too.
+        if not -GUARDRAIL_EPS <= value - raw <= GUARDRAIL_EPS:
             self.violation_counter += 1
         return value
 

@@ -510,6 +510,8 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     load, pv = trace.load_kw, trace.pv_kw
     forecast_column = trace.forecast_column
     window = PriceForecast.window
+    # What Observation(...) does, without its generated Python __new__.
+    new_tuple = tuple.__new__
     max_charge_kw = battery.max_charge_kw
     max_discharge_kw = battery.max_discharge_kw
     soc_min, soc_max = battery.soc_min, battery.soc_max
@@ -543,11 +545,11 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                 soc = session.arrival_soc
                 current_session = session
                 departure_step = session.departure_step
-            obs = Observation(
+            obs = new_tuple(Observation, (
                 t, buy[t], sell[t], soc,
                 float((departure_step - t) * step_minutes), load[t], pv[t],
                 max_charge_kw, max_discharge_kw,
-                window(forecast_column, t + 1, horizon), True)
+                window(forecast_column, t + 1, horizon), True))
             try:
                 guarded = float(decide(obs))
             except PolicyFault as fault:

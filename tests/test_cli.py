@@ -915,6 +915,24 @@ class TestCompare:
         assert main(["compare", a, b]) == 0
         assert "undefined" in capsys.readouterr().out
 
+    def test_wide_figures_stay_apart(self, tmp_path, capsys):
+        a = summary(tmp_path, "a.json", 1e-300)
+        b = summary(tmp_path, "b.json", 1e10)
+        assert main(["compare", a, b]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["total_reward", "0.0000",
+                                    "10000000000.0000"]
+        # 1e10 / 1e-300 is too large for a float: no ratio to print.
+        assert lines[2].split() == ["relative", "100.0%", "undefined"]
+
+    @pytest.mark.parametrize("total_a", [5.0, -5.0])
+    def test_a_zero_b_is_zero_percent_of_a(self, tmp_path, capsys, total_a):
+        a = summary(tmp_path, "a.json", total_a)
+        b = summary(tmp_path, "b.json", 0.0)
+        assert main(["compare", a, b]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == ["relative", "100.0%", "0.0%"]
+
     def test_window_mismatch_rejected(self, tmp_path, capsys):
         a = summary(tmp_path, "a.json", 1.0)
         b_payload = json.loads(Path(summary(tmp_path, "b.json", 2.0)).read_text())

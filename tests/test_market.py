@@ -36,6 +36,18 @@ class TestLoadTrace:
         assert len(trace) == 4
         assert trace.buy_price[2] == 0.30
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a byte-order mark before the
+        # header, which must not become part of the name 'timestamp'.
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(plain, [
+            "2024-01-01T00:00:00,0.5,0.0,0.10,0.09",
+            "2024-01-01T00:05:00,0.6,0.2,0.12,0.11",
+            "2024-01-01T00:10:00,0.7,0.1,0.30,0.28",
+        ])
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_trace(bom) == load_trace(plain)
+
     def test_spacing_gap_names_offending_row(self, tmp_path):
         f = tmp_path / "t.csv"
         write_csv(f, [

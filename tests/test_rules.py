@@ -1,3 +1,6 @@
+import ast
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -399,6 +402,83 @@ class TestCompiledMatchesReference:
             fast, slow = outcome(evaluate_rules, script, obs), \
                 outcome(evaluate_rules_reference, script, obs)
             assert fast == slow and fast[1]
+
+
+class TestGeneratedSource:
+    FORTY_DIGITS = "1234567890" * 4
+    TOO_LARGE = "1" + "0" * 400  # 1e400: parses to inf
+
+    def generated(self):
+        source_text = (
+            "if discharge_price >= fc_mean(288) + 0.103 and soc > 0.3 "
+            "then -max_discharge_kw\n"
+            f"if charge_price < {self.TOO_LARGE} and not pv_kw == 0 "
+            f"then {self.FORTY_DIGITS} / fc_min(ttd / 5 + 1)")
+        script = parse_rule_script(source_text)
+        return script, *rules._function_source(script)
+
+    def test_no_literal_text_reaches_the_source(self):
+        script, source, numbers = self.generated()
+        values = [float(self.FORTY_DIGITS), 0.103, math.inf]
+        for text in ("0.103", self.TOO_LARGE, self.FORTY_DIGITS,
+                     *map(repr, values), "e+"):
+            assert text not in source
+        assert all(value in numbers for value in values)
+        # The only number written as text is the no-match 0.0.
+        constants = [node.value for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Constant)]
+        assert [value for value in constants if value is not None] == [0.0]
+        obs = make_obs(soc=0.5, pv_kw=1.0)
+        assert (evaluate_rules(script, obs)
+                == evaluate_rules_reference(script, obs))
+
+    def test_every_identifier_is_fixed_or_a_field(self):
+        _, source, _ = self.generated()
+        fixed = {"factory", "decide", "obs", "float", "forecast", "column",
+                 "horizon", "start", "v", *rules._HELPERS}
+        attributes = {"obs": {"forecast", *rules._FIELD.values()},
+                      "forecast": {"column", "horizon_steps", "start"}}
+        names = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                assert node.attr in attributes[node.value.id]
+            if isinstance(node, ast.Nonlocal):
+                names += node.names
+            names.append(node.id if isinstance(node, ast.Name) else node.arg
+                         if isinstance(node, ast.arg) else node.name
+                         if isinstance(node, ast.FunctionDef) else None)
+        for name in names:
+            assert (name is None or name in fixed
+                    or re.fullmatch(r"[cm]\d+", name)), name
+
+    def test_tables_follow_the_column_and_the_horizon(self):
+        # The function keeps its memo tables while the forecast's column and
+        # horizon stay the same: windows that change either, in turn, must
+        # still read the values of their own.
+        script = parse_rule_script("if soc > 0 then fc_mean(3) - fc_max(40)")
+        columns = [tuple(i * k % 7 / 10 for i in range(60)) for k in (1, 3)]
+        for column, start, horizon in [(0, 0, 50), (0, 0, 2), (0, 5, 2),
+                                       (1, 5, 2), (0, 5, 2), (0, 5, 50)]:
+            obs = make_obs(forecast=PriceForecast.window(
+                columns[column], start, horizon))
+            assert (evaluate_rules(script, obs)
+                    == evaluate_rules_reference(script, obs))
+
+    @pytest.mark.parametrize("node", [
+        rules.Binary("+ obs.__class__ +", rules.Num(1.0), rules.Num(2.0)),
+        rules.Call("fill", (rules.Num(1.0),)),
+    ], ids=["operator", "call"])
+    def test_a_hand_built_operator_or_call_is_refused(self, node):
+        # The parser makes neither; a script built by hand must not get
+        # its text into the source either.
+        condition = rules.Binary("<", node, rules.Num(3.0))
+        script = rules.RuleScript((rules.Rule(condition, rules.Num(1.0)),))
+        with pytest.raises(TypeError):
+            rules._function_source(script)
+
+    def test_the_only_builtin_is_float(self):
+        script, _, _ = self.generated()
+        assert script.compiled.__globals__["__builtins__"] == {"float": float}
 
 
 class ReferencePolicy(PolicyHandle):

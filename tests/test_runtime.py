@@ -128,6 +128,54 @@ class TestGuardrails:
             if soc >= battery.soc_max:
                 assert value <= 0.0
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flat_decide_matches_the_min_max_expression(self, data):
+        battery = data.draw(GUARDRAIL_BATTERIES)
+        limits = [battery.max_charge_kw, -battery.max_discharge_kw]
+        bounds = [battery.soc_min, battery.soc_max]
+        raws = data.draw(st.lists(st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                             *limits, *(x + 1e-10 for x in limits)]),
+            st.integers(-20, 20)), min_size=1, max_size=8))
+        socs = st.one_of(st.sampled_from(bounds), st.floats(-0.5, 1.5),
+                         st.sampled_from([x + d for x in bounds
+                                          for d in (-1e-12, 1e-12)]))
+        steps = [(raw, data.draw(socs)) for raw in raws]
+        pending = iter(raw for raw, _ in steps)
+        guarded = GuardrailPolicy(NativePolicy(lambda obs: next(pending)),
+                                  battery)
+        blocked = 0
+        for raw, soc in steps:
+            value = guarded.decide(make_obs(soc=soc))
+            expected, block = min_max_guardrail(float(raw), soc, battery)
+            blocked += block
+            assert repr(value) == repr(expected)
+            assert repr(guarded.last_raw_kw) == repr(float(raw))
+            assert guarded.violation_counter == blocked
+
+
+# Limits of either type: an int limit comes back from the guardrail as it is.
+GUARDRAIL_BATTERIES = st.builds(
+    BatteryConfig,
+    max_charge_kw=st.sampled_from([7.0, 7, 3.3, 11]),
+    max_discharge_kw=st.sampled_from([7.0, 7, 5.5, 1]),
+    soc_min=st.sampled_from([0.2, 0, 0.1]),
+    soc_max=st.sampled_from([1.0, 1, 0.9]))
+
+
+def min_max_guardrail(raw, soc, battery):
+    """The guardrail's value and whether it blocked ``raw``, by the
+    ``min``/``max`` expression ``GuardrailPolicy.decide`` once used."""
+    value = raw if math.isfinite(raw) else 0.0
+    value = min(max(value, -battery.max_discharge_kw), battery.max_charge_kw)
+    if soc <= battery.soc_min:
+        value = max(value, 0.0)
+    if soc >= battery.soc_max:
+        value = min(value, 0.0)
+    return value, not math.isfinite(raw) or abs(value - raw) > 1e-9
+
 
 class TestExternalProcess:
     def test_constant_idle_child(self, battery):
