@@ -1,8 +1,13 @@
 """The package root re-exports nothing and imports no submodule."""
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import evpolicy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -46,6 +51,18 @@ def test_cli_leaves_the_evolve_modules_to_the_commands_that_use_them():
     loaded = modules_after("import evpolicy.cli")
     assert loaded.isdisjoint({"evpolicy.evolve", "evpolicy.ledgers",
                               "evpolicy.rules"})
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        evpolicy.nope  # noqa: B018
+    assert not hasattr(evpolicy, "nope")
+
+
+def test_submodules_still_import_from_the_root():
+    from evpolicy import pydriver
+    assert pydriver is importlib.import_module("evpolicy.pydriver")
+    assert evpolicy.__version__ == "0.1.0"
 
 
 def test_the_root_defines_only_its_version():
