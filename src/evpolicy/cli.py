@@ -64,12 +64,22 @@ def _read_json(path: str):
                               f"{exc.msg}") from None
 
 
+# Every top-level --config key that some command reads.
+_CONFIG_KEYS = ("battery", "sessions", "reward", "baseline",
+                "policy_timeout_ms", "trace_schema", "operator",
+                "retry_base_delay", "ledger_examples")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     config = _read_json(path)
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
+    unknown = [key for key in config if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r} "
+                          f"(expected {', '.join(_CONFIG_KEYS)})")
     return config
 
 

@@ -84,6 +84,13 @@ class EnvTrace:
         """
         return self.buy_price + self.buy_price[-1:] * FORECAST_STEPS
 
+    @cached_property
+    def forecast_tables(self) -> dict:
+        """The rule aggregates' memo for the windows of
+        :attr:`forecast_column` ``FORECAST_STEPS`` long (see
+        :meth:`PriceForecast.window`); it lives and dies with the trace."""
+        return {}
+
 
 class PriceForecast:
     """Buy prices for the ``horizon_steps`` steps after an observation.
@@ -93,27 +100,31 @@ class PriceForecast:
     forecast copies no prices. Direct construction takes the values
     themselves, which must be finite, and the horizon is their count;
     :func:`forecast_at` windows a column its trace validated once.
-    ``horizon_steps``, ``column`` and ``start`` are plain slots, which rule
-    aggregates read on every decision; nothing writes them after
-    construction.
+    ``horizon_steps``, ``column``, ``start`` and ``tables`` are plain
+    slots, which rule aggregates read on every decision; nothing writes them
+    after construction. ``tables`` is the memo of constant-horizon rule
+    aggregates (see ``rules``); a directly built forecast has its own.
     """
 
-    __slots__ = ("horizon_steps", "column", "start")
+    __slots__ = ("horizon_steps", "column", "start", "tables")
 
     def __init__(self, values: Sequence[float]):
         values = tuple(values)
         if not all(map(math.isfinite, values)):
             raise TraceValidationError("forecast contains non-finite values")
         self.horizon_steps, self.column, self.start = len(values), values, 0
+        self.tables = {}
 
     @classmethod
     def window(cls, column: tuple[float, ...], start: int,
-               horizon_steps: int) -> PriceForecast:
+               horizon_steps: int, tables: dict) -> PriceForecast:
         """``column[start:start + horizon_steps]`` of an already validated,
-        long enough column."""
+        long enough column. ``tables`` is the aggregates' memo: one dict is
+        shared only by windows of one column and one horizon."""
         forecast = object.__new__(cls)
         forecast.horizon_steps, forecast.column, forecast.start = (
             horizon_steps, column, start)
+        forecast.tables = tables
         return forecast
 
     @property
@@ -220,7 +231,7 @@ def forecast_at(trace: EnvTrace, step_index: int) -> PriceForecast:
     if not 0 <= step_index < n:
         raise IndexError(f"step_index {step_index} out of range [0, {n})")
     return PriceForecast.window(trace.forecast_column, step_index + 1,
-                                FORECAST_STEPS)
+                                FORECAST_STEPS, trace.forecast_tables)
 
 
 def lower_median(values: Sequence[float]) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import RuleParseError
 from .pydriver import DECISION_INPUTS
@@ -422,28 +422,15 @@ def _aggregate(obs, reduce, value):
     return reduce(obs.forecast.head(h))
 
 
-# Constant-horizon aggregates are memoized. Such a value depends only on the
-# forecast's price column, the reduce, n = min(h, horizon_steps) and the
-# window's start, so every script evaluated on a trace, in rollouts and in
-# fit scoring alike, shares one table per (reduce, n): a list indexed by
-# start, None until first read. _memo pairs the one column served with its
-# tables. Holding the column keeps its id from being reused; another column
-# replaces both, dropping every table.
-_memo: tuple = (None, {})
-
-
+# Constant-horizon aggregates are memoized in ``forecast.tables``, which
+# one column and horizon share (see PriceForecast.window). Such a value
+# depends only on those, the reduce, h and the window's start, so every
+# script evaluated on a trace, in rollouts and in fit scoring alike, shares
+# one table per (reduce, h): a list indexed by start, None until first read.
 def _memo_table(forecast, reduce, h: int) -> list:
-    """The memo's table of ``reduce`` over ``min(h, horizon)`` values of
-    ``forecast``'s column."""
-    global _memo
-    column, n = forecast.column, min(h, forecast.horizon_steps)
-    held, tables = _memo
-    if column is not held:
-        tables = {}
-        _memo = (column, tables)
-    table = tables.get((reduce, n))
-    if table is None:
-        table = tables[reduce, n] = [None] * len(column)
+    """A new table of ``reduce`` over ``min(h, horizon)`` values of
+    ``forecast``'s column, kept in ``forecast.tables``."""
+    table = forecast.tables[reduce, h] = [None] * len(forecast.column)
     return table
 
 
@@ -504,8 +491,9 @@ def _expr(node, numbers: list, memos: dict) -> str:
                 memos[key] = (len(memos), len(numbers) - 1)
             k, i = memos[key]
             args = f"{node.name}, c{i}"
-            return (f"(v if (v := (m{k} or (m{k} := table(forecast, {args})))"
-                    f"[start]) is not None else fill(m{k}, forecast, {args}))")
+            return (f"(v if (v := (m{k} or (m{k} := tables.get(({args}))"
+                    f" or table(forecast, {args})))[start]) is not None"
+                    f" else fill(m{k}, forecast, {args}))")
         args = ", ".join(map(recurse, node.args))
         if node.name in FORECAST_FUNCS:
             return f"agg(obs, {node.name}, {args})"
@@ -518,9 +506,9 @@ def _function_source(script: RuleScript) -> tuple[str, list]:
     script's numbers ``c0, c1, ...``, and those numbers. The factory returns
     ``decide(obs)``: the first matching rule's action as a float, or 0.0.
 
-    With constant-horizon aggregates, ``decide`` keeps the memo's tables
-    ``m0, m1, ...`` that it took for the last forecast column and horizon
-    it saw, and takes them again when either changes.
+    ``decide`` keeps nothing between calls. With constant-horizon
+    aggregates, each call takes the memo tables ``m0, m1, ...`` from
+    ``obs.forecast.tables`` when it first reads them.
     """
     numbers: list = []
     memos: dict = {}
@@ -528,20 +516,13 @@ def _function_source(script: RuleScript) -> tuple[str, list]:
                    "            return float("
                    f"{_expr(rule.action, numbers, memos)})\n"
                    for rule in script.rules)
-    state = ""
     if memos:
-        names = ", ".join(f"m{k}" for k in range(len(memos)))
-        state = f"    column = horizon = {names.replace(',', ' =')} = None\n"
-        body = (f"        nonlocal column, horizon, {names}\n"
-                "        forecast = obs.forecast\n"
-                "        if (forecast.column is not column\n"
-                "                or forecast.horizon_steps != horizon):\n"
-                "            column = forecast.column\n"
-                "            horizon = forecast.horizon_steps\n"
-                f"            {names.replace(',', ' =')} = None\n"
-                f"        start = forecast.start\n{body}")
+        names = " = ".join(f"m{k}" for k in range(len(memos)))
+        body = ("        forecast = obs.forecast\n"
+                "        tables, start = forecast.tables, forecast.start\n"
+                f"        {names} = None\n{body}")
     params = ", ".join([*_HELPERS, *(f"c{i}" for i in range(len(numbers)))])
-    return (f"def factory({params}):\n{state}    def decide(obs):\n{body}"
+    return (f"def factory({params}):\n    def decide(obs):\n{body}"
             "        return 0.0\n    return decide\n", numbers)
 
 
@@ -594,29 +575,11 @@ def _eval(node, obs):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _first_match(rules, obs, fault_log: list | None) -> float:
-    """``rules`` holds (condition, action) callables of ``obs``. The first
-    rule whose condition holds decides; a runtime fault yields 0 and is
-    logged."""
-    try:
-        for condition, action in rules:
-            if condition(obs):
-                value = float(action(obs))
-                if not math.isfinite(value):
-                    raise _EvalFault(f"non-finite action value {value!r}")
-                return value
-        return 0.0
-    except _EvalFault as fault:
-        if fault_log is not None:
-            fault_log.append(f"step {obs.step_index}: {fault}")
-        return 0.0
-
-
 def evaluate_rules(script: RuleScript, obs, fault_log: list | None = None) -> float:
     """First matching rule decides; runtime faults yield 0 and are logged.
 
     Runs the script's generated function (:attr:`RuleScript.compiled`), and
-    checks and logs as :func:`_first_match` does.
+    checks and logs as :func:`evaluate_rules_reference` does.
     """
     try:
         value = script.compiled(obs)
@@ -633,6 +596,15 @@ def evaluate_rules_reference(script: RuleScript, obs,
                              fault_log: list | None = None) -> float:
     """:func:`evaluate_rules` by walking the tree at every call: the
     specification the compiled path is tested against."""
-    return _first_match([(partial(_eval, rule.condition),
-                          partial(_eval, rule.action))
-                         for rule in script.rules], obs, fault_log)
+    try:
+        for rule in script.rules:
+            if _eval(rule.condition, obs):
+                value = float(_eval(rule.action, obs))
+                if not math.isfinite(value):
+                    raise _EvalFault(f"non-finite action value {value!r}")
+                return value
+        return 0.0
+    except _EvalFault as fault:
+        if fault_log is not None:
+            fault_log.append(f"step {obs.step_index}: {fault}")
+        return 0.0

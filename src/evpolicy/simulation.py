@@ -508,7 +508,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
     decide = policy.decide
     buy, sell = trace.buy_price, trace.sell_price
     load, pv = trace.load_kw, trace.pv_kw
-    forecast_column = trace.forecast_column
+    forecast_column, tables = trace.forecast_column, trace.forecast_tables
     window = PriceForecast.window
     # What Observation(...) does, without its generated Python __new__.
     new_tuple = tuple.__new__
@@ -549,7 +549,7 @@ def run_episode(trace: EnvTrace, sessions: Sequence[ConnectionSession],
                 t, buy[t], sell[t], soc,
                 float((departure_step - t) * step_minutes), load[t], pv[t],
                 max_charge_kw, max_discharge_kw,
-                window(forecast_column, t + 1, horizon), True))
+                window(forecast_column, t + 1, horizon, tables), True))
             try:
                 guarded = float(decide(obs))
             except PolicyFault as fault:

@@ -112,6 +112,8 @@ class TestSimulate:
 
 CONFIG_MISTAKES = {
     "unknown_battery_key": {"battery": {"capacity": 40}},
+    "unknown_top_level_key": {"batery": {"capacity_kwh": 10},
+                              "policy_timout_ms": 5},
     "unknown_baseline_key": {"baseline": {"peak_price": 0.3}},
     "session_missing_fields": {"sessions": [{"arrival_step": 0}]},
     "unknown_reward_mode": {"reward": {"mode": "nrm"}},

@@ -1,7 +1,9 @@
 import ast
+import gc
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -355,7 +357,7 @@ def observations(draw):
         "pv_kw", "max_charge_kw", "max_discharge_kw")}
     return make_obs(step_index=draw(st.integers(0, 10_000)),
                     forecast=PriceForecast.window(tuple(column), start,
-                                                  horizon), **fields)
+                                                  horizon, {}), **fields)
 
 
 def outcome(evaluate, script, obs):
@@ -434,16 +436,15 @@ class TestGeneratedSource:
 
     def test_every_identifier_is_fixed_or_a_field(self):
         _, source, _ = self.generated()
-        fixed = {"factory", "decide", "obs", "float", "forecast", "column",
-                 "horizon", "start", "v", *rules._HELPERS}
+        fixed = {"factory", "decide", "obs", "float", "forecast", "tables",
+                 "start", "v", *rules._HELPERS}
         attributes = {"obs": {"forecast", *rules._FIELD.values()},
-                      "forecast": {"column", "horizon_steps", "start"}}
+                      "forecast": {"tables", "start"}, "tables": {"get"}}
         names = []
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Attribute):
                 assert node.attr in attributes[node.value.id]
-            if isinstance(node, ast.Nonlocal):
-                names += node.names
+            assert not isinstance(node, (ast.Nonlocal, ast.Global))
             names.append(node.id if isinstance(node, ast.Name) else node.arg
                          if isinstance(node, ast.arg) else node.name
                          if isinstance(node, ast.FunctionDef) else None)
@@ -452,15 +453,16 @@ class TestGeneratedSource:
                     or re.fullmatch(r"[cm]\d+", name)), name
 
     def test_tables_follow_the_column_and_the_horizon(self):
-        # The function keeps its memo tables while the forecast's column and
-        # horizon stay the same: windows that change either, in turn, must
-        # still read the values of their own.
+        # Each column and horizon has its memo tables: windows that change
+        # either, in turn, must still read the values of their own.
         script = parse_rule_script("if soc > 0 then fc_mean(3) - fc_max(40)")
         columns = [tuple(i * k % 7 / 10 for i in range(60)) for k in (1, 3)]
+        tables = {}
         for column, start, horizon in [(0, 0, 50), (0, 0, 2), (0, 5, 2),
                                        (1, 5, 2), (0, 5, 2), (0, 5, 50)]:
             obs = make_obs(forecast=PriceForecast.window(
-                columns[column], start, horizon))
+                columns[column], start, horizon,
+                tables.setdefault((column, horizon), {})))
             assert (evaluate_rules(script, obs)
                     == evaluate_rules_reference(script, obs))
 
@@ -516,9 +518,10 @@ EPISODE_COLUMNS = ("requested_kw", "applied_kw", "soc", "soc_after",
                    "step_reward")
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def traces():
-    """Two traces with two price columns, and their default sessions."""
+    """Two new traces with two price columns, and their default sessions:
+    each case starts with empty memo tables."""
     return [(trace, default_sessions(trace))
             for trace in (synthetic_trace(days=7, seed=11),
                           synthetic_trace(days=3, seed=5))]
@@ -532,23 +535,31 @@ def _episode(trace, sessions, policy):
     return report, policy.fault_log[logged:]
 
 
-def _memo_values():
-    """How many constant-horizon aggregate values the memo holds."""
+def _memo_values(trace):
+    """How many constant-horizon aggregate values ``trace``'s memo holds."""
     return sum(len(table) - table.count(None)
-               for table in rules._memo[1].values())
+               for table in trace.forecast_tables.values())
+
+
+def _memo_state(trace):
+    """Each of ``trace``'s memo tables, by identity, and its values."""
+    return {key: (id(table), list(table))
+            for key, table in trace.forecast_tables.items()}
 
 
 @pytest.mark.parametrize("source", EPISODE_SCRIPTS,
                          ids=["file", "max_mean", "min_mean", "two_horizons",
                               "faulting"])
 def test_episode_matches_reference(traces, source):
-    """One compiled script on traces A, B, A (the memo switches columns each
-    time) matches the tree walker column for column; a repeat on A, whose
-    every constant-horizon read is a memo hit, matches too."""
+    """One compiled script on traces A, B, A, each with its own memo,
+    matches the tree walker column for column; a repeat on A, whose every
+    constant-horizon read is a memo hit, matches too."""
+    faulting = source is EPISODE_SCRIPTS[-1]
     expected = [_episode(trace, sessions, ReferencePolicy(source))
                 for trace, sessions in traces]
     fast = RuleScriptPolicy(source)
-    runs = []
+    a_trace = traces[0][0]
+    runs, states = [], []
     for k in (0, 1, 0):
         runs.append(_episode(*traces[k], fast))
         (report, faults), (slow, slow_faults) = runs[-1], expected[k]
@@ -556,17 +567,44 @@ def test_episode_matches_reference(traces, source):
             assert getattr(report, column) == getattr(slow, column), column
         assert report.summary_dict() == slow.summary_dict()
         assert faults == slow_faults
-        assert bool(faults) == (source is EPISODE_SCRIPTS[-1])
+        assert bool(faults) == faulting
+        states.append(_memo_state(a_trace))
+    assert states[1] == states[0]  # B's run left A's tables as they were
 
-    held, filled = rules._memo, _memo_values()
     again, faults = _episode(*traces[0], fast)
-    # No table dropped and no value computed again: every read was a hit.
-    assert filled and rules._memo is held and _memo_values() == filled
+    # No table replaced and no value computed again: every read was a hit.
+    assert _memo_state(a_trace) == states[-1]
     first, first_faults = runs[0]
     for column in EPISODE_COLUMNS:
         assert getattr(again, column) == getattr(first, column), column
     assert faults == first_faults
-    column, tables = rules._memo
-    assert column is traces[0][0].forecast_column
-    assert tables and all(len(table) == len(column)
-                          for table in tables.values())
+    # Only the faulting script fills nothing: its one constant-horizon
+    # aggregate, behind soc > 0.6, never runs.
+    for trace, _ in traces:
+        column, tables = trace.forecast_column, trace.forecast_tables
+        assert bool(tables) == bool(_memo_values(trace)) == (not faulting)
+        assert all(len(table) == len(column) for table in tables.values())
+
+
+def test_memo_is_freed_with_the_trace():
+    """The memo's tables live on the trace: once the trace, the report and
+    the policy of a rule-script episode are dropped, none of it is held."""
+    source = FC_RULES.read_text()
+    warm = synthetic_trace(days=1, seed=2)  # one-time allocations go first
+    _episode(warm, default_sessions(warm), RuleScriptPolicy(source))
+    del warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        trace = synthetic_trace(days=30, seed=2)
+        policy = RuleScriptPolicy(source)
+        report, _ = _episode(trace, default_sessions(trace), policy)
+        table_bytes = 8 * len(trace.forecast_column)
+        assert len(trace.forecast_tables) == 2
+        del trace, policy, report
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained - before < table_bytes / 4
