@@ -30,6 +30,34 @@ FAILING_REPLIES = [
     "```\nif soc > 0.3 then 1 / (soc - soc)\nif soc <= 0.3 then 7\n```",
     "```\nif soc < 0.25 then max_charge_kw\n```",
 ]
+# A hybrid run of Python candidates in child processes: one with the
+# 8-argument signature, one whose trailing ``forecast`` parameter steers it
+# (so its actions depend on every forecast value a request carries), and
+# one that raises on every decision. No candidate here fails to parse: a
+# SyntaxError's traceback would hold the host path of its policy.py.
+_SIGNATURE = ("def decide_power(charge_price, discharge_price, soc, ttd, "
+              "load_kw, pv_kw, max_charge_kw, max_discharge_kw{}):\n")
+PYTHON_SOURCES = [
+    _SIGNATURE.format("") + (
+        "    if soc < 0.25 or (ttd <= 120 and soc < 0.8):\n"
+        "        return max_charge_kw\n"
+        "    if discharge_price >= 0.3 and soc > 0.3:\n"
+        "        return -max_discharge_kw\n"
+        "    if charge_price <= 0.12 and soc < 0.9:\n"
+        "        return max_charge_kw * 0.5\n"
+        "    return 0.0"),
+    _SIGNATURE.format(", forecast") + (
+        "    peak = max(forecast)\n"
+        "    if soc < 0.25:\n"
+        "        return max_charge_kw\n"
+        "    if discharge_price >= 0.9 * peak and soc > 0.3:\n"
+        "        return -max_discharge_kw\n"
+        "    if charge_price <= sum(forecast) / len(forecast) and soc < 0.9:\n"
+        "        return max_charge_kw * 0.5\n"
+        "    return 0.0"),
+    _SIGNATURE.format("") + "    raise RuntimeError('boom')",
+]
+PYTHON_REPLIES = [f"```python\n{src}\n```" for src in PYTHON_SOURCES]
 
 
 def _write_replies(path: Path, replies) -> str:
@@ -38,7 +66,7 @@ def _write_replies(path: Path, replies) -> str:
 
 
 def produce(root: Path) -> dict[str, str]:
-    """Run simulate, ledger and two mock evolves under ``root``; hash each
+    """Run simulate, ledger and three mock evolves under ``root``; hash each
     artifact, keyed by its path relative to ``root``."""
     sim = root / "sim"
     assert main(["simulate", "--trace", TRACE, "--policy", "baseline",
@@ -54,13 +82,21 @@ def produce(root: Path) -> dict[str, str]:
                  "--operator", _write_replies(root / "failing.jsonl",
                                               FAILING_REPLIES),
                  "--out", str(root / "evo_fail")]) == 0
+    assert main(["evolve", "--trace", TRACE, "--strategy", "hybrid",
+                 "--iters", str(len(PYTHON_REPLIES)),
+                 "--mode", "external_process",
+                 "--operator", _write_replies(root / "python.jsonl",
+                                              PYTHON_REPLIES),
+                 "--out", str(root / "evo_py")]) == 0
 
     paths = ["sim/steps.jsonl", "sim/report.json", "ledger.csv"]
-    for run in [f"evo/{strategy}" for strategy in STRATEGIES] + ["evo_fail"]:
+    runs = [(f"evo/{strategy}", ITERS) for strategy in STRATEGIES]
+    runs += [("evo_fail", ITERS), ("evo_py", len(PYTHON_REPLIES))]
+    for run, iters in runs:
         paths.append(f"{run}/run.json")
         # A failed iteration may leave no policy.txt or report.json; the
         # test compares the sets of paths, so one that comes or goes shows.
-        for k in range(ITERS):
+        for k in range(iters):
             paths += [path for name in ("prompt.txt", "policy.txt",
                                         "report.json")
                       if (root / (path := f"{run}/iter_{k}/{name}")).exists()]
