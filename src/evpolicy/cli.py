@@ -220,8 +220,8 @@ def cmd_evolve(args) -> int:
     if args.min_fit is not None and not 0.0 <= args.min_fit <= 1.0:
         raise ConfigError(f"--min-fit must be a fit score in [0, 1], "
                           f"got {args.min_fit!r}")
-    config, trace, battery, sessions, reward_cfg, baseline, _ = \
-        _run_inputs(args)
+    (config, trace, battery, sessions, reward_cfg, baseline,
+     timeout_ms) = _run_inputs(args)
     retry_base_delay = _config_number(config, "retry_base_delay",
                                       evolve_mod.RETRY_BASE_DELAY_S)
     evolve_mod.evolve_window(trace, args.start, args.steps, args.iters)
@@ -260,7 +260,7 @@ def cmd_evolve(args) -> int:
             out_dir=out_root / strategy if len(strategies) > 1 else out_root,
             start_step=args.start, n_steps=args.steps, min_fit=args.min_fit,
             retry_base_delay=retry_base_delay,
-            reference=base_report)
+            reference=base_report, timeout_ms=timeout_ms)
         best = run.best_index
         value = (run.iterations[best].criterion if best is not None else None)
         print(f"{run.strategy}: best_index={best} criterion={value}")

@@ -16,14 +16,13 @@ from .operators import MutationOperator
 from .prompts import (EXAMPLE_STRATEGIES, NO_CODE_FAILURE, PromptBundle,
                       build_prompt)
 from .rewards import FitReport, RewardConfig, fit_score
-from .runtime import (PROGRAM_MODES, ExternalProcessPolicy, GuardrailPolicy,
-                      RuleScriptPolicy)
+from .runtime import (DECISION_TIMEOUT_MS, PROGRAM_MODES,
+                      ExternalProcessPolicy, GuardrailPolicy, RuleScriptPolicy)
 from .simulation import (BatteryConfig, ConnectionSession, EpisodeReport,
                          episode_window, run_episode)
 
 TRANSPORT_RETRIES = 3
 RETRY_BASE_DELAY_S = 0.5  # before the second try; doubled before each next
-CANDIDATE_TIMEOUT_MS = 2000
 FLICKER_ISSUE_DIVISOR = 50
 PEAK_PRICE_THRESHOLD = 0.35  # a sell price at least this high is a spike
 # _reference_examples keeps between min(P, 200) and 399 of P plugged-in steps.
@@ -201,7 +200,8 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   program_mode: str = "builtin_rules", start_step: int = 0,
                   n_steps: int | None = None, min_fit: float | None = None,
                   retry_base_delay: float = RETRY_BASE_DELAY_S,
-                  reference: EpisodeReport | None = None) -> EvolutionRun:
+                  reference: EpisodeReport | None = None,
+                  timeout_ms: int = DECISION_TIMEOUT_MS) -> EvolutionRun:
     """Run the six-stage loop for ``n_iterations`` and select the best.
 
     Selection: highest fit score for the imitation strategy, highest total
@@ -222,6 +222,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
 
     ``reference`` is the baseline episode over the same window; the imitation
     and hybrid strategies score fit against its plugged-in steps.
+    ``timeout_ms`` is a Python candidate's deadline per decision.
     """
     if program_mode not in PROGRAM_MODES:
         raise ConfigError(f"unknown program mode {program_mode!r}")
@@ -249,7 +250,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         bundle = build_prompt(strategy, k + 1, examples_block, stats,
                               prior=prior,
                               feedback=iterations[-1] if iterations else None,
-                              battery=battery)
+                              battery=battery, program_mode=program_mode)
         record = IterationRecord(index=k)
         iterations.append(record)
         (iter_dir / "prompt.txt").write_text(
@@ -277,8 +278,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
 
         try:
             if program_mode == "external_process":
-                handle = ExternalProcessPolicy(
-                    command, timeout_ms=CANDIDATE_TIMEOUT_MS)
+                handle = ExternalProcessPolicy(command, timeout_ms=timeout_ms)
             else:
                 handle = RuleScriptPolicy(source, name=f"{strategy}_iter_{k}")
             policy = GuardrailPolicy(handle, battery)

@@ -98,7 +98,7 @@ class PriceForecast:
     A window on a price column: ``column[start:start + horizon_steps]``.
     ``values`` is a tuple sliced on each read and never stored, so building a
     forecast copies no prices. Direct construction takes the values
-    themselves, which must be finite, and the horizon is their count;
+    themselves, at least one and each finite, and the horizon is their count;
     :func:`forecast_at` windows a column its trace validated once.
     ``horizon_steps``, ``column``, ``start`` and ``tables`` are plain
     slots, which rule aggregates read on every decision; nothing writes them
@@ -110,6 +110,8 @@ class PriceForecast:
 
     def __init__(self, values: Sequence[float]):
         values = tuple(values)
+        if not values:
+            raise TraceValidationError("forecast holds no values")
         if not all(map(math.isfinite, values)):
             raise TraceValidationError("forecast contains non-finite values")
         self.horizon_steps, self.column, self.start = len(values), values, 0

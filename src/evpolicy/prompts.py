@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .market import TraceStats
+from .market import FORECAST_STEPS, TraceStats
 from .pydriver import DECISION_INPUTS
 from .simulation import BatteryConfig
 
@@ -27,6 +27,10 @@ RULES_FORMAT_NOTE = (
     "Conditions may use the same variable names, comparisons, and/or/not,\n"
     "arithmetic, min/max, and the forecast aggregates fc_max(h), fc_min(h),\n"
     "fc_mean(h) over the next h steps of the 24-hour price forecast.")
+# What a Python candidate may add to the signature, in place of the note above.
+FORECAST_NOTE = (
+    "decide_power may take a trailing forecast parameter: a list of the next "
+    f"{FORECAST_STEPS} buy prices, one per 5-minute step (24 hours).")
 
 
 @dataclass(frozen=True)
@@ -103,14 +107,17 @@ def render_feedback(record, iteration: int) -> str:
 def build_prompt(strategy: str, iteration: int, examples_block: str,
                  stats: TraceStats | None,
                  prior: str | None = None, feedback=None,
-                 battery: BatteryConfig | None = None) -> PromptBundle:
+                 battery: BatteryConfig | None = None,
+                 program_mode: str = "builtin_rules") -> PromptBundle:
     """Deterministic prompt assembly for one evolution iteration.
 
     ``examples_block`` is the ledger examples as
     :func:`~evpolicy.ledgers.render_examples` renders them, once per run;
     only the imitation and hybrid strategies use it. ``prior`` is the source
     text of the last candidate extracted and ``feedback`` the previous
-    iteration's record, reported as iteration ``iteration - 1``.
+    iteration's record, reported as iteration ``iteration - 1``. A rule
+    script may answer in ``builtin_rules`` mode; in ``external_process`` mode
+    the prompt names the optional ``forecast`` parameter instead.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -137,7 +144,8 @@ def build_prompt(strategy: str, iteration: int, examples_block: str,
                      "readiness for departure. Derive the control logic from "
                      "the objectives and constraints alone.")
     parts.append("REQUIRED FUNCTION SIGNATURE:\n" + SIGNATURE_BLOCK)
-    parts.append(RULES_FORMAT_NOTE)
+    parts.append(FORECAST_NOTE if program_mode == "external_process"
+                 else RULES_FORMAT_NOTE)
     if prior:
         parts.append("PREVIOUS FUNCTION:\n```\n" + prior + "\n```")
     if feedback is not None:

@@ -1,4 +1,4 @@
-"""Threshold-rule language: parser, type checker, evaluators, pretty-printer.
+"""Threshold-rule language: parser, type checker and evaluators.
 
 A script is a sequence of ``if <condition> then <power expression>`` rules.
 The first rule whose condition holds decides the signed kW output; an implicit
@@ -36,17 +36,15 @@ _OPERANDS = {
 }
 
 # A script is untrusted, so the parser bounds how deep it nests. Then parsing,
-# both evaluators, the printer and dataclass ==/hash/repr stay below the
-# interpreter's default recursion limit of 1000 frames: on Python 3.11 the
-# deepest accepted script takes about 560 frames to parse (eight per '(', nine
-# per call), 140 to repr and 70 to evaluate. MAX_RULE_DEPTH bounds the nodes
-# on any path from a condition or action to a leaf. MAX_RULE_NESTING bounds
-# the open '(', calls, unary '-' and 'not' at any point of the source; it is
-# twice the depth because the printer writes a '-' or 'not' node as two such
-# levels, so every script the parser accepts prints to source that it accepts
-# again.
+# both evaluators and dataclass ==/hash/repr stay below the interpreter's
+# default recursion limit of 1000 frames. MAX_RULE_DEPTH bounds the nodes on
+# any path from a condition or action to a leaf. MAX_RULE_NESTING bounds the
+# open '(', calls, unary '-' and 'not' at any point of the source; each level
+# costs the parser eight frames (nine for a call), so on Python 3.11 the
+# deepest accepted script takes about 560 frames to parse, 140 to repr and 70
+# to evaluate.
 MAX_RULE_DEPTH = 32
-MAX_RULE_NESTING = 2 * MAX_RULE_DEPTH
+MAX_RULE_NESTING = 64
 
 
 # ---------------------------------------------------------------------------
@@ -356,40 +354,6 @@ def type_of(node) -> str:
 def parse_rule_script(source_text: str) -> RuleScript:
     """Parse a rule script. Raises :class:`RuleParseError` with line/column."""
     return _Parser(_tokenize(source_text)).parse_script()
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer
-# ---------------------------------------------------------------------------
-
-def _number(value: float) -> str:
-    """Plain digits that parse back to ``value``, a parsed literal: a finite
-    non-negative float, or inf from a literal that overflowed."""
-    if value == math.inf:
-        return "1" + "0" * 309  # 10**309 overflows, so it parses to inf
-    from decimal import Decimal  # imported here: no command path prints
-    return format(Decimal(repr(value)), "f")
-
-
-def _fmt(node) -> str:
-    if isinstance(node, Num):
-        return _number(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        prefix = "not " if node.op == "not" else "-"
-        return f"({prefix}{_fmt(node.operand)})"
-    if isinstance(node, Binary):
-        return f"({_fmt(node.left)} {node.op} {_fmt(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(_fmt(a) for a in node.args)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def script_to_source(script: RuleScript) -> str:
-    """Canonical text form; re-parsing yields a structurally identical AST."""
-    return "\n".join(f"if {_fmt(r.condition)} then {_fmt(r.action)}"
-                     for r in script.rules)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ from .simulation import BatteryConfig, Observation
 PROTOCOL_HANDSHAKE = {"protocol": PROTOCOL}
 REQUEST_KEYS = tuple(key for key, _ in DECISION_INPUTS)
 _request_values = attrgetter(*(field for _, field in DECISION_INPUTS))
-# A request line without the forecast. ``str`` of an int or a float is the
-# ``repr`` that ``json`` writes, except for the non-finite floats.
-_REQUEST = "{" + ", ".join(f'"{key}": %s' for key in REQUEST_KEYS) + "}\n"
+# A request line: the decision inputs, then the forecast or nothing. ``str``
+# of an int or a float is the ``repr`` that ``json`` writes, except for the
+# non-finite floats.
+_REQUEST = "{" + ", ".join(f'"{key}": %s' for key in REQUEST_KEYS) + "%s}\n"
 MAX_CONSECUTIVE_FAULTS = 3
 STDERR_TAIL_BYTES = 2000
-READ_BYTES = 65536  # one pipe's default capacity on Linux
+READ_BYTES = 65536  # one pipe's default capacity; the longest reply line
 EXIT_WAIT_S = 1.0  # for a child whose stdout closed to exit
 CLOSE_WAIT_S = 2.0  # for a closed child's pipes and exit
 GUARDRAIL_EPS = 1e-9
@@ -75,17 +76,16 @@ class RuleScriptPolicy(PolicyHandle):
 def encode_request(obs: Observation, forecast: bool) -> bytes:
     """``json.dumps`` of the request for ``obs``, with a newline, as bytes.
 
-    Without the forecast the line comes from one template, and only a
-    request holding a NaN or an infinity goes through ``json`` per number.
+    The line comes from one template. The forecast's values are finite by
+    construction, so their ``repr`` is what ``json`` writes; only a request
+    holding a NaN or an infinity goes through ``json`` per number.
     """
     values = _request_values(obs)
-    if forecast:
-        request = dict(zip(REQUEST_KEYS, values),
-                       forecast=list(obs.forecast.values))
-        return (json.dumps(request) + "\n").encode()
-    line = _REQUEST % values
+    tail = (', "forecast": [%s]' % ", ".join(map(repr, obs.forecast.values))
+            if forecast else "")
+    line = _REQUEST % (values + (tail,))
     if "nan" in line or "inf" in line:  # no key holds either
-        line = _REQUEST % tuple(map(json.dumps, values))
+        line = _REQUEST % (*map(json.dumps, values), tail)
     return line.encode()
 
 
@@ -102,8 +102,10 @@ class ExternalProcessPolicy(PolicyHandle):
     and its stderr, so a chatty child never blocks on a full pipe; only the
     last ``STDERR_TAIL_BYTES`` of stderr are kept for diagnostics. End of
     file on stdout is a :class:`PolicyFault` at once, naming the child's
-    exit code. The child's stdin is non-blocking: a request the child does
-    not read before the decision deadline is a :class:`PolicyFault` too.
+    exit code, and so is an unterminated stdout line longer than
+    ``READ_BYTES``: the parent never holds more than two reads of one line.
+    The child's stdin is non-blocking: a request the child does not read
+    before the decision deadline is a :class:`PolicyFault` too.
     ``select`` on pipes makes this class POSIX-only.
 
     A v2 child answers the handshake with ``{"protocol": "v2g-policy/2",
@@ -187,6 +189,13 @@ class ExternalProcessPolicy(PolicyHandle):
                     self._stdout_eof = True
             elif key.fileobj is self._proc.stdout:
                 self._stdout += chunk
+                # No newline in the last READ_BYTES + 1 bytes: the line
+                # being written is longer than any reply.
+                if (len(self._stdout) > READ_BYTES
+                        and self._stdout.rfind(b"\n", -READ_BYTES - 1) < 0):
+                    raise PolicyFault(
+                        f"policy process wrote more than {READ_BYTES} bytes "
+                        "without a newline", diagnostics=self._stderr_tail())
             else:
                 self._stderr = (self._stderr + chunk)[-STDERR_TAIL_BYTES:]
         return bool(events)
@@ -194,11 +203,13 @@ class ExternalProcessPolicy(PolicyHandle):
     def _drain(self, deadline: float) -> None:
         """Read both pipes to end of file, or until ``deadline``.
 
+        No line is read after a drain, so stdout is thrown away as it comes.
         The deadline holds against a child that never stops writing.
         """
+        self._stdout = b""
         while (self._selector.get_map() and time.monotonic() < deadline
                and self._read_ready(deadline)):
-            pass
+            self._stdout = b""
 
     def _stderr_tail(self) -> str:
         if self._proc.poll() is not None:  # read what is left to end of file
@@ -315,7 +326,6 @@ class GuardrailPolicy(PolicyHandle):
     def __init__(self, inner: PolicyHandle, battery: BatteryConfig):
         super().__init__(f"guarded({inner.name})")
         self.inner = inner
-        self.battery = battery
         self.fault_log = inner.fault_log  # shared list
         self.violation_counter = 0
         self.last_raw_kw = 0.0

@@ -711,6 +711,28 @@ class TestEvolveCommand:
         [only] = json.loads(text)["iterations"]
         assert "candidate raised: RuntimeError: key=None" in only["failure"]
 
+    def test_policy_timeout_ms_is_the_candidates_deadline(self, tmp_path):
+        # A candidate that takes 0.3 s per decision times out under a 100 ms
+        # deadline: three timeouts in a row end its episode.
+        source = ("import time\n" + PYTHON_SIGNATURE
+                  + "    time.sleep(0.3)\n    return 0.0")
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(json.dumps({"reply": f"```\n{source}\n```"}) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"policy_timeout_ms": 100, "sessions": [
+            {"arrival_step": 0, "departure_step": 288, "arrival_soc": 0.5}]}))
+        out = tmp_path / "evo"
+        code = main(["evolve", "--synthetic", "days=1", "seed=3",
+                     "--config", str(config), "--steps", "3",
+                     "--strategy", "reasoning", "--iters", "1",
+                     "--mode", "external_process",
+                     "--operator", f"mock:{replies}", "--out", str(out)])
+        assert code == 0
+        [only] = json.loads((out / "run.json").read_text())["iterations"]
+        assert only["failure"].startswith(
+            "policy fault at step 2: 3 consecutive policy faults "
+            "(last: timeout waiting for reply)")
+
     def test_a_fault_during_fit_scoring_names_its_step(self, tmp_path):
         source = PYTHON_SIGNATURE + (
             "    return 1.0 if soc < 0.5 else float('x' if soc > 0.6 else 0)")

@@ -259,6 +259,10 @@ class TestForecast:
         assert PriceForecast([0.1, 0.2]).values == (0.1, 0.2)
         with pytest.raises(TraceValidationError):
             PriceForecast((0.1, math.nan))
+        # An aggregate over no prices has no value: fc_max(1) would raise
+        # IndexError in one evaluator and ValueError in the other.
+        with pytest.raises(TraceValidationError, match="no values"):
+            PriceForecast(())
 
     @given(prices=st.lists(st.floats(min_value=-1.0, max_value=1.0),
                            min_size=2, max_size=FORECAST_STEPS + 40),

@@ -83,6 +83,18 @@ class TestStrategies:
     def test_rules_alternative_documented(self):
         bundle = build_prompt("reasoning", 1, "", None)
         assert "fc_max(h)" in bundle.user_text
+        assert "trailing forecast parameter" not in bundle.user_text
+
+    def test_python_mode_names_the_forecast_not_the_rules(self):
+        # A Python candidate cannot answer with rules; it can take the
+        # forecast as a ninth argument.
+        bundle = build_prompt("reasoning", 1, "", None,
+                              program_mode="external_process")
+        assert ("decide_power may take a trailing forecast parameter: a list "
+                "of the next 288 buy prices") in bundle.user_text
+        assert "threshold rules" not in bundle.user_text
+        assert "fc_max(h)" not in bundle.user_text
+        assert SIGNATURE_BLOCK in bundle.user_text
 
 
 class TestFeedbackRound:

@@ -7,6 +7,7 @@ import random
 import signal
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -18,14 +19,17 @@ from evpolicy import pydriver
 from evpolicy.errors import PolicyFault, PolicySpawnError
 from evpolicy.market import PriceForecast, forecast_at, synthetic_trace
 from evpolicy.rewards import RewardConfig
-from evpolicy.runtime import (ExternalProcessPolicy, GuardrailPolicy,
-                              NativePolicy, STDERR_TAIL_BYTES, encode_request,
-                              make_policy)
+from evpolicy.runtime import (READ_BYTES, STDERR_TAIL_BYTES,
+                              ExternalProcessPolicy, GuardrailPolicy,
+                              NativePolicy, encode_request, make_policy)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
                                  run_episode)
 from tests.conftest import make_obs
 
 HELPERS = Path(__file__).parent / "helpers"
+# The parent's traced memory peak while an 8 MB reply line with no newline
+# comes in and its child is closed: a few reads of READ_BYTES, not the line.
+FLOOD_PEAK_BYTES = 2**20
 
 
 def child_cmd(name):
@@ -389,7 +393,7 @@ class TestExternalProcess:
 
     @pytest.mark.parametrize("answer", ["""'{"forecast": fals'""",
                                         """'{"forecast": 0}'""",
-                                        """'{"a": ' * 100_000"""],
+                                        """'{"a": ' * 10_000"""],
                              ids=["truncated", "not-bool", "deep-nesting"])
     def test_malformed_handshake_answer_keeps_forecast(self, battery, answer):
         # `answer` is the child's source for the line it sends first.
@@ -540,6 +544,29 @@ class TestExternalProcess:
         assert faulted < 5
         assert time.monotonic() - started < 10
         assert handle._proc.returncode == -9  # killed by close()
+
+    def test_a_reply_line_that_never_ends_faults_at_once(self):
+        # The child writes 8 MB with no newline, then waits. The fault comes
+        # once the line passes READ_BYTES, long before the deadline, and
+        # close() throws the rest of the flood away as it reads it.
+        tracemalloc.start()
+        try:
+            handle = ExternalProcessPolicy(child_cmd("flood_child.py"),
+                                           timeout_ms=5000)
+            started = time.monotonic()
+            try:
+                with pytest.raises(PolicyFault, match=(
+                        f"^policy process wrote more than {READ_BYTES} "
+                        "bytes without a newline$")):
+                    handle.decide(make_obs())
+                assert time.monotonic() - started < handle.timeout_s
+            finally:
+                handle.close()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert handle._proc.returncode == 0  # it read its stdin to the end
+        assert peak < FLOOD_PEAK_BYTES
 
     def test_unterminated_last_line_is_the_reply(self):
         handle = ExternalProcessPolicy(
