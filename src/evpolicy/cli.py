@@ -10,8 +10,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .baseline import BaselineConfig
-from .errors import (ConfigError, EvPolicyError, OperatorTransportError,
-                     PolicyFault, PolicySpawnError, open_utf8)
+from .errors import (MAX_WAIT_MS, ConfigError, EvPolicyError,
+                     OperatorTransportError, PolicyFault, PolicySpawnError,
+                     open_utf8)
 from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
 from .prompts import EXAMPLE_STRATEGIES, STRATEGIES
@@ -41,9 +42,9 @@ def _parse_kv(tokens: list[str]) -> dict:
 
 def _read_json(path: str):
     """The JSON value in the file ``path``. A decode error, ``NaN``,
-    ``Infinity`` or ``-Infinity`` (which ``json`` accepts by default), or a
-    number too large for a float (``1e400`` would read as inf) is a
-    ConfigError naming the file."""
+    ``Infinity`` or ``-Infinity`` (which ``json`` accepts by default), a
+    number too large for a float (``1e400`` would read as inf), or nesting
+    deeper than ``json`` can read is a ConfigError naming the file."""
     def reject(literal):
         raise ConfigError(f"{path}: {literal} is not allowed; "
                           "numbers must be finite")
@@ -62,6 +63,8 @@ def _read_json(path: str):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from None
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 # Every top-level --config key that some command reads.
@@ -151,6 +154,9 @@ def _run_inputs(args) -> tuple[dict, EnvTrace, BatteryConfig,
     if not timeout_ms > 0:
         raise ConfigError(f"policy_timeout_ms: expected a number > 0, "
                           f"got {timeout_ms!r}")
+    if timeout_ms > MAX_WAIT_MS:
+        raise ConfigError(f"policy_timeout_ms: expected at most "
+                          f"{MAX_WAIT_MS}, got {timeout_ms!r}")
     # As run_episode checks them, so evolve fails before its first write.
     validate_sessions(sorted(sessions, key=lambda s: s.arrival_step), battery)
     return config, trace, battery, sessions, reward_cfg, baseline, timeout_ms
@@ -224,6 +230,12 @@ def cmd_evolve(args) -> int:
      timeout_ms) = _run_inputs(args)
     retry_base_delay = _config_number(config, "retry_base_delay",
                                       evolve_mod.RETRY_BASE_DELAY_S)
+    # The last retry sleeps longest: the base delay, doubled before each
+    # retry after the first.
+    limit = MAX_WAIT_MS / 1000 / 2 ** (evolve_mod.TRANSPORT_RETRIES - 2)
+    if retry_base_delay > limit:
+        raise ConfigError(f"retry_base_delay: expected at most {limit}, "
+                          f"got {retry_base_delay!r}")
     evolve_mod.evolve_window(trace, args.start, args.steps, args.iters)
 
     # One baseline episode feeds both the ledger examples and the fit

@@ -1,5 +1,12 @@
 """Shared exception types, and the input checks that raise them."""
+import json
 from contextlib import contextmanager
+
+# The longest wait a run may schedule, in ms: a decision deadline, an HTTP
+# timeout or a retry sleep. ``select`` takes its timeout as a C int of ms,
+# and a setting past this one would overflow there or in the socket and
+# sleep calls.
+MAX_WAIT_MS = 2**31 - 1
 
 
 class EvPolicyError(Exception):
@@ -38,6 +45,25 @@ def open_utf8(path, encoding="utf-8", **kwargs):
             yield fh
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json_lines(path):
+    """Each non-blank line of the UTF-8 file ``path``: its number, its text
+    and its JSON value. A line that is not JSON, or nests deeper than
+    ``json`` can read, is a ConfigError naming the file and the line."""
+    with open_utf8(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: line {number}, column "
+                                  f"{exc.colno}: {exc.msg}") from None
+            except RecursionError:
+                raise ConfigError(f"{path}: line {number}: JSON nested "
+                                  "too deeply") from None
+            yield number, line, value
 
 
 class RuleParseError(EvPolicyError):

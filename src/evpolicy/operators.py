@@ -8,7 +8,8 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from .errors import ConfigError, OperatorTransportError, open_utf8
+from .errors import (MAX_WAIT_MS, ConfigError, OperatorTransportError,
+                     read_json_lines)
 from .prompts import PromptBundle
 
 API_KEY_ENV = "EVPOLICY_API_KEY"
@@ -41,22 +42,14 @@ class MockOperator(MutationOperator):
     @classmethod
     def from_jsonl(cls, path) -> "MockOperator":
         replies = []
-        with open_utf8(path) as fh:
-            for number, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{path}: line {number}, column "
-                                      f"{exc.colno}: {exc.msg}") from None
-                reply = obj.get("reply") if isinstance(obj, dict) else obj
-                if not isinstance(reply, str):
-                    raise ConfigError(
-                        f"{path}: line {number}: expected a JSON string or "
-                        f"an object with a string 'reply', got "
-                        f"{line.strip()[:80]}")
-                replies.append(reply)
+        for number, line, obj in read_json_lines(path):
+            reply = obj.get("reply") if isinstance(obj, dict) else obj
+            if not isinstance(reply, str):
+                raise ConfigError(
+                    f"{path}: line {number}: expected a JSON string or "
+                    f"an object with a string 'reply', got "
+                    f"{line.strip()[:80]}")
+            replies.append(reply)
         return cls(replies)
 
     def complete(self, bundle: PromptBundle) -> str:
@@ -156,6 +149,10 @@ def make_operator(spec: str, http_config: dict | None = None) -> MutationOperato
                                   f"got {value!r}")
         if not numbers["timeout_s"] > 0:
             raise ConfigError(f"operator.timeout_s: expected a number > 0, "
+                              f"got {numbers['timeout_s']!r}")
+        if numbers["timeout_s"] > MAX_WAIT_MS / 1000:
+            raise ConfigError(f"operator.timeout_s: expected at most "
+                              f"{MAX_WAIT_MS / 1000}, "
                               f"got {numbers['timeout_s']!r}")
         return HttpChatOperator(url=url, model=cfg["model"], **numbers)
     raise ConfigError(f"unknown operator spec {spec!r}")

@@ -96,10 +96,10 @@ class RuleScript:
         builtin is ``float`` (see :func:`_function_source`); built on first
         use and kept on the script, not a field, so ==, hash and repr
         ignore it."""
-        source, numbers = _function_source(self)
+        source, constants = _function_source(self)
         namespace = {"__builtins__": {"float": float}}
         exec(compile(source, "<rule script>", "exec"), namespace)
-        return namespace["factory"](*_HELPERS.values(), *numbers)
+        return namespace["factory"](*_HELPERS.values(), *constants)
 
 
 # ---------------------------------------------------------------------------
@@ -390,45 +390,46 @@ def _aggregate(obs, reduce, value):
 # one column and horizon share (see PriceForecast.window). Such a value
 # depends only on those, the reduce, h and the window's start, so every
 # script evaluated on a trace, in rollouts and in fit scoring alike, shares
-# one table per (reduce, h): a list indexed by start, None until first read.
-def _memo_table(forecast, reduce, h: int) -> list:
-    """A new table of ``reduce`` over ``min(h, horizon)`` values of
-    ``forecast``'s column, kept in ``forecast.tables``."""
-    table = forecast.tables[reduce, h] = [None] * len(forecast.column)
-    return table
-
-
-def _fill(table, forecast, reduce, h: int):
-    """``reduce(forecast.head(h))``, from the same slice, stored in
-    ``table`` at the window's start."""
-    start, n = forecast.start, min(h, forecast.horizon_steps)
-    value = table[start] = reduce(forecast.column[start:start + n])
+# one table per key (reduce, h): a list indexed by start, None until first
+# read.
+def _memo(forecast, key):
+    """``reduce(forecast.head(h))`` for ``key`` (reduce, h), read from its
+    table in ``forecast.tables`` and stored there on the first read."""
+    tables, start = forecast.tables, forecast.start
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = [None] * len(forecast.column)
+    value = table[start]
+    if value is None:
+        reduce, h = key
+        value = table[start] = reduce(forecast.head(h))
     return value
 
 
-# What the generated function reads besides ``obs`` and its numbers: the
+# What the generated function reads besides ``obs`` and its constants: the
 # factory's parameters, in this order. An aggregate's reduce goes by the
 # rule language's name of it.
 _HELPERS = {"min": min, "max": max, "fc_max": max, "fc_min": min,
             "fc_mean": _mean, "div": _divide, "agg": _aggregate,
-            "table": _memo_table, "fill": _fill}
+            "memo": _memo}
 
 
-def _expr(node, numbers: list, memos: dict) -> str:
+def _expr(node, constants: list) -> str:
     """Python source of ``node`` as an expression of ``obs``, evaluating
     operands in :func:`_eval`'s order and raising its faults.
 
-    No text of the script is copied: the ``i``-th number is appended to
-    ``numbers`` and read as ``c<i>``, a variable is the attribute that
+    No text of the script is copied: the ``i``-th constant is appended to
+    ``constants`` and read as ``c<i>``, a variable is the attribute that
     ``_FIELD`` names, and operators and calls are checked against the
-    parser's fixed sets. A constant-horizon aggregate reads table ``m<k>``,
-    where ``k`` is its (reduce, h) entry in ``memos``.
+    parser's fixed sets. A constant is one of the script's numbers, or the
+    memo key (reduce, h) of a constant-horizon aggregate, appended once
+    however many times the script reads it.
     """
     def recurse(child):
-        return _expr(child, numbers, memos)
+        return _expr(child, constants)
     if isinstance(node, Num):
-        numbers.append(node.value)
-        return f"c{len(numbers) - 1}"
+        constants.append(node.value)
+        return f"c{len(constants) - 1}"
     if isinstance(node, Var):
         return f"obs.{_FIELD[node.name]}"
     if isinstance(node, Unary):
@@ -449,15 +450,10 @@ def _expr(node, numbers: list, memos: dict) -> str:
         if (node.name in FORECAST_FUNCS and isinstance(horizon, Num)
                 and math.isfinite(horizon.value)
                 and int(round(horizon.value)) >= 1):  # checked once
-            key = (node.name, int(round(horizon.value)))
-            if key not in memos:
-                numbers.append(key[1])
-                memos[key] = (len(memos), len(numbers) - 1)
-            k, i = memos[key]
-            args = f"{node.name}, c{i}"
-            return (f"(v if (v := (m{k} or (m{k} := tables.get(({args}))"
-                    f" or table(forecast, {args})))[start]) is not None"
-                    f" else fill(m{k}, forecast, {args}))")
+            key = (_HELPERS[node.name], int(round(horizon.value)))
+            if key not in constants:
+                constants.append(key)
+            return f"memo(obs.forecast, c{constants.index(key)})"
         args = ", ".join(map(recurse, node.args))
         if node.name in FORECAST_FUNCS:
             return f"agg(obs, {node.name}, {args})"
@@ -467,27 +463,19 @@ def _expr(node, numbers: list, memos: dict) -> str:
 
 def _function_source(script: RuleScript) -> tuple[str, list]:
     """Source of a factory whose parameters are :data:`_HELPERS` and the
-    script's numbers ``c0, c1, ...``, and those numbers. The factory returns
+    script's constants ``c0, c1, ...`` (its numbers and memo keys, see
+    :func:`_expr`), and those constants. The factory returns
     ``decide(obs)``: the first matching rule's action as a float, or 0.0.
-
-    ``decide`` keeps nothing between calls. With constant-horizon
-    aggregates, each call takes the memo tables ``m0, m1, ...`` from
-    ``obs.forecast.tables`` when it first reads them.
+    ``decide`` keeps nothing between calls.
     """
-    numbers: list = []
-    memos: dict = {}
-    body = "".join(f"        if {_expr(rule.condition, numbers, memos)}:\n"
+    constants: list = []
+    body = "".join(f"        if {_expr(rule.condition, constants)}:\n"
                    "            return float("
-                   f"{_expr(rule.action, numbers, memos)})\n"
+                   f"{_expr(rule.action, constants)})\n"
                    for rule in script.rules)
-    if memos:
-        names = " = ".join(f"m{k}" for k in range(len(memos)))
-        body = ("        forecast = obs.forecast\n"
-                "        tables, start = forecast.tables, forecast.start\n"
-                f"        {names} = None\n{body}")
-    params = ", ".join([*_HELPERS, *(f"c{i}" for i in range(len(numbers)))])
+    params = ", ".join([*_HELPERS, *(f"c{i}" for i in range(len(constants)))])
     return (f"def factory({params}):\n    def decide(obs):\n{body}"
-            "        return 0.0\n    return decide\n", numbers)
+            "        return 0.0\n    return decide\n", constants)
 
 
 def _eval(node, obs):

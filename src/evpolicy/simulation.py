@@ -10,7 +10,8 @@ from itertools import chain, islice, repeat
 from operator import is_not, sub
 from typing import NamedTuple
 
-from .errors import ConfigError, PolicyFault, open_utf8, require_numbers
+from .errors import (ConfigError, PolicyFault, read_json_lines,
+                     require_numbers)
 from .market import (FORECAST_STEPS, STEP, STEP_HOURS, STEP_MINUTES,
                      STEPS_PER_DAY, EnvTrace, PriceForecast, forecast_at)
 from .rewards import RewardConfig, behavioral_metrics, departure_penalty, step_profit
@@ -323,23 +324,15 @@ def read_step_log(path) -> list[dict]:
     line.
     """
     rows = []
-    with open_utf8(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: line {number}, column "
-                                  f"{exc.colno}: {exc.msg}") from None
-            if not (isinstance(row, dict)
-                    and all(type(row.get(key)) in (int, float)
-                            for key in _READ_FIELDS)):
-                raise ConfigError(
-                    f"{path}: line {number}: not a step-log row (expected an "
-                    "object with a number in each of "
-                    f"{', '.join(_READ_FIELDS)})")
-            rows.append(row)
+    for number, _, row in read_json_lines(path):
+        if not (isinstance(row, dict)
+                and all(type(row.get(key)) in (int, float)
+                        for key in _READ_FIELDS)):
+            raise ConfigError(
+                f"{path}: line {number}: not a step-log row (expected an "
+                "object with a number in each of "
+                f"{', '.join(_READ_FIELDS)})")
+        rows.append(row)
     return rows
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from evpolicy.cli import main
+from evpolicy.errors import MAX_WAIT_MS
 from evpolicy.market import save_trace, synthetic_trace
 from evpolicy.operators import API_KEY_ENV
 
@@ -342,6 +343,9 @@ class TestConfigErrors:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+DEEP_JSON = "[" * 3000 + "]" * 3000  # deeper than json's recursion limit
+
+
 # Mistakes in the arguments and the files they name, several of which once
 # ended in a Python traceback: each is one ``error:`` line naming what was
 # wrong, exit 1, and no ``--out``.
@@ -412,6 +416,20 @@ OUTSIDE_INPUT_MISTAKES = {
         "latin1.json: not UTF-8 text"),
     "replies_not_utf8": (["evolve", "--operator", "mock:{tmp}/latin1.json"],
                          "latin1.json: not UTF-8 text"),
+    # Nesting deeper than json can read, one row per reader: each ended in a
+    # RecursionError traceback.
+    "config_nested_too_deeply": (["simulate", "--policy", "idle",
+                                  "--config", "{tmp}/deep.json"],
+                                 "deep.json: JSON nested too deeply"),
+    "replies_nested_too_deeply": (["evolve", "--operator",
+                                   "mock:{tmp}/deep.json"],
+                                  "deep.json: line 2: JSON nested too deeply"),
+    "step_log_nested_too_deeply": (
+        ["ledger", "--from", "{tmp}/deep.json", "--out", "{tmp}/l.csv"],
+        "deep.json: line 2: JSON nested too deeply"),
+    "plot_data_nested_too_deeply": (
+        ["plot-data", "--steps", "{tmp}/deep.json", "--out", "{tmp}/p.csv"],
+        "deep.json: line 2: JSON nested too deeply"),
     # The trace was the synthetic one, and run_config.json named the file.
     "trace_and_synthetic": (["simulate", "--policy", "idle",
                              "--synthetic", "days=1",
@@ -433,6 +451,7 @@ class TestOutsideInput:
         (tmp_path / "replies.jsonl").write_text(REPLIES_JSONL)
         for name in ("latin1.rules", "latin1.json"):
             (tmp_path / name).write_bytes(b"\xff" + b"if soc < 1 then 1\n")
+        (tmp_path / "deep.json").write_text(f"\n{DEEP_JSON}\n")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if (argv[0] in ("simulate", "evolve")
                 and not {"--synthetic", "--trace"} & set(argv)):
@@ -472,24 +491,75 @@ WRONG_TYPES = {
 }
 
 
+# Durations past the longest wait a run may schedule, MAX_WAIT_MS: each
+# overflowed in select, socket.settimeout or time.sleep, with a traceback,
+# and the last two after the run directory was written.
+TOO_LONG_WAITS = {
+    "policy_timeout": (
+        {"policy_timeout_ms": MAX_WAIT_MS + 1},
+        ["simulate", "--policy",
+         "cmd:{python} -m evpolicy.pydriver {helpers}/price_candidate.py"],
+        "policy_timeout_ms: expected at most 2147483647, got 2147483648"),
+    "retry_delay": (
+        {"retry_base_delay": 1e300, "operator": {"url": "{url}", "model": "m"}},
+        ["evolve", "--strategy", "reasoning", "--operator", "http"],
+        "retry_base_delay: expected at most 1073741.8235, got 1e+300"),
+    "operator_timeout": (
+        {"operator": {"url": "{url}", "model": "m", "timeout_s": 1e10}},
+        ["evolve", "--strategy", "reasoning", "--operator", "http"],
+        "operator.timeout_s: expected at most 2147483.647, "
+        "got 10000000000.0"),
+}
+
+
+def run_with_config(tmp_path, config: dict, command: list) -> int:
+    """``main`` on ``command`` with ``config`` as ``--config``, a one-day
+    synthetic trace and ``--out tmp_path/run``; ``{url}`` in the config is
+    a closed local port."""
+    replies = tmp_path / "replies.jsonl"
+    replies.write_text(REPLIES_JSONL)
+    fields = {"replies": replies, "python": sys.executable,
+              "helpers": Path(__file__).parent / "helpers",
+              "url": closed_port_url()}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config).replace("{url}", fields["url"]))
+    return main([*(arg.format(**fields) for arg in command),
+                 "--synthetic", "days=1", "seed=3", "--config", str(path),
+                 "--out", str(tmp_path / "run")])
+
+
 class TestWrongTypes:
     @pytest.mark.parametrize("config,command", WRONG_TYPES.values(),
                              ids=WRONG_TYPES.keys())
     def test_wrong_type_is_an_error_line(self, tmp_path, capsys, config,
                                          command):
-        replies = tmp_path / "replies.jsonl"
-        replies.write_text(REPLIES_JSONL)
-        fields = {"replies": replies, "python": sys.executable,
-                  "helpers": Path(__file__).parent / "helpers",
-                  "url": closed_port_url()}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config).replace("{url}", fields["url"]))
-        code = main([*(arg.format(**fields) for arg in command),
-                     "--synthetic", "days=1", "seed=3", "--config", str(path),
-                     "--out", str(tmp_path / "run")])
+        code = run_with_config(tmp_path, config, command)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config,command,message", TOO_LONG_WAITS.values(),
+                             ids=TOO_LONG_WAITS.keys())
+    def test_a_wait_past_the_longest_is_an_error_line(
+            self, tmp_path, capsys, config, command, message):
+        code = run_with_config(tmp_path, config, command)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_the_longest_decision_deadline_runs(self, tmp_path, capsys):
+        # select takes it: the bound is not one millisecond too tight.
+        code = run_with_config(tmp_path, {"policy_timeout_ms": MAX_WAIT_MS},
+                               TOO_LONG_WAITS["policy_timeout"][1])
+        assert code == 0, capsys.readouterr().err
+
+    def test_compare_given_deep_json_is_an_error_line(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        code = main(["compare", str(deep), summary(tmp_path, "b.json", 1.0)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {deep}: JSON nested too deeply\n")
 
     def test_compare_given_a_run_json_is_an_error_line(self, tmp_path,
                                                        capsys):

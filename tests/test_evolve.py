@@ -348,6 +348,7 @@ class TestMockOperatorLoading:
         ({"temperature": False}, "temperature: expected a number"),
         ({"url": 5}, "url: expected an http"),
         ({"url": "localhost:8000/v1"}, "url: expected an http"),
+        ({"timeout_s": 1e10}, "timeout_s: expected at most 2147483.647"),
     ])
     def test_http_settings_are_checked(self, setting, match):
         # Built, not sent: the check runs before any request.
