@@ -15,7 +15,7 @@ from .errors import (MAX_WAIT_MS, ConfigError, EvPolicyError,
                      open_utf8)
 from .market import EnvTrace, load_trace, synthetic_trace
 from .operators import make_operator
-from .prompts import EXAMPLE_STRATEGIES, STRATEGIES
+from .prompts import EXAMPLE_STRATEGIES, LEDGER_SAMPLE_SIZE, STRATEGIES
 from .rewards import RewardConfig
 from .runtime import DECISION_TIMEOUT_MS, PROGRAM_MODES, make_policy
 from .simulation import (BatteryConfig, ConnectionSession, default_sessions,
@@ -70,7 +70,7 @@ def _read_json(path: str):
 # Every top-level --config key that some command reads.
 _CONFIG_KEYS = ("battery", "sessions", "reward", "baseline",
                 "policy_timeout_ms", "trace_schema", "operator",
-                "retry_base_delay", "ledger_examples")
+                "retry_base_delay")
 
 
 def _load_config(path: str | None) -> dict:
@@ -86,14 +86,12 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _config_number(config: dict, key: str, default, kind=(int, float)):
-    """``config[key]``, or ``default`` when absent; a value that is not a
-    ``kind`` (an int, or by default any real number) is a ConfigError."""
+def _config_number(config: dict, key: str, default):
+    """``config[key]``, or ``default`` when absent; a value that is not an
+    int or a float is a ConfigError."""
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{key}: expected "
-                          f"{'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
     return value
 
 
@@ -219,7 +217,6 @@ def cmd_ledger(args) -> int:
 
 def cmd_evolve(args) -> int:
     from . import evolve as evolve_mod
-    from . import ledgers
     strategies = _strategies(args.strategy)
     # A fit score is a fraction; NaN fails this test too, and would be
     # written to run.json as a literal that JSON readers reject.
@@ -238,17 +235,13 @@ def cmd_evolve(args) -> int:
                           f"got {retry_base_delay!r}")
     evolve_mod.evolve_window(trace, args.start, args.steps, args.iters)
 
-    # One baseline episode feeds both the ledger examples and the fit
-    # reference of the imitation and hybrid strategies.
-    base_report = ledger_entries = None
+    # One baseline episode feeds both the examples and the fit reference of
+    # the imitation and hybrid strategies.
+    base_report = None
     if any(s in EXAMPLE_STRATEGIES for s in strategies):
         policy = make_policy("baseline", battery, baseline)
         base_report = run_episode(trace, sessions, battery, policy, reward_cfg,
                                   start_step=args.start, n_steps=args.steps)
-        n_sample = _config_number(config, "ledger_examples", 1500, int)
-        ledger_entries = ledgers.quadrant_sample(
-            ledgers.build_ledger(base_report.step_rows()), max(4, n_sample),
-            seed=args.seed)
 
     # Every input is checked before the first write to ``--out``, so a
     # config error leaves no run directory behind.
@@ -267,8 +260,7 @@ def cmd_evolve(args) -> int:
         run = evolve_mod.run_evolution(
             strategy=strategy, n_iterations=args.iters, trace=trace,
             sessions=sessions, battery=battery, operator=operator,
-            reward_cfg=reward_cfg, seed=args.seed,
-            ledger_entries=ledger_entries, program_mode=args.mode,
+            reward_cfg=reward_cfg, seed=args.seed, program_mode=args.mode,
             out_dir=out_root / strategy if len(strategies) > 1 else out_root,
             start_step=args.start, n_steps=args.steps, min_fit=args.min_fit,
             retry_base_delay=retry_base_delay,
@@ -373,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ledger", help="curate a balanced example ledger")
     p.add_argument("--from", dest="from_log", required=True,
                    help="steps.jsonl from a simulate run")
-    p.add_argument("--n", type=int, default=1500)
+    p.add_argument("--n", type=int, default=LEDGER_SAMPLE_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True,
                    help="ledger file: a .csv path for CSV, a .jsonl path "

@@ -1,5 +1,6 @@
 """Shared exception types, and the input checks that raise them."""
 import json
+import math
 from contextlib import contextmanager
 
 # The longest wait a run may schedule, in ms: a decision deadline, an HTTP
@@ -26,13 +27,15 @@ class ConfigError(EvPolicyError, ValueError):
 
 
 def require_numbers(config, names) -> None:
-    """A ConfigError unless each attribute of ``config`` in ``names`` is
-    exactly an int or a float: a bool or a string would compare, or fail
-    to, deep inside a rollout, and the step log writes numbers with repr."""
+    """A ConfigError unless each attribute of ``config`` in ``names`` is a
+    finite int or float, exactly: a bool, a string or a NaN would compare
+    wrongly, or fail to, in a rollout, and the step log writes them by repr."""
     for name in names:
         value = getattr(config, name)
         if type(value) not in (int, float):
             raise ConfigError(f"{name} must be an int or a float, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @contextmanager

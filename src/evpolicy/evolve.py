@@ -10,11 +10,11 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, OperatorTransportError, PolicyFault
-from .ledgers import LedgerEntry, render_examples
+from .ledgers import build_ledger, quadrant_sample, render_examples
 from .market import FORECAST_STEPS, EnvTrace, trace_stats
 from .operators import MutationOperator
-from .prompts import (EXAMPLE_STRATEGIES, NO_CODE_FAILURE, PromptBundle,
-                      build_prompt)
+from .prompts import (EXAMPLE_STRATEGIES, LEDGER_SAMPLE_SIZE, NO_CODE_FAILURE,
+                      PromptBundle, build_prompt)
 from .rewards import FitReport, RewardConfig, fit_score
 from .runtime import (DECISION_TIMEOUT_MS, PROGRAM_MODES,
                       ExternalProcessPolicy, GuardrailPolicy, RuleScriptPolicy)
@@ -196,7 +196,6 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
                   sessions: Sequence[ConnectionSession],
                   battery: BatteryConfig, operator: MutationOperator,
                   reward_cfg: RewardConfig, out_dir, seed: int = 0,
-                  ledger_entries: Sequence[LedgerEntry] | None = None,
                   program_mode: str = "builtin_rules", start_step: int = 0,
                   n_steps: int | None = None, min_fit: float | None = None,
                   retry_base_delay: float = RETRY_BASE_DELAY_S,
@@ -221,22 +220,25 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     at least one step.
 
     ``reference`` is the baseline episode over the same window; the imitation
-    and hybrid strategies score fit against its plugged-in steps.
+    and hybrid strategies show a sample of its steps, drawn with ``seed``, as
+    examples, and score fit against its plugged-in steps.
     ``timeout_ms`` is a Python candidate's deadline per decision.
     """
     if program_mode not in PROGRAM_MODES:
         raise ConfigError(f"unknown program mode {program_mode!r}")
     n_steps = evolve_window(trace, start_step, n_steps, n_iterations)
-    fit_examples = []
+    fit_examples, examples_block = [], ""
     if strategy in EXAMPLE_STRATEGIES:
         if reference is None:
             raise ConfigError(f"{strategy} strategy needs a reference episode")
         if (reference.start_step, reference.n_steps) != (start_step, n_steps):
             raise ConfigError("reference episode covers a different window")
         fit_examples = _reference_examples(reference)
+        # Rendered once: the examples are the same in every prompt of the run.
+        examples_block = render_examples(quadrant_sample(
+            build_ledger(reference.step_rows()), LEDGER_SAMPLE_SIZE,
+            seed=seed))
     stats = trace_stats(trace, start_step, n_steps)  # the evaluated window
-    # The examples are the same in every prompt of the run: render them once.
-    examples_block = render_examples(ledger_entries or ())
     out_dir = Path(out_dir)
 
     iterations: list[IterationRecord] = []

@@ -141,18 +141,19 @@ def make_operator(spec: str, http_config: dict | None = None) -> MutationOperato
                 and urlsplit(url).scheme in ("http", "https")):
             raise ConfigError(f"operator.url: expected an http(s) URL, "
                               f"got {url!r}")
-        numbers = {"temperature": cfg.get("temperature", 0.2),
-                   "timeout_s": cfg.get("timeout_s", 120.0)}
+        numbers = {key: cfg[key] for key in ("temperature", "timeout_s")
+                   if key in cfg}
         for key, value in numbers.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"operator.{key}: expected a number, "
                                   f"got {value!r}")
-        if not numbers["timeout_s"] > 0:
+        operator = HttpChatOperator(url=url, model=cfg["model"], **numbers)
+        if not operator.timeout_s > 0:
             raise ConfigError(f"operator.timeout_s: expected a number > 0, "
-                              f"got {numbers['timeout_s']!r}")
-        if numbers["timeout_s"] > MAX_WAIT_MS / 1000:
+                              f"got {operator.timeout_s!r}")
+        if operator.timeout_s > MAX_WAIT_MS / 1000:
             raise ConfigError(f"operator.timeout_s: expected at most "
                               f"{MAX_WAIT_MS / 1000}, "
-                              f"got {numbers['timeout_s']!r}")
-        return HttpChatOperator(url=url, model=cfg["model"], **numbers)
+                              f"got {operator.timeout_s!r}")
+        return operator
     raise ConfigError(f"unknown operator spec {spec!r}")

@@ -10,6 +10,7 @@ from .simulation import BatteryConfig
 
 STRATEGIES = ("reasoning", "imitation", "hybrid")
 EXAMPLE_STRATEGIES = ("imitation", "hybrid")  # use the ledger examples
+LEDGER_SAMPLE_SIZE = 1500  # examples in a prompt at most; ledger --n default
 TOP_MISMATCHES = 10
 NO_CODE_FAILURE = "extraction failure: no code block found"
 

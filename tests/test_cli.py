@@ -9,8 +9,11 @@ import pytest
 
 from evpolicy.cli import main
 from evpolicy.errors import MAX_WAIT_MS
+from evpolicy.ledgers import build_ledger, quadrant_sample, render_examples
 from evpolicy.market import save_trace, synthetic_trace
 from evpolicy.operators import API_KEY_ENV
+from evpolicy.prompts import LEDGER_SAMPLE_SIZE
+from evpolicy.simulation import read_step_log
 
 REPLIES_JSONL = "\n".join(json.dumps({"reply": f"```\n{src}\n```"}) for src in [
     "if soc < 0.25 then max_charge_kw",
@@ -430,6 +433,12 @@ OUTSIDE_INPUT_MISTAKES = {
     "plot_data_nested_too_deeply": (
         ["plot-data", "--steps", "{tmp}/deep.json", "--out", "{tmp}/p.csv"],
         "deep.json: line 2: JSON nested too deeply"),
+    # A key that evolve once read: the examples shown are a fixed count.
+    "config_ledger_examples": (["evolve", "--operator",
+                                "mock:{tmp}/replies.jsonl",
+                                "--config", "{tmp}/ledger.json"],
+                               "ledger.json: unknown config key "
+                               "'ledger_examples' (expected battery, "),
     # The trace was the synthetic one, and run_config.json named the file.
     "trace_and_synthetic": (["simulate", "--policy", "idle",
                              "--synthetic", "days=1",
@@ -452,6 +461,7 @@ class TestOutsideInput:
         for name in ("latin1.rules", "latin1.json"):
             (tmp_path / name).write_bytes(b"\xff" + b"if soc < 1 then 1\n")
         (tmp_path / "deep.json").write_text(f"\n{DEEP_JSON}\n")
+        (tmp_path / "ledger.json").write_text('{"ledger_examples": 1500}\n')
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if (argv[0] in ("simulate", "evolve")
                 and not {"--synthetic", "--trace"} & set(argv)):
@@ -476,8 +486,6 @@ def closed_port_url():
 WRONG_TYPES = {
     "operator_not_an_object": (
         {"operator": 5}, ["evolve", "--operator", "http"]),
-    "ledger_examples_not_an_integer": (
-        {"ledger_examples": "x"}, ["evolve", "--operator", "mock:{replies}"]),
     "policy_timeout_not_a_number": (
         {"policy_timeout_ms": "abc"},
         ["simulate", "--policy",
@@ -649,6 +657,27 @@ class TestEvolveCommand:
         assert code == 0
         assert len([p for p in policies if "baseline" in p]) == 1
         assert len(policies) == 3
+
+    def test_example_strategies_show_the_one_reference_sample(self, tmp_path):
+        # A 1600-step window holds more steps than the prompt shows, so the
+        # sample depends on --seed; both strategies draw it from the one
+        # baseline episode that simulate writes as its step log.
+        replies = tmp_path / "replies.jsonl"
+        replies.write_text(REPLIES_JSONL)
+        window = ["--synthetic", "days=7", "seed=3", "--steps", "1600"]
+        assert main(["evolve", *window, "--strategy", "imitation,hybrid",
+                     "--iters", "1", "--seed", "5", "--operator",
+                     f"mock:{replies}", "--out", str(tmp_path / "evo")]) == 0
+        assert main(["simulate", *window, "--policy", "baseline",
+                     "--out", str(tmp_path / "base")]) == 0
+        sample = quadrant_sample(
+            build_ledger(read_step_log(tmp_path / "base" / "steps.jsonl")),
+            LEDGER_SAMPLE_SIZE, seed=5)
+        assert len(sample) == LEDGER_SAMPLE_SIZE < 1600
+        block = f"BASELINE BEHAVIOR SUMMARY:\n{render_examples(sample)}\n\n"
+        for strategy in ("imitation", "hybrid"):
+            prompt = tmp_path / "evo" / strategy / "iter_0" / "prompt.txt"
+            assert block in prompt.read_text()
 
     def test_non_finite_horizon_reply_does_not_end_the_run(self, tmp_path):
         nines = "9" * 400

@@ -228,18 +228,13 @@ class TestRunEvolution:
         return run_episode(self.trace, self.sessions, self.battery, policy,
                            self.reward_cfg, 0, len(self.trace))
 
-    def baseline_ledger(self, report, n=40):
-        from evpolicy.ledgers import build_ledger, quadrant_sample
-        return quadrant_sample(build_ledger(report.step_rows()), n, seed=0)
-
     def test_min_fit_floor_filters_selection(self, tmp_path):
         report = self.baseline_report()
         run = run_evolution("hybrid", 2, self.trace, self.sessions,
                             self.battery, MockOperator(REPLIES[:2]),
                             self.reward_cfg, out_dir=tmp_path,
-                            retry_base_delay=0.0,
-                            ledger_entries=self.baseline_ledger(report),
-                            min_fit=2.0, reference=report)
+                            retry_base_delay=0.0, min_fit=2.0,
+                            reference=report)
         # an impossible fit floor leaves nothing selectable
         assert all(it.fit is not None for it in run.iterations)
         assert run.best_index is None
@@ -257,9 +252,7 @@ class TestRunEvolution:
         run = run_evolution("imitation", 2, self.trace, self.sessions,
                             self.battery, MockOperator(replies),
                             self.reward_cfg, out_dir=tmp_path,
-                            retry_base_delay=0.0,
-                            ledger_entries=self.baseline_ledger(report),
-                            reference=report)
+                            retry_base_delay=0.0, reference=report)
         fits = [it.fit.fit_score for it in run.iterations]
         assert fits[1] > fits[0]
         assert run.best_index == 1
@@ -270,9 +263,7 @@ class TestRunEvolution:
             run_evolution("hybrid", 1, self.trace, self.sessions,
                           self.battery, MockOperator(REPLIES[:1]),
                           self.reward_cfg, out_dir=tmp_path,
-                          retry_base_delay=0.0,
-                          ledger_entries=self.baseline_ledger(
-                              self.baseline_report()))
+                          retry_base_delay=0.0)
 
     def test_reference_window_must_match(self, tmp_path):
         report = self.baseline_report()
@@ -281,7 +272,6 @@ class TestRunEvolution:
                           self.battery, MockOperator(REPLIES[:1]),
                           self.reward_cfg, out_dir=tmp_path,
                           retry_base_delay=0.0,
-                          ledger_entries=self.baseline_ledger(report),
                           n_steps=report.n_steps - 1, reference=report)
 
     def test_hybrid_prompt_ignores_data_after_the_window(self, tmp_path):
@@ -291,7 +281,6 @@ class TestRunEvolution:
         longer = EnvTrace(t.start, t.load_kw * 2, t.pv_kw * 2,
                           t.buy_price + tuple(2 * p for p in t.buy_price),
                           t.sell_price + tuple(2 * p for p in t.sell_price))
-        ledger = self.baseline_ledger(self.baseline_report())
         prompts = []
         for trace in (t, longer):
             reference = run_episode(trace, self.sessions, self.battery,
@@ -300,8 +289,7 @@ class TestRunEvolution:
             run_evolution("hybrid", 1, trace, self.sessions,
                           self.battery, MockOperator(REPLIES[:1]),
                           self.reward_cfg, out_dir=tmp_path,
-                          retry_base_delay=0.0,
-                          ledger_entries=ledger, n_steps=len(t),
+                          retry_base_delay=0.0, n_steps=len(t),
                           reference=reference)
             prompts.append((tmp_path / "iter_0" / "prompt.txt").read_text())
         assert "RECOMMENDED THRESHOLDS" in prompts[0]

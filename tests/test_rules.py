@@ -94,6 +94,15 @@ class TestParser:
             "if discharge_price >= 0.35 then -7\n"
             "if charge_price <= 0.10 then min(max_charge_kw, 5)\n")
         assert len(script.rules) == 2
+        # Newlines are whitespace, and ';' may stand before and after rules.
+        for source in (
+                "if discharge_price >= 0.35 then -7 "
+                "if charge_price <= 0.10 then min(max_charge_kw, 5)",
+                ";;if discharge_price >= 0.35 then -7;"
+                "if charge_price <= 0.10 then min(max_charge_kw, 5);",
+                "if discharge_price\n>= 0.35 then\n-7 ;\n; if charge_price "
+                "<= 0.10\nthen min(max_charge_kw,\n5)"):
+            assert parse_rule_script(source) == script
 
 
 class TestEvaluation:

@@ -1,3 +1,4 @@
+import fcntl
 import functools
 import inspect
 import io
@@ -19,7 +20,7 @@ from evpolicy import pydriver
 from evpolicy.errors import PolicyFault, PolicySpawnError
 from evpolicy.market import PriceForecast, forecast_at, synthetic_trace
 from evpolicy.rewards import RewardConfig
-from evpolicy.runtime import (READ_BYTES, STDERR_TAIL_BYTES,
+from evpolicy.runtime import (EXIT_WAIT_S, READ_BYTES, STDERR_TAIL_BYTES,
                               ExternalProcessPolicy, GuardrailPolicy,
                               NativePolicy, encode_request, make_policy)
 from evpolicy.simulation import (BatteryConfig, ConnectionSession,
@@ -544,6 +545,55 @@ class TestExternalProcess:
         assert faulted < 5
         assert time.monotonic() - started < 10
         assert handle._proc.returncode == -9  # killed by close()
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                        reason="F_SETPIPE_SZ is Linux only")
+    def test_a_request_that_fills_stdin_waits_for_the_child(self):
+        # The child's stdin pipe holds one page, so a request with a
+        # 288-price forecast (about 6 KB) takes more than one write; the
+        # child starts reading after 0.3 s, well inside its deadline.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "time.sleep(0.3)\n"
+             "for line in sys.stdin:\n"
+             "    if 'protocol' in line: continue\n"
+             "    if 'end' in line: break\n"
+             "    print('7.0', flush=True)\n"], timeout_ms=5000)
+        fcntl.fcntl(handle._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, 4096)
+        obs = make_obs()._replace(
+            forecast=forecast_at(synthetic_trace(days=1), 0))
+        writes = []
+        write = handle._write
+
+        def recording(data):
+            writes.append(write(data))
+            return writes[-1]
+
+        handle._write = recording
+        try:
+            assert handle.decide(obs) == 7.0
+            assert len(writes) > 1  # the request, before close() writes
+        finally:
+            handle.close()
+        assert handle.fault_log == []
+        assert handle._proc.returncode == 0
+
+    def test_a_child_that_closes_stdout_and_lives_on_is_still_running(self):
+        # The child outlives the EXIT_WAIT_S wait that follows the end of
+        # file on its stdout; close() still leaves no process behind.
+        handle = ExternalProcessPolicy(
+            [sys.executable, "-c",
+             "import os, time\n"
+             "os.close(1)\n"
+             f"time.sleep({EXIT_WAIT_S + 1})\n"], timeout_ms=5000)
+        try:
+            with pytest.raises(PolicyFault, match=(
+                    r"^policy process closed its stdout \(still running\)$")):
+                handle.decide(make_obs())
+        finally:
+            handle.close()
+        assert handle._proc.returncode is not None
 
     def test_a_reply_line_that_never_ends_faults_at_once(self):
         # The child writes 8 MB with no newline, then waits. The fault comes

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evpolicy.baseline import BaselineConfig
 from evpolicy.errors import ConfigError, PolicyFault
 from evpolicy.market import (FORECAST_STEPS, STEP, STEP_HOURS, STEP_MINUTES,
                              STEPS_PER_DAY, EnvTrace, synthetic_trace)
@@ -18,7 +19,7 @@ from evpolicy.simulation import (CLAMP_EPS, UNPLUGGED_SOC, BatteryConfig,
                                  ConnectionSession, EpisodeReport, StepRecord,
                                  apply_action, default_n_steps,
                                  default_sessions, observation_at, run_episode,
-                                 session_at)
+                                 session_at, validate_sessions)
 from tests.conftest import make_obs
 
 DATA = Path(__file__).parent / "data"
@@ -136,6 +137,28 @@ def reference_row(r):
             "grid_import_kwh": r.grid_import_kwh,
             "grid_export_kwh": r.grid_export_kwh, "step_cost": r.step_cost,
             "step_reward": r.step_reward}
+
+
+# A NaN fails no range check written as ``x <= 0``: a NaN capacity idled
+# the charger, an infinite limit applied 384 kW and a NaN coefficient made
+# the total reward NaN.
+@pytest.mark.parametrize("build, message", [
+    (lambda: BatteryConfig(capacity_kwh=math.nan),
+     "capacity_kwh must be finite, got nan"),
+    (lambda: BatteryConfig(max_charge_kw=math.inf),
+     "max_charge_kw must be finite, got inf"),
+    (lambda: RewardConfig(deficit_penalty_coeff=math.nan),
+     "deficit_penalty_coeff must be finite, got nan"),
+    (lambda: BaselineConfig(peak_price_threshold=math.nan),
+     "peak_price_threshold must be finite, got nan"),
+    (lambda: validate_sessions([ConnectionSession(0, 10, math.nan)],
+                               BatteryConfig()),
+     "arrival_soc must be finite, got nan"),
+], ids=["battery_capacity_nan", "battery_max_charge_inf", "reward_coeff_nan",
+        "baseline_threshold_nan", "session_arrival_soc_nan"])
+def test_a_non_finite_setting_is_refused(build, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        build()
 
 
 class TestApplyAction:
