@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 from .baseline import BaselineConfig
@@ -208,7 +209,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_ledger(args) -> int:
     from . import ledgers
-    entries = ledgers.build_ledger(read_step_log(args.from_log))
+    rows = read_step_log(args.from_log)
+    entries = ledgers.build_ledger({key: map(itemgetter(key), rows)
+                                    for key in ledgers.STEP_LOG_KEYS})
     sample = ledgers.quadrant_sample(entries, args.n, seed=args.seed)
     ledgers.export_ledger(sample, args.out)
     print(f"wrote {len(sample)} entries to {args.out}")

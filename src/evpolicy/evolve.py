@@ -7,7 +7,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, OperatorTransportError, PolicyFault
 from .ledgers import build_ledger, quadrant_sample, render_examples
@@ -36,11 +36,21 @@ class Issue:
     step_indices: tuple[int, ...]
 
 
+class EpisodeTotals(NamedTuple):
+    """The figures of an iteration's episode that ``run.json`` and the next
+    prompt read; the full summary is the iteration's ``report.json``."""
+    total_reward: float
+    total_profit: float
+    n_steps: int
+    soc_violations: int
+    clamp_events: int
+
+
 @dataclass
 class IterationRecord:
     index: int
     failure: str | None = None
-    report: EpisodeReport | None = None
+    report: EpisodeTotals | None = None
     fit: FitReport | None = None
     issues: list[Issue] = field(default_factory=list)
     criterion: float | None = None
@@ -209,11 +219,14 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
     fault) are recorded and skipped by selection; the next prompt shows the
     failing program, if one was extracted, and quotes the failure as
     ``run.json`` records it. A policy that logged any fault in its episode
-    or fit scoring fails too, though it ran to the end: it keeps its report,
+    or fit scoring fails too, though it ran to the end: it keeps its totals,
     and its issues cite the faults. An iteration whose operator request
     still fails after ``TRANSPORT_RETRIES`` tries ends the run: the
     iterations so far are recorded (and ``run.json`` written), then the
     :class:`OperatorTransportError` is raised.
+
+    A record keeps its episode's :class:`EpisodeTotals`, not the episode,
+    so a run holds one iteration's episode at a time.
 
     ``out_dir`` receives ``run.json`` and an ``iter_<k>`` directory per
     iteration. The window defaults as in :func:`run_episode` and must hold
@@ -236,7 +249,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         fit_examples = _reference_examples(reference)
         # Rendered once: the examples are the same in every prompt of the run.
         examples_block = render_examples(quadrant_sample(
-            build_ledger(reference.step_rows()), LEDGER_SAMPLE_SIZE,
+            build_ledger(reference.columns()), LEDGER_SAMPLE_SIZE,
             seed=seed))
     stats = trace_stats(trace, start_step, n_steps)  # the evaluated window
     out_dir = Path(out_dir)
@@ -288,6 +301,7 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
             record.failure = f"policy construction failed: {exc}"
             continue
 
+        report = None  # the last iteration's episode goes before this one runs
         phase = ""
         try:
             report = run_episode(trace, sessions, battery, policy, reward_cfg,
@@ -301,7 +315,9 @@ def run_evolution(strategy: str, n_iterations: int, trace: EnvTrace,
         finally:
             policy.close()
 
-        record.report = report
+        record.report = EpisodeTotals(
+            report.total_reward, report.total_profit, report.n_steps,
+            report.soc_violations, report.clamp_events)
         record.fit = fit
         faults = policy.fault_log
         if faults:

@@ -5,7 +5,9 @@ import csv
 import json
 import random
 from dataclasses import dataclass, asdict
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .market import lower_median
@@ -19,12 +21,16 @@ QUADRANTS = (
 
 SOLAR_SPLIT_KW = 0.1  # PV above this counts as high solar
 
+# The step-log columns that build_ledger reads.
+STEP_LOG_KEYS = ("step", "soc", "charge_price", "discharge_price", "pv_kw",
+                 "load_kw", "ttd_min", "applied_kw", "step_reward")
+
 LEDGER_COLUMNS = ("step", "soc_pct", "charge_price", "discharge_price",
                   "pv_kw", "load_kw", "ttd_min", "action_kw", "reward",
                   "quadrant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     step: int
     soc_pct: float
@@ -47,28 +53,24 @@ def classify_quadrant(charge_price: float, pv_kw: float,
     return "low_price_high_solar" if high_solar else "low_price_no_solar"
 
 
-def build_ledger(rows: Iterable[dict]) -> list[LedgerEntry]:
-    """One normalized entry (percent SoC, kW, minutes) per step row.
+def build_ledger(columns: Mapping[str, Iterable]) -> list[LedgerEntry]:
+    """One normalized entry (percent SoC, kW, minutes) per simulated step.
 
-    ``rows`` are step rows as yielded by :meth:`EpisodeReport.step_rows` or
-    read back by :func:`read_step_log`.
+    ``columns`` maps each of ``STEP_LOG_KEYS`` to its step-log column, one
+    value per step, as :meth:`EpisodeReport.columns` returns them; each
+    column is read once.
     """
-    rows = list(rows)
-    if not rows:
+    charge_price = list(columns["charge_price"])
+    if not charge_price:
         raise ConfigError("cannot build a ledger from no steps")
-    price_split = lower_median([r["charge_price"] for r in rows])
-    return [LedgerEntry(
-        step=int(r["step"]),
-        soc_pct=r["soc"] * 100.0,
-        charge_price=r["charge_price"],
-        discharge_price=r["discharge_price"],
-        pv_kw=r["pv_kw"],
-        load_kw=r["load_kw"],
-        ttd_min=r["ttd_min"],
-        action_kw=r["applied_kw"],
-        reward=r["step_reward"],
-        quadrant=classify_quadrant(r["charge_price"], r["pv_kw"], price_split),
-    ) for r in rows]
+    pv_kw = list(columns["pv_kw"])
+    quadrants = map(classify_quadrant, charge_price, pv_kw,
+                    repeat(lower_median(charge_price)))
+    return list(map(LedgerEntry, map(int, columns["step"]),
+                    map(mul, columns["soc"], repeat(100.0)), charge_price,
+                    columns["discharge_price"], pv_kw, columns["load_kw"],
+                    columns["ttd_min"], columns["applied_kw"],
+                    columns["step_reward"], quadrants))
 
 
 def quadrant_sample(entries: Sequence[LedgerEntry], n_total: int,

@@ -200,10 +200,11 @@ class EpisodeReport:
         return observation_at(self.trace, self.step_sessions[i], self.soc[i],
                               self.start_step + i, self.battery)
 
-    def _columns(self) -> dict:
+    def columns(self) -> dict:
         """The step log's columns by key, each an iterable of one value per
         simulated step, with the keys in the sorted order in which
-        ``json.dumps(row, sort_keys=True)`` writes them."""
+        ``json.dumps(row, sort_keys=True)`` writes them. Some columns are
+        iterators, so each can be read once."""
         start, stop = self.start_step, self.start_step + self.n_steps
         steps = range(start, stop)
         return {
@@ -226,7 +227,7 @@ class EpisodeReport:
 
     def step_rows(self) -> Iterator[dict]:
         """One plain row per simulated step, as written to the step log."""
-        columns = self._columns()
+        columns = self.columns()
         return (dict(zip(columns, row)) for row in zip(*columns.values()))
 
     def write_step_log(self, path) -> None:
@@ -242,7 +243,7 @@ class EpisodeReport:
         reused where the log repeats it (see :func:`_soc_texts` and
         :func:`_cost_and_reward_texts`).
         """
-        columns = self._columns()
+        columns = self.columns()
         texts = {key: map(repr, column) for key, column in columns.items()}
         texts["plugged_in"] = map(_JSON_BOOL.__getitem__,
                                   columns["plugged_in"])

@@ -9,7 +9,8 @@ import pytest
 
 from evpolicy.cli import main
 from evpolicy.errors import MAX_WAIT_MS
-from evpolicy.ledgers import build_ledger, quadrant_sample, render_examples
+from evpolicy.ledgers import (STEP_LOG_KEYS, build_ledger, quadrant_sample,
+                              render_examples)
 from evpolicy.market import save_trace, synthetic_trace
 from evpolicy.operators import API_KEY_ENV
 from evpolicy.prompts import LEDGER_SAMPLE_SIZE
@@ -670,8 +671,10 @@ class TestEvolveCommand:
                      f"mock:{replies}", "--out", str(tmp_path / "evo")]) == 0
         assert main(["simulate", *window, "--policy", "baseline",
                      "--out", str(tmp_path / "base")]) == 0
+        rows = read_step_log(tmp_path / "base" / "steps.jsonl")
         sample = quadrant_sample(
-            build_ledger(read_step_log(tmp_path / "base" / "steps.jsonl")),
+            build_ledger({key: [row[key] for row in rows]
+                          for key in STEP_LOG_KEYS}),
             LEDGER_SAMPLE_SIZE, seed=5)
         assert len(sample) == LEDGER_SAMPLE_SIZE < 1600
         block = f"BASELINE BEHAVIOR SUMMARY:\n{render_examples(sample)}\n\n"

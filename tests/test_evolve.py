@@ -1,12 +1,14 @@
+import gc
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 from evpolicy.errors import ConfigError, OperatorTransportError
-from evpolicy.evolve import (MIN_FIT_EXAMPLES, EvolutionRun, Issue,
-                             _reference_examples, extract_program,
+from evpolicy.evolve import (MIN_FIT_EXAMPLES, EpisodeTotals, EvolutionRun,
+                             Issue, _reference_examples, extract_program,
                              make_feedback, run_evolution)
 from evpolicy.market import EnvTrace, synthetic_trace
 from evpolicy.operators import MockOperator, MutationOperator, make_operator
@@ -258,6 +260,14 @@ class TestRunEvolution:
         assert run.best_index == 1
         assert run.iterations[1].criterion == fits[1]
 
+    def test_records_keep_the_totals_of_the_episode(self, tmp_path):
+        run = self.evolve(MockOperator(REPLIES), out_dir=tmp_path)
+        for it in run.iterations:
+            summary = json.loads(
+                (tmp_path / f"iter_{it.index}" / "report.json").read_text())
+            assert it.report == EpisodeTotals(**{
+                field: summary[field] for field in EpisodeTotals._fields})
+
     def test_fit_strategies_need_a_reference(self, tmp_path):
         with pytest.raises(ConfigError, match="reference"):
             run_evolution("hybrid", 1, self.trace, self.sessions,
@@ -365,3 +375,48 @@ class TestReferenceExamples:
         assert (min(n_plugged, MIN_FIT_EXAMPLES) <= len(examples)
                 <= 2 * MIN_FIT_EXAMPLES - 1)
         assert all(sessions[i] is not None for i, _ in examples)
+
+
+def test_memory_held_after_a_run_does_not_grow_with_iterations(tmp_path):
+    # Eight more iterations must not keep eight more episodes. Run alone in
+    # CI, so that tracemalloc sees only this test's objects.
+    trace = synthetic_trace(days=7, seed=3)
+    battery, reward_cfg = BatteryConfig(), RewardConfig()
+    sessions = default_sessions(trace)
+
+    def baseline_episode():
+        return run_episode(trace, sessions, battery,
+                           make_policy("baseline", battery), reward_cfg)
+
+    reference = baseline_episode()
+
+    def held(make):
+        """Bytes still allocated after ``make()`` returns, its result alive."""
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        kept = make()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0] - before
+        del kept
+        return size
+
+    def evolve(n_iterations):
+        return lambda: run_evolution(
+            "hybrid", n_iterations, trace, sessions, battery,
+            MockOperator(REPLIES[1:2]), reward_cfg,
+            tmp_path / str(n_iterations), retry_base_delay=0.0,
+            reference=reference)
+
+    # The least of three runs each: a one-off resize of an interpreter-wide
+    # table, such as the one compile() can trigger, shows in one run only.
+    tracemalloc.start()
+    try:
+        held(evolve(1))  # fills the trace's memos
+        held_2, held_10 = [], []
+        for _ in range(3):
+            held_2.append(held(evolve(2)))
+            held_10.append(held(evolve(10)))
+        episode = min(held(baseline_episode) for _ in range(3))
+    finally:
+        tracemalloc.stop()
+    assert min(held_10) - min(held_2) < episode

@@ -4,10 +4,10 @@ import json
 import pytest
 
 from evpolicy.errors import ConfigError
-from evpolicy.ledgers import (LEDGER_COLUMNS, QUADRANTS, LedgerEntry,
-                              action_summary, build_ledger, classify_quadrant,
-                              export_ledger, format_entry, quadrant_sample,
-                              render_examples)
+from evpolicy.ledgers import (LEDGER_COLUMNS, QUADRANTS, STEP_LOG_KEYS,
+                              LedgerEntry, action_summary, build_ledger,
+                              classify_quadrant, export_ledger, format_entry,
+                              quadrant_sample, render_examples)
 from evpolicy.market import lower_median
 
 
@@ -48,7 +48,7 @@ class TestClassification:
 
     def test_default_spec_rejects_empty(self):
         with pytest.raises(ConfigError):
-            build_ledger([])
+            build_ledger(dict.fromkeys(STEP_LOG_KEYS, ()))
 
 
 class TestQuadrantSample:
@@ -187,10 +187,23 @@ class TestBuildLedger:
         policy = make_policy("baseline", battery)
         report = run_episode(fixture_trace, fixture_sessions, battery, policy,
                              RewardConfig(), 0, len(fixture_trace))
-        entries = build_ledger(report.step_rows())
-        # the step log on disk carries the same rows
+        entries = build_ledger(report.columns())
+        # One entry per step row, built field by field.
+        rows = list(report.step_rows())
+        split = lower_median([r["charge_price"] for r in rows])
+        assert entries == [LedgerEntry(
+            step=r["step"], soc_pct=r["soc"] * 100.0,
+            charge_price=r["charge_price"],
+            discharge_price=r["discharge_price"], pv_kw=r["pv_kw"],
+            load_kw=r["load_kw"], ttd_min=r["ttd_min"],
+            action_kw=r["applied_kw"], reward=r["step_reward"],
+            quadrant=classify_quadrant(r["charge_price"], r["pv_kw"], split))
+            for r in rows]
+        # the step log on disk carries the same columns
         report.write_step_log(tmp_path / "steps.jsonl")
-        assert build_ledger(read_step_log(tmp_path / "steps.jsonl")) == entries
+        rows = read_step_log(tmp_path / "steps.jsonl")
+        assert build_ledger({key: [row[key] for row in rows]
+                             for key in STEP_LOG_KEYS}) == entries
         assert len(entries) == len(report.records)
         for e, r in zip(entries, report.records):
             assert e.step == r.observation.step_index

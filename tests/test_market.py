@@ -263,6 +263,11 @@ class TestForecast:
         # IndexError in one evaluator and ValueError in the other.
         with pytest.raises(TraceValidationError, match="no values"):
             PriceForecast(())
+        # A window and a built forecast of the same values are one value.
+        window = forecast_at(make_trace([0.1 * i for i in range(400)]), 7)
+        built = PriceForecast(list(window.values))
+        assert window == built and hash(window) == hash(built)
+        assert window != window.values  # a tuple is not a forecast
 
     @given(prices=st.lists(st.floats(min_value=-1.0, max_value=1.0),
                            min_size=2, max_size=FORECAST_STEPS + 40),

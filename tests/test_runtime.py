@@ -5,7 +5,9 @@ import io
 import json
 import math
 import random
+import shlex
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -692,6 +694,30 @@ class TestPydriver:
                               '  {"end": true}  \n', "\n"],
                        stdout=out)
         assert out.getvalue() == "3.5\n"
+
+    def test_no_argument_exits_2_with_the_usage_line(self):
+        done = subprocess.run([sys.executable, "-m", "evpolicy.pydriver"],
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "usage: python -m evpolicy.pydriver <policy_file.py>\n")
+
+    def test_a_file_without_decide_power_exits_2(self, tmp_path, battery):
+        candidate = tmp_path / "misnamed.py"
+        candidate.write_text("def decide(soc):\n    return 0.0\n")
+        handle = make_policy(f"cmd:{shlex.quote(sys.executable)} -m "
+                             f"evpolicy.pydriver {shlex.quote(str(candidate))}",
+                             battery, timeout_ms=5000)
+        try:
+            with pytest.raises(PolicyFault) as fault:
+                handle.decide(make_obs())
+        finally:
+            handle.close()
+        assert str(fault.value) == (
+            "policy process closed its stdout (exit code 2)")
+        assert ("policy file does not define decide_power()"
+                in fault.value.diagnostics)
 
     @pytest.mark.parametrize("line,error", [
         ('{"end": true} 1', "extra data"),  # as json.loads would have it
